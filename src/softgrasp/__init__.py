@@ -72,17 +72,20 @@ from .geom import (
     support_function,
 )
 from .metrics import (
+    FrameQuality,
     GravityConfig,
     QualityTrace,
     desired_force_index,
     epsilon_metric,
     fibonacci_sphere,
+    frame_quality,
     gravity_directions,
     gravity_polytope,
     gravity_resistant_quality,
     instability_proxy,
     monotonicity,
     quality_trace,
+    quality_traces,
     saturation_index,
     volume_metric,
 )

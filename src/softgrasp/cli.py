@@ -30,17 +30,13 @@ from .fem import (
     mesh_center_of_mass,
     run_squeeze,
 )
-from .geom import min_facet_distance, polytope_volume
 from .metrics import (
     GravityConfig,
     desired_force_index,
-    epsilon_metric,
     fibonacci_sphere,
-    gravity_resistant_quality,
-    instability_proxy,
+    frame_quality,
     monotonicity,
-    quality_trace,
-    volume_metric,
+    quality_traces,
 )
 
 logger = logging.getLogger(__name__)
@@ -212,17 +208,14 @@ def evaluate_frames(frames, mesh_nodes, rc: RunConfig, index: int) -> GraspEvalu
     idx = desired_force_index(frames, rc.desired_force)
     reached = idx is not None
     frame = frames[idx] if reached else frames[-1]
-    proxy_dirs = fibonacci_sphere(rc.proxy_directions)
+    q = frame_quality(frame, wcfg, gcfg, proxy_dirs=fibonacci_sphere(rc.proxy_directions))
     return GraspEvaluation(
         index=index,
         status="ok",
         frames=len(frames),
         reached=reached,
         eval_force=frame.squeeze_force,
-        epsilon=epsilon_metric(frame, wcfg),
-        volume=volume_metric(frame, wcfg),
-        gravity=gravity_resistant_quality(frame, wcfg, gcfg),
-        proxy=instability_proxy(frame, wcfg, proxy_dirs),
+        **q.values,
     )
 
 
@@ -319,7 +312,7 @@ def cmd_metric(args, rc: RunConfig) -> int:
     names = list(METRIC_CHOICES) if args.metric == "all" else [args.metric]
     desired = rc.desired_force
 
-    traces = {name: quality_trace(frames, name, wcfg, gcfg) for name in names}
+    traces = quality_traces(frames, names, wcfg, gcfg)
     _emit(["frame", "time", "squeeze_force"] + names)
     for i, frame in enumerate(frames):
         _emit([i, frame.time, frame.squeeze_force] + [float(traces[n].values[i]) for n in names])
@@ -495,8 +488,6 @@ def cmd_bench(args, rc: RunConfig) -> int:
 
 
 def cmd_hull_info(args, rc: RunConfig) -> int:
-    from .contact import build_gws
-
     traj = fileio.load_trajectory(args.trajectory)
     frames = list(traj.frames)
     rho = rc.torque_scale_rho if rc.torque_scale_rho is not None else traj.header.torque_scale_rho
@@ -507,18 +498,11 @@ def cmd_hull_info(args, rc: RunConfig) -> int:
         "epsilon", "volume", "gravity",
     ))
     for i, frame in enumerate(frames):
-        gws = build_gws(frame, wcfg)
-        _emit((
-            i,
-            frame.time,
-            len(frame.contacts),
-            gws.vertices.shape[0],
-            gws.facet_offsets.shape[0],
-            gws.affine_rank,
-            min_facet_distance(gws),
-            polytope_volume(gws),
-            gravity_resistant_quality(frame, wcfg, gcfg),
-        ))
+        q = frame_quality(frame, wcfg, gcfg, METRIC_CHOICES)
+        _emit(
+            [i, frame.time, len(frame.contacts), q.vertices, q.facets, q.affine_rank]
+            + [q.values[name] for name in METRIC_CHOICES]
+        )
     return 0
 
 

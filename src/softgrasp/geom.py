@@ -23,8 +23,6 @@ from .errors import DegenerateInputError, InvalidInputError
 RANK_REL_TOL = 1e-9
 # Facet planes agreeing componentwise within this are merged.
 FACET_MERGE_TOL = 1e-9
-# Every hull input point must satisfy every output facet this tightly.
-VERTEX_FACET_TOL = 1e-7
 
 
 class Hyperplane(NamedTuple):
@@ -113,19 +111,35 @@ def support_function(points, directions) -> np.ndarray:
 
 
 def _dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: float = FACET_MERGE_TOL):
-    """Merge near-identical facet planes (triangulated hulls repeat them)."""
-    rows = np.column_stack([normals, offsets])
-    rows = np.unique(rows, axis=0)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    keep = np.ones(rows.shape[0], dtype=bool)
-    last = 0
-    for i in range(1, rows.shape[0]):
-        if np.max(np.abs(rows[i] - rows[last])) <= tol:
-            keep[i] = False
-        else:
-            last = i
-    rows = rows[keep]
+    """Merge near-identical facet planes (triangulated hulls repeat them).
+
+    Rows (normal, offset) are taken in sorted order, and a row is dropped
+    when it is within tol componentwise of the last row kept before it.
+    nxt[k] is the first row after k that is not within tol of row k, which
+    is the next row kept whenever k is kept; the kept rows are the path
+    0 -> nxt[0] -> ..., marked by pointer doubling.
+    """
+    rows = np.unique(np.column_stack([normals, offsets]), axis=0)
+    n = rows.shape[0]
+    nxt = np.full(n, n)
+    pending = np.arange(n - 1)
+    step = 1
+    while pending.size:
+        cand = pending + step
+        inside = cand < n
+        pending, cand = pending[inside], cand[inside]
+        far = np.max(np.abs(rows[cand] - rows[pending]), axis=1) > tol
+        nxt[pending[far]] = cand[far]
+        pending = pending[~far]
+        step += 1
+    # after round r, keep marks every row reached from row 0 in < 2**(r+1) steps
+    jump = np.append(nxt, n)
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[0] = True
+    for _ in range(n.bit_length()):
+        keep[jump[keep]] = True
+        jump = jump[jump]
+    rows = rows[keep[:n]]
     return rows[:, :-1], rows[:, -1]
 
 

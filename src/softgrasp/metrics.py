@@ -107,14 +107,89 @@ class QualityTrace:
         object.__setattr__(self, "values", v)
 
 
+@dataclass(frozen=True)
+class FrameQuality:
+    """Requested metrics of one frame plus the size of its wrench hull.
+
+    values maps each requested metric name to its value.  A contact-free
+    frame has no hull: every metric is zero and so are the counts.
+    """
+
+    values: dict
+    vertices: int
+    facets: int
+    affine_rank: int
+
+
+def _inertial_exits(gws: Polytope, arm: np.ndarray, dirs: np.ndarray, rho: float):
+    """Hull exit distances along the unit 6D rays (d, (arm x d)/rho), plus the
+    rays' pre-normalization norms."""
+    v = np.hstack([dirs, np.cross(np.broadcast_to(arm, dirs.shape), dirs) / rho])
+    norms = np.linalg.norm(v, axis=1)
+    return ray_exit_distances(gws, v / norms[:, None]), norms
+
+
+def frame_quality(
+    frame: TrajectoryFrame,
+    cfg: WrenchSpaceConfig,
+    gcfg: GravityConfig | None,
+    metrics=TRACE_METRICS,
+    proxy_dirs=None,
+) -> FrameQuality:
+    """Every requested metric of one frame from a single wrench hull.
+
+    metrics is any subset of epsilon | volume | gravity | proxy; only the
+    requested ones are computed.  gcfg None means GravityConfig(); proxy
+    directions default to the gravity directions.  Flat hulls and
+    contact-free frames score zero on every metric.
+    """
+    names = tuple(metrics)
+    unknown = [m for m in names if m not in TRACE_METRICS]
+    if unknown:
+        raise InvalidInputError(f"unknown metric {unknown[0]!r}, expected one of {TRACE_METRICS}")
+    if gcfg is None:
+        gcfg = GravityConfig()
+    inertial = "gravity" in names or "proxy" in names
+    if inertial and frame.mass <= 0.0:
+        raise InvalidInputError("mass must be > 0")
+    if "proxy" in names:
+        dirs = gravity_directions(gcfg) if proxy_dirs is None else _unit_rows(proxy_dirs, "proxy_dirs")
+
+    if len(frame.contacts) == 0:
+        return FrameQuality({m: 0.0 for m in names}, vertices=0, facets=0, affine_rank=0)
+    gws = build_gws(frame, cfg)
+    values = dict.fromkeys(names, 0.0)
+    if gws.is_full_dimensional:
+        if "epsilon" in names:
+            values["epsilon"] = min_facet_distance(gws)
+        if "volume" in names:
+            values["volume"] = polytope_volume(gws)
+        if inertial:
+            arm = frame.com - contact_centroid(frame)
+            rho = cfg.torque_scale_rho
+            if "gravity" in names:
+                exits, norms = _inertial_exits(gws, arm, gravity_directions(gcfg), rho)
+                caps = frame.mass * gcfg.gravity_accel * norms
+                values["gravity"] = float(np.min(np.minimum(exits, caps)))
+            if "proxy" in names:
+                exits, _ = _inertial_exits(gws, arm, dirs, rho)
+                values["proxy"] = float(np.mean(exits) / frame.mass)
+    return FrameQuality(
+        values,
+        vertices=gws.vertices.shape[0],
+        facets=gws.facet_offsets.shape[0],
+        affine_rank=gws.affine_rank,
+    )
+
+
 def epsilon_metric(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> float:
     """Radius of the largest origin-centered ball inside the wrench hull."""
-    return min_facet_distance(build_gws(frame, cfg))
+    return frame_quality(frame, cfg, None, ("epsilon",)).values["epsilon"]
 
 
 def volume_metric(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> float:
     """Hypervolume of the wrench hull."""
-    return polytope_volume(build_gws(frame, cfg))
+    return frame_quality(frame, cfg, None, ("volume",)).values["volume"]
 
 
 def gravity_polytope(mass: float, com, centroid, rho: float, gcfg: GravityConfig) -> Polytope:
@@ -136,13 +211,6 @@ def gravity_polytope(mass: float, com, centroid, rho: float, gcfg: GravityConfig
     return convex_hull(wrenches, 6)
 
 
-def _inertial_rays(arm: np.ndarray, dirs: np.ndarray, rho: float):
-    """Unit 6D rays (d, (arm x d)/rho) plus the pre-normalization norms."""
-    v = np.hstack([dirs, np.cross(np.broadcast_to(arm, dirs.shape), dirs) / rho])
-    norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None], norms
-
-
 def gravity_resistant_quality(
     frame: TrajectoryFrame, cfg: WrenchSpaceConfig, gcfg: GravityConfig
 ) -> float:
@@ -153,16 +221,7 @@ def gravity_resistant_quality(
     the quality is the minimum over directions.  Zero when the hull is
     degenerate or fails to surround the origin in some sampled direction.
     """
-    if frame.mass <= 0.0:
-        raise InvalidInputError("mass must be > 0")
-    gws = build_gws(frame, cfg)
-    if not gws.is_full_dimensional:
-        return 0.0
-    arm = frame.com - contact_centroid(frame)
-    rays, norms = _inertial_rays(arm, gravity_directions(gcfg), cfg.torque_scale_rho)
-    exits = ray_exit_distances(gws, rays)
-    caps = frame.mass * gcfg.gravity_accel * norms
-    return float(np.min(np.minimum(exits, caps)))
+    return frame_quality(frame, cfg, gcfg, ("gravity",)).values["gravity"]
 
 
 def instability_proxy(frame: TrajectoryFrame, cfg: WrenchSpaceConfig, dirs) -> float:
@@ -172,16 +231,7 @@ def instability_proxy(frame: TrajectoryFrame, cfg: WrenchSpaceConfig, dirs) -> f
     wrench hull's exit distance is the largest force magnitude the grasp
     balances, and dividing by mass turns it into an acceleration.
     """
-    if frame.mass <= 0.0:
-        raise InvalidInputError("mass must be > 0")
-    d = _unit_rows(dirs, "dirs")
-    gws = build_gws(frame, cfg)
-    if not gws.is_full_dimensional:
-        return 0.0
-    arm = frame.com - contact_centroid(frame)
-    rays, _ = _inertial_rays(arm, d, cfg.torque_scale_rho)
-    exits = ray_exit_distances(gws, rays)
-    return float(np.mean(exits) / frame.mass)
+    return frame_quality(frame, cfg, None, ("proxy",), dirs).values["proxy"]
 
 
 def monotonicity(metric_values, ground_truth) -> float:
@@ -235,18 +285,19 @@ def desired_force_index(trajectory, desired_force: float) -> int | None:
     return None
 
 
-def quality_trace(
+def quality_traces(
     trajectory,
-    metric: str,
+    metrics,
     cfg: WrenchSpaceConfig,
     gcfg: GravityConfig | None = None,
     proxy_directions=None,
-) -> QualityTrace:
-    """Evaluate one metric on every frame of a trajectory.
+) -> dict:
+    """Evaluate several metrics on every frame, one wrench hull per frame.
 
-    metric is one of epsilon | volume | gravity | proxy.  saturation_force
-    is the squeeze force of the first frame after which the metric never
-    rises by more than 1% relative (None when the trace never settles).
+    Returns a QualityTrace per requested metric (epsilon | volume | gravity
+    | proxy).  saturation_force is the squeeze force of the first frame
+    after which the metric never rises by more than 1% relative (None when
+    the trace never settles).
     """
     frames = list(trajectory)
     if len(frames) == 0:
@@ -254,23 +305,25 @@ def quality_trace(
     times = np.array([f.time for f in frames])
     if np.any(np.diff(times) <= 0.0):
         raise InvalidInputError("frame times must be strictly increasing")
-    if metric not in TRACE_METRICS:
-        raise InvalidInputError(f"unknown metric {metric!r}, expected one of {TRACE_METRICS}")
-
-    if gcfg is None:
-        gcfg = GravityConfig()
-    if metric == "proxy":
-        dirs = gravity_directions(gcfg) if proxy_directions is None else _unit_rows(
-            proxy_directions, "proxy_directions"
+    names = tuple(metrics)
+    per_frame = [frame_quality(f, cfg, gcfg, names, proxy_directions).values for f in frames]
+    traces = {}
+    for metric in names:
+        values = np.array([q[metric] for q in per_frame])
+        sat = saturation_index(values)
+        sat_force = float(frames[sat].squeeze_force) if sat is not None else None
+        traces[metric] = QualityTrace(
+            times=times, values=values, metric_name=metric, saturation_force=sat_force
         )
-        values = np.array([instability_proxy(f, cfg, dirs) for f in frames])
-    elif metric == "gravity":
-        values = np.array([gravity_resistant_quality(f, cfg, gcfg) for f in frames])
-    elif metric == "volume":
-        values = np.array([volume_metric(f, cfg) for f in frames])
-    else:
-        values = np.array([epsilon_metric(f, cfg) for f in frames])
+    return traces
 
-    sat = saturation_index(values)
-    sat_force = float(frames[sat].squeeze_force) if sat is not None else None
-    return QualityTrace(times=times, values=values, metric_name=metric, saturation_force=sat_force)
+
+def quality_trace(
+    trajectory,
+    metric: str,
+    cfg: WrenchSpaceConfig,
+    gcfg: GravityConfig | None = None,
+    proxy_directions=None,
+) -> QualityTrace:
+    """Evaluate one metric on every frame of a trajectory (see quality_traces)."""
+    return quality_traces(trajectory, (metric,), cfg, gcfg, proxy_directions)[metric]

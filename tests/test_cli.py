@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from softgrasp.cli import (
     parse_run_config,
     sample_grasps,
 )
+
+DATA = Path(__file__).parent / "data"
+# six frames: one contact, a two-point pinch (both flat), then full-rank hulls
+FIXTURE_TRAJECTORY = DATA / "hull_info_fixture.jsonl"
 
 CONFIG_TEXT = """# fast test settings
 desired_force = 2.0
@@ -210,6 +215,53 @@ class TestPipeline:
         code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def data_columns(text):
+    rows = [ln.split("\t") for ln in text.splitlines() if ln and not ln.startswith("#")]
+    return {name: [r[i] for r in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+class TestMetricAndHullInfoOutputs:
+    def test_hull_info_fixture_output(self, capsys):
+        code, out, _ = run_cli(capsys, "hull-info", "--trajectory", str(FIXTURE_TRAJECTORY))
+        assert code == 0
+        assert out == (DATA / "hull_info_fixture.tsv").read_text()
+
+    def test_metric_all_columns_equal_single_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "metric", "--trajectory", str(FIXTURE_TRAJECTORY))
+        assert code == 0
+        both = data_columns(out)
+        summary = [ln for ln in out.splitlines() if ln.startswith("# ")]
+        for name in ("epsilon", "volume", "gravity"):
+            code, single, _ = run_cli(
+                capsys, "metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--metric", name
+            )
+            assert code == 0
+            assert data_columns(single)[name] == both[name]
+            for line in single.splitlines():
+                if line.startswith(f"# {name}_"):
+                    assert line in summary
+
+    def test_contact_free_frame_scores_zero(self, capsys, tmp_path):
+        lines = FIXTURE_TRAJECTORY.read_text().splitlines()
+        empty = json.loads(lines[-1])
+        empty["t"] += 0.01
+        empty["contacts"] = []
+        path = tmp_path / "with_empty.jsonl"
+        path.write_text("\n".join(lines + [json.dumps(empty)]) + "\n")
+        n = len(lines) - 1  # index of the contact-free frame
+
+        code, out, _ = run_cli(capsys, "metric", "--trajectory", str(path))
+        assert code == 0
+        cols = data_columns(out)
+        assert [cols[m][n] for m in ("epsilon", "volume", "gravity")] == ["0", "0", "0"]
+
+        code, out, _ = run_cli(capsys, "hull-info", "--trajectory", str(path))
+        assert code == 0
+        row = out.splitlines()[n + 1].split("\t")
+        assert row[2:] == ["0"] * 7  # contacts, vertices, facets, rank, three metrics
+        assert out.splitlines()[: n + 1] == (DATA / "hull_info_fixture.tsv").read_text().splitlines()
 
 
 class TestExitCodes:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import oracles
-from helpers import random_hull_points
+from helpers import antipodal_patch_frame, dyadic_frame, random_frame, random_hull_points
 from softgrasp import (
     DegenerateInputError,
     InvalidInputError,
@@ -16,8 +17,11 @@ from softgrasp import (
     polytope_volume,
     ray_exit_distance,
     ray_exit_distances,
+    WrenchSpaceConfig,
+    frame_wrenches,
     support_function,
 )
+from softgrasp.geom import FACET_MERGE_TOL, _dedupe_facets
 
 
 def cube_points(d):
@@ -300,3 +304,69 @@ class TestHalfspaceIntersectionDistance:
         b = convex_hull(random_hull_points(rng, 4, 20), 4)
         with pytest.raises(InvalidInputError):
             halfspace_intersection_distance(a, b)
+
+
+def planted_facet_rows(rng, tol):
+    """Random facet rows plus clusters of near-duplicates around some of them.
+
+    Chains step 0.7*tol per row along a fixed direction, so neighbours are
+    within tol while the ends are not; scatter clusters put rows within
+    +-0.9*tol of a centre, so a row can be within tol of the kept row but
+    not of its predecessor; tight clusters differ only by rounding noise.
+    """
+    base = rng.normal(size=(40, 7))
+    base[:, :6] /= np.linalg.norm(base[:, :6], axis=1, keepdims=True)
+    rows = [base]
+    for centre in base[rng.choice(40, size=15, replace=False)]:
+        size = int(rng.integers(2, 9))
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            step = rng.uniform(-1.0, 1.0, size=7)
+            step *= 0.7 * tol / np.max(np.abs(step))
+            rows.append(centre + np.arange(1, size + 1)[:, None] * step)
+        elif kind == 1:
+            rows.append(centre + rng.uniform(-0.9, 0.9, size=(size, 7)) * tol)
+        else:
+            rows.append(centre + rng.uniform(-1.0, 1.0, size=(size, 7)) * 1e-15)
+    rows = np.vstack(rows)
+    return rows[rng.permutation(rows.shape[0])]
+
+
+class TestDedupeFacets:
+    def assert_same_as_oracle(self, normals, offsets):
+        got_n, got_b = _dedupe_facets(normals, offsets)
+        want_n, want_b = oracles.sequential_dedupe_facets(normals, offsets, FACET_MERGE_TOL)
+        assert np.array_equal(got_n, want_n)
+        assert np.array_equal(got_b, want_b)
+
+    def test_planted_near_duplicate_chains(self, rng):
+        tol = FACET_MERGE_TOL
+        naive_differs = 0
+        for _ in range(60):
+            rows = planted_facet_rows(rng, tol)
+            self.assert_same_as_oracle(rows[:, :6], rows[:, 6])
+            # merging by consecutive differences alone is not the greedy rule
+            uniq = np.unique(rows, axis=0)
+            naive = uniq[np.r_[True, np.max(np.abs(np.diff(uniq, axis=0)), axis=1) > tol]]
+            want_n, _ = oracles.sequential_dedupe_facets(rows[:, :6], rows[:, 6], tol)
+            naive_differs += not np.array_equal(naive[:, :6], want_n)
+        assert naive_differs > 0
+
+    def test_small_inputs(self):
+        one = np.array([[1.0, 0.0, 0.0]])
+        self.assert_same_as_oracle(one, np.array([0.5]))
+        twice = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]])
+        self.assert_same_as_oracle(twice, np.array([0.5, 0.5]))
+        got_n, _ = _dedupe_facets(twice, np.array([0.5, 0.5]))
+        assert got_n.shape == (1, 3)
+
+    def test_real_wrench_hulls(self, rng):
+        cfg = WrenchSpaceConfig()
+        frames = [antipodal_patch_frame(), dyadic_frame(rng, 4), dyadic_frame(rng, 8)]
+        frames += [random_frame(rng, n) for n in (3, 4, 6, 8)]
+        for frame in frames:
+            hull = ConvexHull(frame_wrenches(frame, cfg))
+            lens = np.linalg.norm(hull.equations[:, :-1], axis=1)
+            self.assert_same_as_oracle(
+                hull.equations[:, :-1] / lens[:, None], -hull.equations[:, -1] / lens
+            )

@@ -24,6 +24,7 @@ from softgrasp import (
     desired_force_index,
     epsilon_metric,
     fibonacci_sphere,
+    frame_quality,
     frame_wrenches,
     gravity_directions,
     gravity_polytope,
@@ -35,6 +36,8 @@ from softgrasp import (
     saturation_index,
     volume_metric,
 )
+from softgrasp import metrics
+from softgrasp.metrics import TRACE_METRICS
 
 
 def frame_with_forces(frame, k):
@@ -385,6 +388,61 @@ class TestQualityTrace:
     def test_empty_trajectory(self):
         with pytest.raises(InvalidInputError):
             quality_trace([], "epsilon", WrenchSpaceConfig())
+
+
+class TestFrameQuality:
+    def frames(self, rng):
+        flat = random_frame(rng, 1)
+        return [random_frame(rng, n) for n in (3, 4, 6)] + [
+            flat,  # one contact: flat hull
+            two_point_pinch_frame(),  # rank-deficient pinch
+            antipodal_patch_frame(),
+        ]
+
+    def test_equals_per_metric_functions(self, rng):
+        dirs = fibonacci_sphere(12)
+        gcfg = GravityConfig()
+        for cfg in (WrenchSpaceConfig(), WrenchSpaceConfig(friction_mu=0.0)):
+            for f in self.frames(rng):
+                q = frame_quality(f, cfg, gcfg, TRACE_METRICS, dirs)
+                assert q.values["epsilon"] == epsilon_metric(f, cfg)
+                assert q.values["volume"] == volume_metric(f, cfg)
+                assert q.values["gravity"] == gravity_resistant_quality(f, cfg, gcfg)
+                assert q.values["proxy"] == instability_proxy(f, cfg, dirs)
+                gws = build_gws(f, cfg)
+                assert (q.vertices, q.facets, q.affine_rank) == (
+                    gws.vertices.shape[0], gws.facet_offsets.shape[0], gws.affine_rank
+                )
+                if q.affine_rank < 6:
+                    assert all(v == 0.0 for v in q.values.values())
+
+    def test_one_hull_per_frame(self, rng, monkeypatch):
+        built = []
+
+        def counting_build_gws(frame, cfg):
+            built.append(frame)
+            return build_gws(frame, cfg)
+
+        monkeypatch.setattr(metrics, "build_gws", counting_build_gws)
+        f = random_frame(rng, 4)
+        frame_quality(f, WrenchSpaceConfig(), GravityConfig())
+        assert len(built) == 1
+        traces = metrics.quality_traces([f], TRACE_METRICS, WrenchSpaceConfig())
+        assert len(built) == 2
+        assert set(traces) == set(TRACE_METRICS)
+
+    def test_computes_only_requested(self, rng):
+        q = frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), None, ("gravity",))
+        assert list(q.values) == ["gravity"]
+        with pytest.raises(InvalidInputError):
+            frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), None, ("bogus",))
+
+    def test_contact_free_frame_scores_zero(self):
+        f = TrajectoryFrame(time=0.0, contacts=(), squeeze_force=0.0, com=np.zeros(3), mass=0.1)
+        q = frame_quality(f, WrenchSpaceConfig(), GravityConfig())
+        assert q.values == {m: 0.0 for m in TRACE_METRICS}
+        assert (q.vertices, q.facets, q.affine_rank) == (0, 0, 0)
+        assert epsilon_metric(f, WrenchSpaceConfig()) == 0.0
 
 
 class TestHullMonotonicityAcrossMetrics:
