@@ -60,11 +60,9 @@ from .fileio import (
     write_trajectory,
 )
 from .geom import (
-    Hyperplane,
     Polytope,
     affine_rank_of,
     convex_hull,
-    halfspace_intersection_distance,
     min_facet_distance,
     polytope_volume,
     ray_exit_distance,
@@ -80,7 +78,6 @@ from .metrics import (
     fibonacci_sphere,
     frame_quality,
     gravity_directions,
-    gravity_polytope,
     gravity_resistant_quality,
     instability_proxy,
     monotonicity,

@@ -427,7 +427,6 @@ def sample_grasps(mesh: TetMesh, count: int, rng, rc: RunConfig) -> list[GraspCa
                 approach_axis=axis,
                 finger_halfwidth=halfwidth,
                 max_force=rc.desired_force * 1.5,
-                force_steps=1,
             )
         )
     return out
@@ -466,6 +465,8 @@ def cmd_bench(args, rc: RunConfig) -> int:
     names = [n.strip() for n in args.objects.split(",") if n.strip()]
     if not names:
         raise ConfigError("no bench objects given")
+    if args.grasps_per_object < 3:
+        raise ConfigError("--grasps-per-object must be >= 3 (rank correlation needs 3 grasps)")
     for name in names:
         if name not in BENCH_OBJECTS:
             raise ConfigError(
@@ -517,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run configuration file")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level diagnostics")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -550,6 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", default="box,slab,cylinder,sphere")
     p.add_argument("--grasps-per-object", type=int, default=15)
     p.add_argument("--desired-force", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
@@ -569,15 +570,11 @@ def main(argv=None) -> int:
     )
     try:
         rc = load_run_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be >= 0")
-            rc = dataclasses.replace(rc, seed=args.seed)
-        if getattr(args, "desired_force", None) is not None:
-            if args.desired_force <= 0:
-                raise ConfigError("desired force must be > 0")
-            rc = dataclasses.replace(rc, desired_force=args.desired_force)
-        return args.func(args, rc)
+        for key in ("seed", "desired_force"):
+            value = getattr(args, key, None)
+            if value is not None:
+                rc = dataclasses.replace(rc, **{key: value})
+        return args.func(args, validate_run_config(rc))
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

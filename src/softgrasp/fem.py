@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import kernels
 from .contact import ContactPoint, TrajectoryFrame, orthonormal_tangents
 from .errors import InvalidInputError, MeshError, SolverError
 
@@ -157,13 +156,12 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class GraspCandidate:
-    """Parallel-jaw grasp: pad pose, pad size, and its force schedule."""
+    """Parallel-jaw grasp: pad pose, pad size, and the force to close to."""
 
     grasp_center: np.ndarray
     approach_axis: np.ndarray
     finger_halfwidth: float
     max_force: float
-    force_steps: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "grasp_center", _vec3(self.grasp_center, "grasp_center"))
@@ -175,9 +173,6 @@ class GraspCandidate:
             raise InvalidInputError("finger_halfwidth must be > 0")
         if not (np.isfinite(self.max_force) and self.max_force > 0.0):
             raise InvalidInputError("max_force must be > 0")
-        if int(self.force_steps) < 1:
-            raise InvalidInputError("force_steps must be >= 1")
-        object.__setattr__(self, "force_steps", int(self.force_steps))
 
 
 @dataclass(frozen=True)
@@ -378,11 +373,60 @@ def generate_primitive_mesh(kind: str, dims, resolution: int = 6) -> TetMesh:
 # Stiffness assembly.
 
 
+def _elastic_matrix(lam: float, mu: float) -> np.ndarray:
+    """6x6 isotropic elasticity matrix in Voigt order (xx, yy, zz, xy, yz, zx)."""
+    d = np.zeros((6, 6))
+    d[:3, :3] = lam
+    d[0, 0] = d[1, 1] = d[2, 2] = lam + 2.0 * mu
+    d[3, 3] = d[4, 4] = d[5, 5] = mu
+    return d
+
+
+def _tet_stiffness(coords: np.ndarray, lam: float, mu: float):
+    """Element stiffness for a batch of linear tets.
+
+    ``coords`` is (m, 4, 3).  Returns ``(ke, vols)`` with ``ke`` of shape
+    (m, 12, 12) and signed volumes (m,).  Elements with non-positive volume
+    get a zero matrix; the caller decides whether that is an error.
+    """
+    m = coords.shape[0]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    dets = np.linalg.det(edges)
+    vols = dets / 6.0
+    ok = vols > 0.0
+    grads = np.zeros((m, 4, 3))
+    if np.any(ok):
+        inv = np.linalg.inv(edges[ok])
+        # gradient of shape function i (i=1..3) is column i-1 of inv(edges)
+        grads_ok = np.transpose(inv, (0, 2, 1))
+        grads[ok, 1:, :] = grads_ok
+        grads[ok, 0, :] = -grads_ok.sum(axis=1)
+    b = np.zeros((m, 6, 12))
+    for a in range(4):
+        gx = grads[:, a, 0]
+        gy = grads[:, a, 1]
+        gz = grads[:, a, 2]
+        c = 3 * a
+        b[:, 0, c] = gx
+        b[:, 1, c + 1] = gy
+        b[:, 2, c + 2] = gz
+        b[:, 3, c] = gy
+        b[:, 3, c + 1] = gx
+        b[:, 4, c + 1] = gz
+        b[:, 4, c + 2] = gy
+        b[:, 5, c] = gz
+        b[:, 5, c + 2] = gx
+    dmat = _elastic_matrix(lam, mu)
+    ke = np.einsum("mja,jk,mkb->mab", b, dmat, b, optimize=True)
+    ke *= np.where(ok, vols, 0.0)[:, None, None]
+    return ke, vols
+
+
 def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
     """Global stiffness (3n x 3n, CSR) from constant-strain tets."""
     lam, mu = mat.lame()
     coords = mesh.nodes[mesh.tets]
-    ke, vols = kernels.tet_stiffness_batch(coords, lam, mu)
+    ke, vols = _tet_stiffness(coords, lam, mu)
     if np.any(vols <= 0.0):
         raise MeshError("inverted tet during assembly")
     dofs = (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)

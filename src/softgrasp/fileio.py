@@ -370,9 +370,9 @@ def load_tet_mesh(node_path, ele_path) -> TetMesh:
 def parse_grasp_candidates(text: str) -> list[GraspCandidate]:
     """Parse line-delimited JSON grasp candidates.
 
-    Required keys per line: center, axis, halfwidth, max_force; optional
-    force_steps (default 1).  An axis off unit length by at most 1e-3 is
-    normalized with a warning; more than that is an error.
+    Required keys per line: center, axis, halfwidth, max_force; other keys
+    are ignored.  An axis off unit length by at most 1e-3 is normalized with
+    a warning; more than that is an error.
     """
     if not isinstance(text, str):
         raise ParseError("grasp input must be text")
@@ -392,16 +392,12 @@ def parse_grasp_candidates(text: str) -> list[GraspCandidate]:
                 stacklevel=2,
             )
         axis = axis / norm
-        steps = obj.get("force_steps", 1)
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ParseError("force_steps must be an integer", line=lineno)
         try:
             cand = GraspCandidate(
                 grasp_center=_get_vec3(obj, "center", lineno),
                 approach_axis=axis,
                 finger_halfwidth=_get_num(obj, "halfwidth", lineno),
                 max_force=_get_num(obj, "max_force", lineno),
-                force_steps=steps,
             )
         except ValueError as exc:
             raise ParseError(f"bad grasp candidate: {exc}", line=lineno) from None
@@ -419,7 +415,6 @@ def write_grasp_candidates(candidates) -> str:
             "axis": _float_list(cand.approach_axis),
             "halfwidth": float(cand.finger_halfwidth),
             "max_force": float(cand.max_force),
-            "force_steps": int(cand.force_steps),
         }
         lines.append(json.dumps(rec, allow_nan=False))
     return "\n".join(lines) + "\n"

@@ -11,25 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from . import kernels
 from .errors import DegenerateInputError, InvalidInputError
 
 # Rank cutoff: singular values above this fraction of the largest count.
 RANK_REL_TOL = 1e-9
 # Facet planes agreeing componentwise within this are merged.
 FACET_MERGE_TOL = 1e-9
-
-
-class Hyperplane(NamedTuple):
-    """Halfspace normal . x <= offset with ||normal|| = 1."""
-
-    normal: np.ndarray
-    offset: float
+# Facet normals closer to perpendicular than this to a ray direction are
+# treated as not bounding the ray.
+_RAY_DOT_MIN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +32,8 @@ class Polytope:
 
     vertices holds the extreme points only.  facet_normals / facet_offsets
     are deduplicated geometric facets; facet_simplices triangulates the
-    boundary with rows of indices into vertices and exists only for hulls
-    built from points (it drives the fan volume).
+    boundary with rows of indices into vertices (it drives the fan volume).
+    Flat polytopes carry no facets, simplices or interior point.
     """
 
     dim: int
@@ -53,42 +47,6 @@ class Polytope:
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_rank == self.dim
-
-    @property
-    def facets(self) -> tuple[Hyperplane, ...]:
-        return tuple(
-            Hyperplane(self.facet_normals[i], float(self.facet_offsets[i]))
-            for i in range(self.facet_offsets.shape[0])
-        )
-
-    @classmethod
-    def from_halfspaces(cls, normals, offsets, dim: int | None = None) -> "Polytope":
-        """Build a facet-only polytope (no vertex enumeration).
-
-        The set is declared full-dimensional; ray queries work on it, the
-        fan volume does not (there is no triangulation to fan over).
-        """
-        n = np.asarray(normals, dtype=float)
-        b = np.asarray(offsets, dtype=float)
-        if n.ndim != 2 or n.shape[0] != b.shape[0] or n.shape[0] == 0:
-            raise InvalidInputError("need matching nonempty normals and offsets")
-        d = n.shape[1] if dim is None else int(dim)
-        if n.shape[1] != d:
-            raise InvalidInputError("normal dimension mismatch")
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(b))):
-            raise InvalidInputError("non-finite halfspace data")
-        lens = np.linalg.norm(n, axis=1)
-        if np.any(lens < 1e-12):
-            raise InvalidInputError("zero facet normal")
-        return cls(
-            dim=d,
-            vertices=np.zeros((0, d)),
-            facet_normals=n / lens[:, None],
-            facet_offsets=b / lens,
-            affine_rank=d,
-            interior_point=None,
-            facet_simplices=None,
-        )
 
 
 def affine_rank_of(points: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
@@ -239,8 +197,8 @@ def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
     """Distance from the origin to the boundary of poly along each unit ray.
 
     Zero when the origin lies outside poly (that direction is already lost),
-    +inf along directions no facet bounds (possible only for halfspace-built
-    sets).  Degenerate polytopes have no exit distance and raise.
+    and negative roundoff is clamped to zero.  Degenerate polytopes have no
+    exit distance and raise.
     """
     if not poly.is_full_dimensional:
         raise DegenerateInputError("ray exit undefined for a flat polytope")
@@ -251,7 +209,10 @@ def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(offs))))
     if float(offs.min()) < -1e-9 * scale:
         return np.zeros(dirs.shape[0])
-    return kernels.ray_exit_batch(poly.facet_normals, offs, dirs)
+    dots = dirs @ poly.facet_normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.where(dots > _RAY_DOT_MIN, offs[None, :] / dots, np.inf)
+    return np.maximum(steps.min(axis=1), 0.0)
 
 
 def ray_exit_distance(poly: Polytope, direction) -> float:
@@ -275,18 +236,6 @@ def polytope_volume(poly: Polytope) -> float:
     """Hypervolume via a simplex fan from the interior point to each facet."""
     if not poly.is_full_dimensional:
         return 0.0
-    if poly.facet_simplices is None or poly.interior_point is None:
-        raise InvalidInputError("volume needs a vertex-built polytope")
     mats = poly.vertices[poly.facet_simplices] - poly.interior_point
-    return kernels.det_abs_sum(mats) / math.factorial(poly.dim)
+    return float(np.abs(np.linalg.det(mats)).sum()) / math.factorial(poly.dim)
 
-
-def halfspace_intersection_distance(a: Polytope, b: Polytope) -> float:
-    """Radius of the largest origin-centered ball inside the intersection.
-
-    The combined facet set bounds the ball, so this is just the smaller of
-    the two single-body radii; zero if the origin is outside either body.
-    """
-    if a.dim != b.dim:
-        raise InvalidInputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return min(min_facet_distance(a), min_facet_distance(b))

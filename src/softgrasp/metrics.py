@@ -19,7 +19,7 @@ from scipy import stats
 
 from .contact import TrajectoryFrame, WrenchSpaceConfig, build_gws, contact_centroid
 from .errors import InvalidInputError, UndefinedCorrelationWarning
-from .geom import Polytope, convex_hull, min_facet_distance, polytope_volume, ray_exit_distances
+from .geom import Polytope, min_facet_distance, polytope_volume, ray_exit_distances
 
 METRIC_NAMES = ("epsilon", "volume", "gravity")
 TRACE_METRICS = METRIC_NAMES + ("proxy",)
@@ -190,25 +190,6 @@ def epsilon_metric(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> float:
 def volume_metric(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> float:
     """Hypervolume of the wrench hull."""
     return frame_quality(frame, cfg, None, ("volume",)).values["volume"]
-
-
-def gravity_polytope(mass: float, com, centroid, rho: float, gcfg: GravityConfig) -> Polytope:
-    """Hull of the gravity wrenches m*g*d_k (torque about the contact centroid).
-
-    Gravity acts at the center of mass; the zero wrench is always included.
-    A zero mass collapses everything to the origin (degenerate polytope).
-    """
-    m = float(mass)
-    if not (np.isfinite(m) and m >= 0.0):
-        raise InvalidInputError("mass must be >= 0")
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise InvalidInputError("rho must be > 0")
-    dirs = gravity_directions(gcfg)
-    forces = m * gcfg.gravity_accel * dirs
-    arm = np.asarray(com, dtype=float) - np.asarray(centroid, dtype=float)
-    torques = np.cross(np.broadcast_to(arm, forces.shape), forces) / rho
-    wrenches = np.vstack([np.hstack([forces, torques]), np.zeros((1, 6))])
-    return convex_hull(wrenches, 6)
 
 
 def gravity_resistant_quality(

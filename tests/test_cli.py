@@ -287,13 +287,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "metric", "--trajectory", str(bad))
         assert code == 2
 
-    def test_negative_seed_exit_2(self, workspace, capsys):
-        code, _, err = run_cli(
-            capsys, "metric",
-            "--trajectory", str(workspace / "box.node"),
-            "--seed", "-3",
-        )
+    def test_negative_seed_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--objects", "box", "--seed", "-3")
         assert code == 2
+        assert "seed must be >= 0" in err
+
+    def test_seed_only_on_bench(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--seed", "1"])
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_negative_desired_force_exit_2(self, workspace, capsys):
         code, _, err = run_cli(
@@ -302,6 +304,26 @@ class TestExitCodes:
             "--desired-force", "-1.0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["metric", "bench"])
+    def test_non_finite_desired_force_exit_2(self, command, value, capsys):
+        # the override is validated like the config key, before any work runs
+        target = ["--trajectory", str(FIXTURE_TRAJECTORY)] if command == "metric" else ["--objects", "box"]
+        code, out, err = run_cli(capsys, command, *target, "--desired-force", value)
+        assert code == 2
+        assert err == "error: desired_force must be > 0\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("count", ["0", "2"])
+    def test_bench_too_few_grasps_exit_2(self, count, capsys, monkeypatch):
+        def no_squeeze(*args, **kwargs):
+            raise AssertionError("squeezed before the grasp count was checked")
+
+        monkeypatch.setattr("softgrasp.cli.run_squeeze", no_squeeze)
+        code, _, err = run_cli(capsys, "bench", "--objects", "box", "--grasps-per-object", count)
+        assert code == 2
+        assert "--grasps-per-object must be >= 3" in err
 
     def test_bench_unknown_object_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--objects", "box,teapot")

@@ -226,6 +226,25 @@ class TestAssembly:
         tip = u[2::3][top].mean()
         assert tip == pytest.approx(sigma * length / mat.youngs_modulus, rel=0.02)
 
+    def test_single_tet_symmetric_with_rigid_null_space(self):
+        nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        k = assemble_stiffness(TetMesh(nodes=nodes, tets=[[0, 1, 2, 3]]), MaterialParams()).toarray()
+        scale = np.abs(k).max()
+        assert np.allclose(k, k.T, atol=1e-12 * scale)
+        for ax in range(3):
+            u = np.zeros(12)
+            u[ax::3] = 1.0
+            assert np.abs(k @ u).max() <= 1e-12 * scale
+
+    def test_tet_inverted_after_construction_rejected(self):
+        mesh = TetMesh(
+            nodes=np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
+            tets=[[0, 1, 2, 3]],
+        )
+        mesh.nodes[[1, 2]] = mesh.nodes[[2, 1]]  # node arrays stay mutable
+        with pytest.raises(MeshError, match="inverted"):
+            assemble_stiffness(mesh, MaterialParams())
+
     def test_assemble_model(self, cube_mesh):
         model = assemble_model(cube_mesh, MaterialParams())
         assert model.reg > 0.0
@@ -247,7 +266,7 @@ class TestAssembly:
         with pytest.raises(InvalidInputError):
             GraspCandidate((0, 0, 0), (1.0, 0, 0), -0.05, 10.0)
         with pytest.raises(InvalidInputError):
-            GraspCandidate((0, 0, 0), (1.0, 0, 0), 0.05, 10.0, force_steps=0)
+            GraspCandidate((0, 0, 0), (1.0, 0, 0), 0.05, 0.0)
 
     def test_simconfig_validation(self):
         with pytest.raises(InvalidInputError):

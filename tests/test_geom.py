@@ -12,7 +12,6 @@ from softgrasp import (
     Polytope,
     affine_rank_of,
     convex_hull,
-    halfspace_intersection_distance,
     min_facet_distance,
     polytope_volume,
     ray_exit_distance,
@@ -170,13 +169,19 @@ class TestRayExit:
         with pytest.raises(DegenerateInputError):
             ray_exit_distance(p, np.array([1.0, 0.0, 0.0]))
 
-    def test_unbounded_direction_is_inf(self):
-        # a single halfspace bounds only one direction
-        p = Polytope.from_halfspaces(
-            normals=np.array([[1.0, 0.0, 0.0]]), offsets=np.array([2.0]), dim=3
-        )
-        assert ray_exit_distance(p, np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0)
-        assert ray_exit_distance(p, np.array([0.0, 1.0, 0.0])) == np.inf
+    def test_cube_exits(self):
+        p = convex_hull(cube_points(3), 3)
+        dirs = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0] / np.sqrt(2.0)])
+        assert ray_exit_distances(p, dirs) == pytest.approx([1.0, np.sqrt(2.0)])
+
+    def test_origin_on_boundary_clamps_to_zero(self):
+        # the origin sits 1e-10 outside the facet x >= 1e-10: its offset is
+        # a roundoff-sized negative, so the exit through it clamps to 0
+        p = convex_hull(cube_points(3) + np.array([1.0 + 1e-10, 0.0, 0.0]), 3)
+        assert -1e-9 < float(p.facet_offsets.min()) < 0.0
+        exits = ray_exit_distances(p, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        assert exits[0] == 0.0
+        assert exits[1] == pytest.approx(2.0)
 
     def test_non_unit_direction_rejected(self, rng):
         p = convex_hull(cube_points(3), 3)
@@ -256,6 +261,31 @@ class TestVolume:
                 oracles.cube_image_volume(a), rel=1e-9
             )
 
+    def test_fan_sums_absolute_determinants(self):
+        # fan simplices I, 2I and a singular one: |det| sum 1 + 8 + 0 over 3!
+        p = Polytope(
+            dim=3,
+            vertices=np.vstack([np.eye(3), 2.0 * np.eye(3), np.zeros((1, 3))]),
+            facet_normals=np.zeros((0, 3)),
+            facet_offsets=np.zeros(0),
+            affine_rank=3,
+            interior_point=np.zeros(3),
+            facet_simplices=np.array([[0, 1, 2], [5, 4, 3], [6, 6, 6]]),
+        )
+        assert polytope_volume(p) == pytest.approx(9.0 / 6.0)
+
+    def test_empty_fan_is_zero(self):
+        p = Polytope(
+            dim=6,
+            vertices=np.zeros((0, 6)),
+            facet_normals=np.zeros((0, 6)),
+            facet_offsets=np.zeros(0),
+            affine_rank=6,
+            interior_point=np.zeros(6),
+            facet_simplices=np.zeros((0, 6), dtype=int),
+        )
+        assert polytope_volume(p) == 0.0
+
     def test_degenerate_zero(self, rng):
         flat = np.hstack([rng.normal(size=(5, 3)), np.zeros((5, 3))])
         assert polytope_volume(convex_hull(flat, 6)) == 0.0
@@ -267,43 +297,6 @@ class TestVolume:
         assert polytope_volume(convex_hull(pts[perm], 4)) == pytest.approx(ref, rel=1e-9)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         assert polytope_volume(convex_hull(pts @ q.T, 4)) == pytest.approx(ref, rel=1e-9)
-
-
-class TestHalfspaceIntersectionDistance:
-    def test_nested_cubes(self):
-        a = convex_hull(cube_points(3), 3)
-        b = convex_hull(0.5 * cube_points(3), 3)
-        assert halfspace_intersection_distance(a, b) == pytest.approx(0.5, abs=1e-12)
-
-    def test_origin_outside_one(self, rng):
-        a = convex_hull(cube_points(3) + np.array([5.0, 0.0, 0.0]), 3)
-        b = convex_hull(cube_points(3), 3)
-        assert halfspace_intersection_distance(a, b) == 0.0
-
-    def test_dense_ray_oracle(self, rng):
-        a_pts = random_hull_points(rng, 3, 30)
-        b_pts = random_hull_points(rng, 3, 30)
-        a = convex_hull(a_pts, 3)
-        b = convex_hull(b_pts, 3)
-        dirs = unit_dirs(rng, 10_000, 3)
-        dense = float(
-            np.min(np.minimum(ray_exit_distances(a, dirs), ray_exit_distances(b, dirs)))
-        )
-        val = halfspace_intersection_distance(a, b)
-        assert val <= dense + 1e-12
-        assert val == pytest.approx(dense, abs=1e-3)
-
-    def test_equals_min_of_parts(self, rng):
-        a = convex_hull(random_hull_points(rng, 4, 30), 4)
-        b = convex_hull(random_hull_points(rng, 4, 30), 4)
-        expected = min(min_facet_distance(a), min_facet_distance(b))
-        assert halfspace_intersection_distance(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        a = convex_hull(random_hull_points(rng, 3, 20), 3)
-        b = convex_hull(random_hull_points(rng, 4, 20), 4)
-        with pytest.raises(InvalidInputError):
-            halfspace_intersection_distance(a, b)
 
 
 def planted_facet_rows(rng, tol):

@@ -238,7 +238,7 @@ class TestTetgenParsing:
 class TestGraspCandidates:
     def candidates(self):
         return [
-            GraspCandidate((0.0, 0.0, 0.01), (1.0, 0.0, 0.0), 0.03, 15.0, force_steps=4),
+            GraspCandidate((0.0, 0.0, 0.01), (1.0, 0.0, 0.0), 0.03, 15.0),
             GraspCandidate((0.01, -0.02, 0.0), (0.0, 0.0, 1.0), 0.02, 5.0),
         ]
 
@@ -251,7 +251,6 @@ class TestGraspCandidates:
             assert np.array_equal(a.approach_axis, b.approach_axis)
             assert a.finger_halfwidth == b.finger_halfwidth
             assert a.max_force == b.max_force
-            assert a.force_steps == b.force_steps
 
     def test_slightly_off_axis_normalized_with_warning(self):
         line = json.dumps(
@@ -281,12 +280,14 @@ class TestGraspCandidates:
         with pytest.raises(ParseError, match="bad grasp candidate"):
             parse_grasp_candidates(line + "\n")
 
-    def test_bad_force_steps(self):
+    def test_old_force_steps_key_ignored(self):
+        # files written before the unused force schedule was dropped still load
         line = json.dumps(
-            {"center": [0, 0, 0], "axis": [1.0, 0, 0], "halfwidth": 0.02, "max_force": 5.0, "force_steps": 2.5}
+            {"center": [0, 0, 0], "axis": [1.0, 0, 0], "halfwidth": 0.02, "max_force": 5.0, "force_steps": 4}
         )
-        with pytest.raises(ParseError, match="force_steps"):
-            parse_grasp_candidates(line + "\n")
+        (cand,) = parse_grasp_candidates(line + "\n")
+        assert cand.max_force == 5.0
+        assert "force_steps" not in write_grasp_candidates([cand])
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no grasp candidates"):

@@ -27,7 +27,6 @@ from softgrasp import (
     frame_quality,
     frame_wrenches,
     gravity_directions,
-    gravity_polytope,
     gravity_resistant_quality,
     instability_proxy,
     min_facet_distance,
@@ -152,28 +151,6 @@ class TestEpsilonVolume:
             hits += int(np.sum(np.all(s @ a.T + b <= 1e-12, axis=1)))
         mc = box * hits / n_total
         assert vol == pytest.approx(mc, rel=0.02)
-
-
-class TestGravityPolytope:
-    def test_zero_mass_degenerate(self):
-        p = gravity_polytope(0.0, (0, 0, 0), (0, 0, 0), 1.0, GravityConfig())
-        assert not p.is_full_dimensional
-
-    def test_zero_arm_force_subspace(self):
-        p = gravity_polytope(1.0, (0.3, 0.2, 0.1), (0.3, 0.2, 0.1), 1.0, GravityConfig())
-        assert p.affine_rank <= 3
-        assert np.allclose(np.asarray(p.vertices)[:, 3:], 0.0, atol=1e-15)
-
-    def test_unit_mass_force_norms(self):
-        p = gravity_polytope(1.0, (0, 0, 0), (0, 0, 0), 1.0, GravityConfig())
-        v = np.asarray(p.vertices)
-        norms = np.linalg.norm(v[:, :3], axis=1)
-        nonzero = norms > 1e-12
-        assert np.allclose(norms[nonzero], 9.81, atol=1e-9)
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gravity_polytope(-1.0, (0, 0, 0), (0, 0, 0), 1.0, GravityConfig())
 
 
 class TestGravityQuality:
