@@ -11,7 +11,7 @@ finger contact are emitted as TrajectoryFrames for the metric pipeline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -382,25 +382,22 @@ def _elastic_matrix(lam: float, mu: float) -> np.ndarray:
     return d
 
 
-def _tet_stiffness(coords: np.ndarray, lam: float, mu: float):
+def _tet_stiffness(coords: np.ndarray, lam: float, mu: float) -> np.ndarray:
     """Element stiffness for a batch of linear tets.
 
-    ``coords`` is (m, 4, 3).  Returns ``(ke, vols)`` with ``ke`` of shape
-    (m, 12, 12) and signed volumes (m,).  Elements with non-positive volume
-    get a zero matrix; the caller decides whether that is an error.
+    ``coords`` is (m, 4, 3).  Returns ``ke`` of shape (m, 12, 12).  Raises
+    MeshError when any element has non-positive volume, before inverting.
     """
     m = coords.shape[0]
     edges = coords[:, 1:, :] - coords[:, :1, :]
-    dets = np.linalg.det(edges)
-    vols = dets / 6.0
-    ok = vols > 0.0
-    grads = np.zeros((m, 4, 3))
-    if np.any(ok):
-        inv = np.linalg.inv(edges[ok])
-        # gradient of shape function i (i=1..3) is column i-1 of inv(edges)
-        grads_ok = np.transpose(inv, (0, 2, 1))
-        grads[ok, 1:, :] = grads_ok
-        grads[ok, 0, :] = -grads_ok.sum(axis=1)
+    vols = np.linalg.det(edges) / 6.0
+    if np.any(vols <= 0.0):
+        raise MeshError("inverted tet during assembly")
+    # gradient of shape function i (i=1..3) is column i-1 of inv(edges)
+    grads_rest = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads = np.empty((m, 4, 3))
+    grads[:, 1:, :] = grads_rest
+    grads[:, 0, :] = -grads_rest.sum(axis=1)
     b = np.zeros((m, 6, 12))
     for a in range(4):
         gx = grads[:, a, 0]
@@ -418,17 +415,15 @@ def _tet_stiffness(coords: np.ndarray, lam: float, mu: float):
         b[:, 5, c + 2] = gx
     dmat = _elastic_matrix(lam, mu)
     ke = np.einsum("mja,jk,mkb->mab", b, dmat, b, optimize=True)
-    ke *= np.where(ok, vols, 0.0)[:, None, None]
-    return ke, vols
+    ke *= vols[:, None, None]
+    return ke
 
 
 def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
     """Global stiffness (3n x 3n, CSR) from constant-strain tets."""
     lam, mu = mat.lame()
     coords = mesh.nodes[mesh.tets]
-    ke, vols = _tet_stiffness(coords, lam, mu)
-    if np.any(vols <= 0.0):
-        raise MeshError("inverted tet during assembly")
+    ke = _tet_stiffness(coords, lam, mu)
     dofs = (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
@@ -440,12 +435,17 @@ def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
 
 @dataclass(eq=False)
 class AssembledModel:
-    """Mesh plus its factor-ready stiffness and the rigid-mode regularizer."""
+    """Mesh plus its factor-ready stiffness and the rigid-mode regularizer.
+
+    factor_slot holds the last Newton Jacobian's LU as (contact-block key,
+    SuperLU); see _factorize.
+    """
 
     mesh: TetMesh
     mat: MaterialParams
     stiffness: sp.csr_matrix
     reg: float
+    factor_slot: tuple | None = field(default=None, init=False, repr=False)
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
@@ -462,13 +462,19 @@ PAD_A, PAD_B, PLATFORM = 0, 1, 2
 
 @dataclass(frozen=True)
 class StepReport:
-    """Converged-step summary: contacts, per-surface force sums, solver stats."""
+    """Converged-step summary: contacts, per-surface force sums, solver stats.
+
+    iterations counts Newton loop passes, i.e. solves + 1 on a step that
+    converged before the iteration cap.  factorizations counts the fresh LU
+    factorizations among those solves; the rest reused the previous LU.
+    """
 
     contacts: tuple[ContactPoint, ...]
     finger_normal_forces: tuple[float, float]
     platform_force: np.ndarray
     residual: float
     iterations: int
+    factorizations: int
 
 
 class _PadGeometry:
@@ -587,11 +593,16 @@ def quasi_static_step(
     best = (u, res_norm, pieces)
     clamp = 20.0 * cfg.displacement_increment
     iterations = 0
+    factorizations = 0
     for iterations in range(1, cfg.max_fixedpoint_iters + 1):
         if res_norm < cfg.convergence_tol:
             break
-        j = _assemble_jacobian(model, pieces, kp)
-        du = spla.splu(j).solve(residual)
+        lu, fresh = _factorize(model, pieces, kp)
+        factorizations += fresh
+        du = lu.solve(residual)
+        # only the model's slot may keep the LU, so the next _factorize can
+        # free it before building a new one
+        del lu
         step = float(np.max(np.abs(du)))
         if step > clamp:
             du *= clamp / step
@@ -614,7 +625,7 @@ def quasi_static_step(
             best = (u, res_norm, pieces)
     if best[1] < cfg.convergence_tol:
         u, res_norm, pieces = best
-        return u, _build_report(model, u, pieces, res_norm, iterations)
+        return u, _build_report(model, u, pieces, res_norm, iterations, factorizations)
     raise SolverError(
         f"no convergence after {cfg.max_fixedpoint_iters} iterations "
         f"(residual {best[1]:.3e} N, tol {cfg.convergence_tol:.3e} N)",
@@ -622,51 +633,68 @@ def quasi_static_step(
     )
 
 
-def _assemble_jacobian(model, pieces, kp: float) -> sp.csc_matrix:
-    """Elastic stiffness + rigid-mode regularizer + penalty contact blocks.
+def _contact_blocks(pieces, kp: float, mu: float):
+    """Penalty contact blocks of the Newton Jacobian as (rows, cols, vals).
 
     A sticking node adds an isotropic k_p block (normal and tangential hold).
     A slipping node's tangential force sits on the cone boundary,
     -mu*k_p*depth * s(u), so its derivative has a cap part (-mu s n^T, the
     cone shrinking with depth) and a rotation part ((mu depth/||slip||)
     (I - n n^T - s s^T), the slip direction turning with u).  The slip block
-    is nonsymmetric, hence the LU solve.
+    is nonsymmetric, hence the LU solve.  Entries come node by node, each
+    block row-major, exact zeros dropped.
     """
-    n3 = 3 * model.mesh.num_nodes
-    mu = model.mat.friction_mu
     eye = np.eye(3)
-    rows, cols, vals = [], [], []
+    rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for piece in pieces:
         normal = piece["normal"]
         nn = np.outer(normal, normal)
-        iso = kp * eye
-        for idx, (node, stick) in enumerate(zip(piece["nodes"], piece["stick"])):
-            if stick:
-                block = iso
-            else:
-                sdir = piece["sdir"][idx]
-                ratio = piece["depths"][idx] / max(piece["snorm"][idx], 1e-12)
-                block = kp * (
-                    nn
-                    - mu * np.outer(sdir, normal)
-                    + mu * ratio * (eye - nn - np.outer(sdir, sdir))
-                )
-            base = 3 * node
-            for r in range(3):
-                for c in range(3):
-                    v = block[r, c]
-                    if v != 0.0:
-                        rows.append(base + r)
-                        cols.append(base + c)
-                        vals.append(v)
+        slip = ~piece["stick"]
+        blocks = np.broadcast_to(kp * eye, (slip.size, 3, 3)).copy()
+        if np.any(slip):
+            sdir = piece["sdir"][slip]
+            ratio = piece["depths"][slip] / np.maximum(piece["snorm"][slip], 1e-12)
+            blocks[slip] = kp * (
+                nn
+                - mu * (sdir[:, :, None] * normal)
+                + (mu * ratio)[:, None, None] * (eye - nn - sdir[:, :, None] * sdir[:, None, :])
+            )
+        base = 3 * piece["nodes"][:, None, None]
+        r = np.broadcast_to(base + np.arange(3)[None, :, None], blocks.shape)
+        c = np.broadcast_to(base + np.arange(3)[None, None, :], blocks.shape)
+        keep = blocks != 0.0
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(blocks[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _factorize(model, pieces, kp: float):
+    """LU of elastic stiffness + rigid-mode regularizer + contact blocks.
+
+    Returns (lu, fresh).  K and reg are fixed per model, so equal contact
+    triplets in equal order mean the same Jacobian: the model's slot then
+    hands back the LU it holds (fresh False), and the solve is bit-identical
+    to refactorizing.  All-stick blocks (k_p I) do not depend on u, so this
+    is the common case.  On a new key the old LU is dropped before splu
+    runs, so no two factors are alive at once.
+    """
+    rows, cols, vals = _contact_blocks(pieces, kp, model.mat.friction_mu)
+    key = rows.tobytes() + cols.tobytes() + vals.tobytes()
+    if model.factor_slot is not None and model.factor_slot[0] == key:
+        return model.factor_slot[1], False
+    model.factor_slot = None
+    n3 = 3 * model.mesh.num_nodes
     j = model.stiffness + model.reg * sp.identity(n3, format="csr")
-    if vals:
-        blocks = sp.coo_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(n3, n3))
+    if vals.size:
+        blocks = sp.coo_matrix((vals, (rows, cols)), shape=(n3, n3))
         j = j + blocks.tocsr()
-    return j.tocsc()
+    lu = spla.splu(j.tocsc())
+    model.factor_slot = (key, lu)
+    return lu, True
 
 
-def _build_report(model, u, pieces, res_norm, iterations) -> StepReport:
+def _build_report(model, u, pieces, res_norm, iterations, factorizations) -> StepReport:
     contacts = []
     fn_a = 0.0
     fn_b = 0.0
@@ -691,6 +719,7 @@ def _build_report(model, u, pieces, res_norm, iterations) -> StepReport:
         platform_force=platform_force,
         residual=res_norm,
         iterations=iterations,
+        factorizations=factorizations,
     )
 
 

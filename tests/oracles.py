@@ -178,3 +178,44 @@ def sequential_dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: floa
             last = i
     rows = rows[keep]
     return rows[:, :-1], rows[:, -1]
+
+
+def loop_contact_blocks(pieces, kp: float, mu: float):
+    """Penalty contact triplets built node by node and entry by entry.
+
+    The per-node loop the Newton Jacobian was first assembled with: a k_p I
+    block for a sticking node, the cap-plus-rotation slip block otherwise,
+    each block scanned row-major with exact zeros dropped.  This is the
+    reference the vectorized fem._contact_blocks must reproduce entry for
+    entry, in the same order.
+    """
+    eye = np.eye(3)
+    rows, cols, vals = [], [], []
+    for piece in pieces:
+        normal = piece["normal"]
+        nn = np.outer(normal, normal)
+        iso = kp * eye
+        for idx, (node, stick) in enumerate(zip(piece["nodes"], piece["stick"])):
+            if stick:
+                block = iso
+            else:
+                sdir = piece["sdir"][idx]
+                ratio = piece["depths"][idx] / max(piece["snorm"][idx], 1e-12)
+                block = kp * (
+                    nn
+                    - mu * np.outer(sdir, normal)
+                    + mu * ratio * (eye - nn - np.outer(sdir, sdir))
+                )
+            base = 3 * node
+            for r in range(3):
+                for c in range(3):
+                    v = block[r, c]
+                    if v != 0.0:
+                        rows.append(base + r)
+                        cols.append(base + c)
+                        vals.append(v)
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=float),
+    )

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import oracles
+from softgrasp import fem
 from softgrasp import (
     GraspCandidate,
     InvalidInputError,
@@ -462,3 +464,158 @@ class TestRunSqueeze:
         frames = run_squeeze(mesh, MaterialParams(), box_grasp(max_force=2.0), pinch_config())
         assert len(frames) >= 1
         assert frames[-1].squeeze_force >= 2.0
+
+
+def frame_bytes(frames):
+    """Every number of a frame list, as raw bytes, for bit-for-bit comparison."""
+    parts = []
+    for f in frames:
+        parts.append(np.array([f.time, f.squeeze_force, f.mass]).tobytes() + f.com.tobytes())
+        for c in f.contacts:
+            parts.append(c.position.tobytes() + c.normal.tobytes() + c.force.tobytes())
+    return b"".join(parts)
+
+
+# tilted pads on a low-friction box: the contact patch slides
+SLIP_MU = 0.1
+SLIP_GRASP = GraspCandidate(
+    (0.0, 0.01, 0.005), np.array([0.98, 0.2, 0.0]) / np.hypot(0.98, 0.2), 0.05, 2.0
+)
+
+
+def record_factorize(monkeypatch, clear_slot=False):
+    """Wrap fem._factorize; count solves, fresh LUs and solves with slip blocks."""
+    stats = {"solves": 0, "fresh": 0, "slip_solves": 0}
+    original = fem._factorize
+
+    def wrapped(model, pieces, kp):
+        if clear_slot:
+            model.factor_slot = None
+        stats["solves"] += 1
+        stats["slip_solves"] += any(not p["stick"].all() for p in pieces)
+        lu, fresh = original(model, pieces, kp)
+        stats["fresh"] += fresh
+        return lu, fresh
+
+    monkeypatch.setattr(fem, "_factorize", wrapped)
+    return stats
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize(
+        "mu,grasp,slips",
+        [(0.8, box_grasp(max_force=6.0), False), (SLIP_MU, SLIP_GRASP, True)],
+        ids=["box_pinch", "low_mu_slip"],
+    )
+    def test_reuse_bit_identical_to_refactorizing(self, box_model, mu, grasp, slips, monkeypatch):
+        mat = MaterialParams(friction_mu=mu)
+        cfg = pinch_config()
+        with monkeypatch.context() as m:
+            reused = record_factorize(m)
+            frames = run_squeeze_assembled(assemble_model(box_model.mesh, mat), grasp, cfg)
+        with monkeypatch.context() as m:
+            fresh = record_factorize(m, clear_slot=True)
+            reference = run_squeeze_assembled(assemble_model(box_model.mesh, mat), grasp, cfg)
+        assert len(frames) >= 3
+        assert frame_bytes(frames) == frame_bytes(reference)
+        assert reused["fresh"] < reused["solves"] == fresh["fresh"] == fresh["solves"]
+        assert (reused["slip_solves"] > 0) == slips
+
+    def test_no_stale_slot_across_grasps(self, box_model):
+        cfg = pinch_config()
+        grasp_a = box_grasp(max_force=6.0)
+        grasp_b = GraspCandidate((0.0, 0.01, 0.005), (0.0, 1.0, 0.0), 0.04, 4.0)
+        model = assemble_model(box_model.mesh, box_model.mat)
+        run_squeeze_assembled(model, grasp_a, cfg)
+        assert model.factor_slot is not None
+        frames_b = run_squeeze_assembled(model, grasp_b, cfg)
+        fresh_b = run_squeeze_assembled(assemble_model(box_model.mesh, box_model.mat), grasp_b, cfg)
+        assert len(frames_b) >= 3
+        assert frame_bytes(frames_b) == frame_bytes(fresh_b)
+
+    def test_splu_calls_match_reported_factorizations(self, box_model, monkeypatch):
+        splu_calls = []
+        original_splu = fem.spla.splu
+        monkeypatch.setattr(fem.spla, "splu", lambda a: splu_calls.append(1) or original_splu(a))
+        reports = []
+        original_step = fem.quasi_static_step
+
+        def step(*args):
+            u, report = original_step(*args)
+            reports.append(report)
+            return u, report
+
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        stats = record_factorize(monkeypatch)
+        model = assemble_model(box_model.mesh, box_model.mat)
+        frames = run_squeeze_assembled(model, box_grasp(max_force=6.0), pinch_config())
+        assert len(frames) >= 3
+        assert len(splu_calls) == sum(r.factorizations for r in reports) == stats["fresh"]
+        assert 0 < len(splu_calls) < stats["solves"]
+        # every pass but the converged one solves
+        assert stats["solves"] == sum(r.iterations - 1 for r in reports)
+
+
+def random_pieces(rng, snorm_scale):
+    """Contact pieces mixing stick and slip nodes, some with axis normals."""
+    pieces = []
+    nodes = rng.permutation(200)
+    start = 0
+    for normal in (np.array([1.0, 0.0, 0.0]), rng.normal(size=3), np.array([0.0, 0.0, 1.0])):
+        normal = normal / np.linalg.norm(normal)
+        k = int(rng.integers(5, 15))
+        stick = rng.random(k) < 0.5
+        sdir = rng.normal(size=(k, 3))
+        sdir -= np.outer(sdir @ normal, normal)
+        sdir /= np.linalg.norm(sdir, axis=1)[:, None]
+        sdir[stick] = 0.0
+        pieces.append(
+            {
+                "nodes": nodes[start:start + k],
+                "normal": normal,
+                "depths": rng.uniform(1e-6, 1e-3, k),
+                "stick": stick,
+                "sdir": sdir,
+                "snorm": snorm_scale * rng.random(k),
+            }
+        )
+        start += k
+    return pieces
+
+
+class TestContactBlocksOracle:
+    @pytest.mark.parametrize("snorm_scale", [1e-4, 1e-12, 0.0])
+    def test_matches_per_node_loop(self, snorm_scale):
+        rng = np.random.default_rng(7)
+        kp, mu = 1e6, 0.3
+        for _ in range(5):
+            pieces = random_pieces(rng, snorm_scale)
+            got = fem._contact_blocks(pieces, kp, mu)
+            want = oracles.loop_contact_blocks(pieces, kp, mu)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
+    def test_matches_per_node_loop_on_a_sliding_squeeze(self, box_model, monkeypatch):
+        checked = []
+        original = fem._contact_blocks
+
+        def checked_blocks(pieces, kp, mu):
+            got = original(pieces, kp, mu)
+            want = oracles.loop_contact_blocks(pieces, kp, mu)
+            checked.append(
+                (len(pieces), any(not p["stick"].all() for p in pieces),
+                 all(g.tobytes() == w.tobytes() for g, w in zip(got, want)))
+            )
+            return got
+
+        monkeypatch.setattr(fem, "_contact_blocks", checked_blocks)
+        model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
+        run_squeeze_assembled(model, SLIP_GRASP, pinch_config())
+        assert all(same for _, _, same in checked)
+        assert any(slip for _, slip, _ in checked)
+        assert any(n >= 2 for n, _, _ in checked)
+
+    def test_no_pieces_gives_empty_triplets(self):
+        rows, cols, vals = fem._contact_blocks([], 1e6, 0.8)
+        assert rows.size == cols.size == vals.size == 0
