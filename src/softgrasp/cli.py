@@ -26,9 +26,12 @@ from .fem import (
     MaterialParams,
     SimConfig,
     TetMesh,
+    assemble_model,
     generate_primitive_mesh,
     mesh_center_of_mass,
     run_squeeze,
+    squeeze_steps,
+    step_frame,
 )
 from .metrics import (
     GravityConfig,
@@ -175,7 +178,10 @@ def load_run_config(path) -> RunConfig:
 
 @dataclass
 class GraspEvaluation:
-    """Metrics of one candidate at its evaluation frame."""
+    """Metrics of one candidate at its evaluation frame.
+
+    frames counts the squeeze's frames up to and including the scored one.
+    """
 
     index: int
     status: str  # ok | empty | failed
@@ -189,46 +195,71 @@ class GraspEvaluation:
     message: str = ""
 
 
-def evaluate_frames(frames, mesh_nodes, rc: RunConfig, index: int) -> GraspEvaluation:
-    """Score a finished squeeze at the desired-force frame (or the last one).
+def evaluate_frames(first, frame, count: int, mesh_nodes, rc: RunConfig, index: int) -> GraspEvaluation:
+    """Score a squeeze at its last frame.
 
-    A trajectory that never reaches the desired force is evaluated at its
-    final frame and marked not reached; an empty trajectory scores zero.
+    The squeeze stops at the first frame that reaches the desired force, so
+    that frame is the one scored; a squeeze that stops short of it is scored
+    at its last frame and marked not reached.  first carries the contacts of
+    the first frame, which fix the torque scale; count is the number of
+    frames up to and including frame.
     """
-    if not frames:
-        return GraspEvaluation(
-            index=index, status="empty", frames=0, reached=False, eval_force=0.0,
-            epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0,
-            message="no contact frames",
-        )
-    centroid0 = contact_centroid(frames[0])
-    rho = rc.resolve_rho(mesh_nodes, centroid0)
-    wcfg = rc.wrench_config(rho)
-    gcfg = rc.gravity_config()
-    idx = desired_force_index(frames, rc.desired_force)
-    reached = idx is not None
-    frame = frames[idx] if reached else frames[-1]
-    q = frame_quality(frame, wcfg, gcfg, proxy_dirs=fibonacci_sphere(rc.proxy_directions))
+    rho = rc.resolve_rho(mesh_nodes, contact_centroid(first))
+    q = frame_quality(
+        frame, rc.wrench_config(rho), rc.gravity_config(),
+        proxy_dirs=fibonacci_sphere(rc.proxy_directions),
+    )
     return GraspEvaluation(
         index=index,
         status="ok",
-        frames=len(frames),
-        reached=reached,
+        frames=count,
+        reached=frame.squeeze_force >= rc.desired_force,
         eval_force=frame.squeeze_force,
         **q.values,
     )
 
 
+def _squeeze_to_scored_frame(mesh, cand, rc: RunConfig):
+    """Squeeze a candidate up to the frame rank and bench score.
+
+    That is the first frame to reach desired_force, so the squeeze stops
+    there.  Only the first step's report (for its contacts) and the latest
+    step are kept, and only the scored frame gets a center of mass.
+    Returns (first report, scored frame, frame count), or None when no step
+    touches the object.  The model and its LU are freed on return, before
+    the frame's hull is built.
+    """
+    model = assemble_model(mesh, rc.material())
+    cfg = rc.sim_config()
+    grasp = dataclasses.replace(cand, max_force=min(cand.max_force, rc.desired_force))
+    first = last = None
+    count = 0
+    for step in squeeze_steps(model, grasp, cfg):
+        if first is None:
+            first = step[2]
+        last = step
+        count += 1
+    if last is None:
+        return None
+    return first, step_frame(model, cfg, *last), count
+
+
 def _run_candidate(payload) -> GraspEvaluation:
     index, mesh, cand, rc = payload
     try:
-        frames = run_squeeze(mesh, rc.material(), cand, rc.sim_config())
+        squeezed = _squeeze_to_scored_frame(mesh, cand, rc)
     except SolverError as exc:
         return GraspEvaluation(
             index=index, status="failed", frames=0, reached=False, eval_force=0.0,
             epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0, message=str(exc),
         )
-    return evaluate_frames(frames, mesh.nodes, rc, index)
+    if squeezed is None:
+        return GraspEvaluation(
+            index=index, status="empty", frames=0, reached=False, eval_force=0.0,
+            epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0,
+            message="no contact frames",
+        )
+    return evaluate_frames(*squeezed, mesh.nodes, rc, index)
 
 
 def _map_jobs(func, payloads, jobs: int):

@@ -437,21 +437,29 @@ def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
 class AssembledModel:
     """Mesh plus its factor-ready stiffness and the rigid-mode regularizer.
 
-    factor_slot holds the last Newton Jacobian's LU as (contact-block key,
-    SuperLU); see _factorize.
+    regularized is K + reg*I, the contact-free part of every Newton Jacobian.
+    mass is the rest mesh's mass, stamped on every frame.  factor_slot holds
+    the last Newton Jacobian's LU as (contact-block key, SuperLU); see
+    _factorize.
     """
 
     mesh: TetMesh
     mat: MaterialParams
     stiffness: sp.csr_matrix
     reg: float
+    regularized: sp.csr_matrix
+    mass: float
     factor_slot: tuple | None = field(default=None, init=False, repr=False)
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
     k = assemble_stiffness(mesh, mat)
     reg = RIGID_REG_REL * float(k.diagonal().mean())
-    return AssembledModel(mesh=mesh, mat=mat, stiffness=k, reg=reg)
+    regularized = k + reg * sp.identity(3 * mesh.num_nodes, format="csr")
+    return AssembledModel(
+        mesh=mesh, mat=mat, stiffness=k, reg=reg, regularized=regularized,
+        mass=mat.density * mesh.volume(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +692,9 @@ def _factorize(model, pieces, kp: float):
     if model.factor_slot is not None and model.factor_slot[0] == key:
         return model.factor_slot[1], False
     model.factor_slot = None
-    n3 = 3 * model.mesh.num_nodes
-    j = model.stiffness + model.reg * sp.identity(n3, format="csr")
+    j = model.regularized
     if vals.size:
+        n3 = 3 * model.mesh.num_nodes
         blocks = sp.coo_matrix((vals, (rows, cols)), shape=(n3, n3))
         j = j + blocks.tocsr()
     lu = spla.splu(j.tocsc())
@@ -731,12 +739,10 @@ def run_squeeze(
 ) -> list[TrajectoryFrame]:
     """Close the fingers on the object and record contact frames.
 
-    The gap shrinks by displacement_increment per step from just outside the
-    object; every converged step with finger contact becomes a frame (time =
-    global step index * dt, squeeze_force = pad A's normal force sum, com
-    recomputed from the deformed mesh).  Stops once squeeze_force reaches
-    grasp.max_force or the gap runs out.  A squeeze that never touches the
-    object returns an empty list.
+    One frame per squeeze_steps increment (time = global step index * dt,
+    squeeze_force = pad A's normal force sum, com recomputed from the
+    deformed mesh).  A squeeze that never touches the object returns an
+    empty list.
     """
     model = assemble_model(mesh, mat)
     return run_squeeze_assembled(model, grasp, cfg)
@@ -745,14 +751,24 @@ def run_squeeze(
 def run_squeeze_assembled(
     model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig
 ) -> list[TrajectoryFrame]:
+    return [step_frame(model, cfg, *step) for step in squeeze_steps(model, grasp, cfg)]
+
+
+def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
+    """Yield (step_idx, u, report) for each converged step with finger contact.
+
+    The gap shrinks by displacement_increment per step from just outside the
+    object.  Stops after the first step whose squeeze force (pad A's normal
+    force sum) reaches grasp.max_force, or when the gap runs out.  Raises
+    SolverError from the first step that does not converge.
+    """
     mesh = model.mesh
     axis = grasp.approach_axis
     span = (mesh.nodes - grasp.grasp_center) @ axis
     reach = float(np.max(np.abs(span)))
     gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment
-    mass = model.mat.density * mesh.volume()
 
-    frames: list[TrajectoryFrame] = []
+    touched = False
     u = np.zeros(3 * mesh.num_nodes)
     gap = gap0
     step_idx = 0
@@ -761,27 +777,27 @@ def run_squeeze_assembled(
         step_idx += 1
         gap = gap0 - step_idx * cfg.displacement_increment
         u, report = quasi_static_step(model, grasp, gap, u, cfg)
-        finger_contacts = [c for c in report.contacts]
-        if not finger_contacts:
+        if not report.contacts:
             continue
-        squeeze = report.finger_normal_forces[0]
-        deformed = mesh.nodes + u.reshape(-1, 3)
-        com = mesh_center_of_mass(deformed, mesh.tets)
-        frames.append(
-            TrajectoryFrame(
-                time=step_idx * cfg.dt,
-                contacts=tuple(finger_contacts),
-                squeeze_force=squeeze,
-                com=com,
-                mass=mass,
-            )
-        )
-        if squeeze >= grasp.max_force:
-            break
-    if not frames:
+        touched = True
+        yield step_idx, u, report
+        if report.finger_normal_forces[0] >= grasp.max_force:
+            return
+    if not touched:
         logger.warning(
             "squeeze produced no contact frames (grasp center %s, axis %s)",
             np.array2string(grasp.grasp_center, precision=4),
             np.array2string(axis, precision=4),
         )
-    return frames
+
+
+def step_frame(model: AssembledModel, cfg: SimConfig, step_idx: int, u, report) -> TrajectoryFrame:
+    """The frame of one squeeze_steps increment, with its deformed center of mass."""
+    deformed = model.mesh.nodes + u.reshape(-1, 3)
+    return TrajectoryFrame(
+        time=step_idx * cfg.dt,
+        contacts=report.contacts,
+        squeeze_force=report.finger_normal_forces[0],
+        com=mesh_center_of_mass(deformed, model.mesh.tets),
+        mass=model.mass,
+    )

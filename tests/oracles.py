@@ -3,7 +3,9 @@
 Everything here is deliberately slow and simple: linear programs over the
 raw point sets, bisection on convex membership, and alternative volume
 decompositions.  Nothing imports the geometry code under test beyond plain
-data containers.
+data containers.  The one exception is full_squeeze_evaluation, which
+checks the rank/bench squeeze's stopping rule, not its physics or metrics,
+and so scores with the library's own metrics.
 """
 
 from __future__ import annotations
@@ -218,4 +220,40 @@ def loop_contact_blocks(pieces, kp: float, mu: float):
         np.array(rows, dtype=np.int64),
         np.array(cols, dtype=np.int64),
         np.array(vals, dtype=float),
+    )
+
+
+def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
+    """A rank/bench candidate scored from every frame of its full squeeze.
+
+    frames is the squeeze run on to the grasp's own max_force.  The score is
+    taken at the first frame that reaches rc.desired_force, else at the last
+    frame, and frames counts every frame emitted.  This is the reference
+    that cli._run_candidate, which stops the squeeze at the scored frame,
+    must reproduce in every field but frames.
+    """
+    from softgrasp.cli import GraspEvaluation
+    from softgrasp.contact import contact_centroid
+    from softgrasp.metrics import desired_force_index, fibonacci_sphere, frame_quality
+
+    if not frames:
+        return GraspEvaluation(
+            index=index, status="empty", frames=0, reached=False, eval_force=0.0,
+            epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0,
+            message="no contact frames",
+        )
+    rho = rc.resolve_rho(mesh_nodes, contact_centroid(frames[0]))
+    idx = desired_force_index(frames, rc.desired_force)
+    frame = frames[idx] if idx is not None else frames[-1]
+    q = frame_quality(
+        frame, rc.wrench_config(rho), rc.gravity_config(),
+        proxy_dirs=fibonacci_sphere(rc.proxy_directions),
+    )
+    return GraspEvaluation(
+        index=index,
+        status="ok",
+        frames=len(frames),
+        reached=idx is not None,
+        eval_force=frame.squeeze_force,
+        **q.values,
     )

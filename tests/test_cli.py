@@ -1,15 +1,31 @@
+import dataclasses
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from helpers import tetgen_text
-from softgrasp import ConfigError, generate_primitive_mesh, load_trajectory
+from softgrasp import (
+    ConfigError,
+    SolverError,
+    cli,
+    desired_force_index,
+    fem,
+    generate_primitive_mesh,
+    load_grasp_candidates,
+    load_tet_mesh,
+    load_trajectory,
+    run_squeeze,
+)
 from softgrasp.cli import (
     BENCH_OBJECTS,
     RunConfig,
+    _run_candidate,
     bench_mesh,
+    load_run_config,
     main,
     parse_run_config,
     sample_grasps,
@@ -320,7 +336,7 @@ class TestExitCodes:
         def no_squeeze(*args, **kwargs):
             raise AssertionError("squeezed before the grasp count was checked")
 
-        monkeypatch.setattr("softgrasp.cli.run_squeeze", no_squeeze)
+        monkeypatch.setattr("softgrasp.cli.squeeze_steps", no_squeeze)
         code, _, err = run_cli(capsys, "bench", "--objects", "box", "--grasps-per-object", count)
         assert code == 2
         assert "--grasps-per-object must be >= 3" in err
@@ -350,3 +366,99 @@ class TestBenchSmoke:
         assert row[0] == "box"
         assert row[1] == "3"
         assert lines[-1].startswith("# ordering")
+
+
+# run_bench's protocol: candidates squeezed mid-air
+MIDAIR = RunConfig(platform_height=-1.0)
+
+
+def bench_candidates(name, count):
+    """The first count candidates run_bench samples for a bench object."""
+    mesh = bench_mesh(name)
+    rng = np.random.default_rng([MIDAIR.seed, list(BENCH_OBJECTS).index(name)])
+    return mesh, sample_grasps(mesh, count, rng, MIDAIR)
+
+
+def full_squeeze(mesh, cand, rc):
+    return run_squeeze(mesh, rc.material(), cand, rc.sim_config())
+
+
+class TestScoredFrameStop:
+    @pytest.mark.parametrize("name", ["box", "slab", "cylinder"])
+    def test_equals_full_squeeze_evaluation(self, name):
+        mesh, cands = bench_candidates(name, 2)
+        for i, cand in enumerate(cands):
+            frames = full_squeeze(mesh, cand, MIDAIR)
+            want = oracles.full_squeeze_evaluation(frames, mesh.nodes, MIDAIR, i)
+            got = _run_candidate((i, mesh, cand, MIDAIR))
+            assert want.status == "ok" and want.reached
+            assert dataclasses.replace(got, frames=want.frames) == want
+            assert got.frames == desired_force_index(frames, MIDAIR.desired_force) + 1 < len(frames)
+
+    def test_max_force_below_desired_scores_last_frame(self):
+        mesh, cands = bench_candidates("box", 1)
+        short = dataclasses.replace(cands[0], max_force=0.6 * MIDAIR.desired_force)
+        frames = full_squeeze(mesh, short, MIDAIR)
+        got = _run_candidate((0, mesh, short, MIDAIR))
+        assert got == oracles.full_squeeze_evaluation(frames, mesh.nodes, MIDAIR, 0)
+        assert got.status == "ok" and not got.reached and got.frames == len(frames)
+
+    def test_model_freed_before_scoring(self, workspace, monkeypatch):
+        # the model holds the last LU; keeping it alive while the hull is
+        # built stacks the two memory peaks
+        models = []
+        real_assemble, real_quality = cli.assemble_model, cli.frame_quality
+
+        def assemble(*args):
+            model = real_assemble(*args)
+            models.append(weakref.ref(model))
+            return model
+
+        def quality(*args, **kwargs):
+            assert models and models[0]() is None
+            return real_quality(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "assemble_model", assemble)
+        monkeypatch.setattr(cli, "frame_quality", quality)
+        rc = load_run_config(workspace / "run.cfg")
+        mesh = load_tet_mesh(workspace / "box.node", workspace / "box.ele")
+        cand = load_grasp_candidates(workspace / "good.jsonl")[0]
+        assert _run_candidate((0, mesh, cand, rc)).status == "ok"
+
+    def test_failure_past_scored_frame_is_not_squeezed(self, workspace, capsys, monkeypatch, tmp_path):
+        rc = load_run_config(workspace / "run.cfg")
+        mesh = load_tet_mesh(workspace / "box.node", workspace / "box.ele")
+        cand = load_grasp_candidates(workspace / "good.jsonl")[0]
+        frames = full_squeeze(mesh, cand, rc)
+        want = oracles.full_squeeze_evaluation(frames, mesh.nodes, rc, 0)
+        assert want.reached and desired_force_index(frames, rc.desired_force) + 1 < len(frames)
+
+        # every step after the first to reach desired_force fails
+        reached = []
+        real_step = fem.quasi_static_step
+
+        def step(*args):
+            if reached:
+                raise SolverError("injected failure past the desired force")
+            u, report = real_step(*args)
+            if report.finger_normal_forces[0] >= rc.desired_force:
+                reached.append(True)
+            return u, report
+
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        got = _run_candidate((0, mesh, cand, rc))
+        assert dataclasses.replace(got, frames=want.frames) == want
+
+        reached.clear()
+        grasps = tmp_path / "one.jsonl"
+        grasps.write_text((workspace / "good.jsonl").read_text().splitlines()[0] + "\n")
+        code, out, _ = run_cli(
+            capsys, "simulate",
+            "--node", str(workspace / "box.node"),
+            "--ele", str(workspace / "box.ele"),
+            "--grasps", str(grasps),
+            "--out-dir", str(tmp_path / "traj"),
+            "--config", str(workspace / "run.cfg"),
+        )
+        assert code == 1
+        assert out.strip().splitlines()[1].split("\t")[1] == "failed"

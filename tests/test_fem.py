@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import oracles
-from softgrasp import fem
+from softgrasp import cli, fem
 from softgrasp import (
     GraspCandidate,
     InvalidInputError,
@@ -15,6 +15,7 @@ from softgrasp import (
     assemble_model,
     assemble_stiffness,
     generate_primitive_mesh,
+    load_trajectory,
     mesh_center_of_mass,
     quasi_static_step,
     run_squeeze,
@@ -464,6 +465,37 @@ class TestRunSqueeze:
         frames = run_squeeze(mesh, MaterialParams(), box_grasp(max_force=2.0), pinch_config())
         assert len(frames) >= 1
         assert frames[-1].squeeze_force >= 2.0
+
+
+class TestFrameCenterOfMass:
+    @pytest.mark.parametrize("entry", ["run_squeeze_assembled", "simulate"])
+    def test_com_is_the_deformed_mesh_com(self, box_model, entry, monkeypatch, tmp_path):
+        # the displacement of every step, in step order
+        us = []
+        real_step = fem.quasi_static_step
+
+        def step(*args):
+            u, report = real_step(*args)
+            us.append(u)
+            return u, report
+
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        grasp = box_grasp(max_force=6.0)
+        if entry == "simulate":
+            rc = cli.RunConfig(platform_height=NO_PLATFORM)
+            out = tmp_path / "grasp.jsonl"
+            cli._simulate_worker((0, box_model.mesh, grasp, rc, out, "box"))
+            frames, dt = load_trajectory(out).frames, rc.dt
+        else:
+            cfg = pinch_config()
+            frames = run_squeeze_assembled(assemble_model(box_model.mesh, box_model.mat), grasp, cfg)
+            dt = cfg.dt
+        assert len(frames) >= 3
+        mesh = box_model.mesh
+        for frame in frames:
+            u = us[round(frame.time / dt) - 1]
+            com = mesh_center_of_mass(mesh.nodes + u.reshape(-1, 3), mesh.tets)
+            assert frame.com.tobytes() == com.tobytes()
 
 
 def frame_bytes(frames):
