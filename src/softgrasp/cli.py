@@ -35,6 +35,7 @@ from .fem import (
 )
 from .metrics import (
     GravityConfig,
+    _map_frames,
     desired_force_index,
     fibonacci_sphere,
     frame_quality,
@@ -525,12 +526,12 @@ def cmd_hull_info(args, rc: RunConfig) -> int:
     rho = rc.torque_scale_rho if rc.torque_scale_rho is not None else traj.header.torque_scale_rho
     wcfg = rc.wrench_config(rho)
     gcfg = rc.gravity_config()
+    qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, METRIC_CHOICES), frames)
     _emit((
         "frame", "time", "contacts", "vertices", "facets", "affine_rank",
         "epsilon", "volume", "gravity",
     ))
-    for i, frame in enumerate(frames):
-        q = frame_quality(frame, wcfg, gcfg, METRIC_CHOICES)
+    for i, (frame, q) in enumerate(zip(frames, qualities)):
         _emit(
             [i, frame.time, len(frame.contacts), q.vertices, q.facets, q.affine_rank]
             + [q.values[name] for name in METRIC_CHOICES]
@@ -600,6 +601,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError("--jobs must be >= 1")
         rc = load_run_config(args.config) if args.config else RunConfig()
         for key in ("seed", "desired_force"):
             value = getattr(args, key, None)

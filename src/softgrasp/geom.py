@@ -9,6 +9,7 @@ normals, so offsets are geometric distances from the origin.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError, InvalidInputError
+
+logger = logging.getLogger(__name__)
 
 # Rank cutoff: singular values above this fraction of the largest count.
 RANK_REL_TOL = 1e-9
@@ -101,6 +104,13 @@ def _dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: float = FACET_
     return rows[:, :-1], rows[:, -1]
 
 
+def _log_joggle(pts: np.ndarray) -> None:
+    logger.info(
+        "qhull failed on %d points in %dD; retrying with joggled input (QJ)",
+        pts.shape[0], pts.shape[1],
+    )
+
+
 def _degenerate_hull(pts: np.ndarray, d: int, rank: int) -> Polytope:
     """Extreme points of a flat point set, found inside its affine span."""
     if rank == 0:
@@ -116,6 +126,7 @@ def _degenerate_hull(pts: np.ndarray, d: int, rank: int) -> Polytope:
             try:
                 idx = ConvexHull(proj).vertices
             except QhullError:
+                _log_joggle(proj)
                 try:
                     idx = ConvexHull(proj, qhull_options="QJ").vertices
                 except QhullError:
@@ -156,6 +167,7 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     try:
         hull = ConvexHull(pts)
     except QhullError:
+        _log_joggle(pts)
         opts = "QJ Qx" if d > 4 else "QJ"
         hull = ConvexHull(pts, qhull_options=opts)
 

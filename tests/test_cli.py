@@ -18,6 +18,7 @@ from softgrasp import (
     load_grasp_candidates,
     load_tet_mesh,
     load_trajectory,
+    metrics,
     run_squeeze,
 )
 from softgrasp.cli import (
@@ -259,6 +260,20 @@ class TestMetricAndHullInfoOutputs:
                 if line.startswith(f"# {name}_"):
                     assert line in summary
 
+    def test_output_independent_of_cpu_count(self, capsys, monkeypatch):
+        outputs = set()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda: cpus)
+            code, hull_info, _ = run_cli(capsys, "hull-info", "--trajectory", str(FIXTURE_TRAJECTORY))
+            assert code == 0
+            assert hull_info == (DATA / "hull_info_fixture.tsv").read_text()
+            code, metric_all, _ = run_cli(
+                capsys, "metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--metric", "all"
+            )
+            assert code == 0
+            outputs.add(metric_all)
+        assert len(outputs) == 1
+
     def test_contact_free_frame_scores_zero(self, capsys, tmp_path):
         lines = FIXTURE_TRAJECTORY.read_text().splitlines()
         empty = json.loads(lines[-1])
@@ -278,6 +293,22 @@ class TestMetricAndHullInfoOutputs:
         row = out.splitlines()[n + 1].split("\t")
         assert row[2:] == ["0"] * 7  # contacts, vertices, facets, rank, three metrics
         assert out.splitlines()[: n + 1] == (DATA / "hull_info_fixture.tsv").read_text().splitlines()
+
+    @pytest.mark.parametrize("command", ["metric", "hull-info"])
+    def test_failing_frame_prints_nothing(self, command, capsys, monkeypatch):
+        real = metrics.frame_quality
+        failing_time = load_trajectory(FIXTURE_TRAJECTORY).frames[2].time
+
+        def failing_frame_quality(frame, *args, **kwargs):
+            if frame.time == failing_time:
+                raise RuntimeError("frame 2")
+            return real(frame, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "frame_quality", failing_frame_quality)
+        monkeypatch.setattr(cli, "frame_quality", failing_frame_quality)
+        with pytest.raises(RuntimeError, match="frame 2"):
+            main([command, "--trajectory", str(FIXTURE_TRAJECTORY)])
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:
@@ -340,6 +371,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "bench", "--objects", "box", "--grasps-per-object", count)
         assert code == 2
         assert "--grasps-per-object must be >= 3" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "rank", "bench"])
+    def test_jobs_below_one_exit_2(self, command, jobs, workspace, capsys, monkeypatch, tmp_path):
+        def no_run(*args, **kwargs):
+            raise AssertionError("candidates ran with --jobs below 1")
+
+        monkeypatch.setattr(cli, "_map_jobs", no_run)
+        mesh_args = ["--node", str(workspace / "box.node"), "--ele", str(workspace / "box.ele"),
+                     "--grasps", str(workspace / "good.jsonl")]
+        argv = {
+            "simulate": mesh_args + ["--out-dir", str(tmp_path / "traj")],
+            "rank": mesh_args,
+            "bench": ["--objects", "box", "--grasps-per-object", "3"],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: --jobs must be >= 1"
 
     def test_bench_unknown_object_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--objects", "box,teapot")

@@ -1,11 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 import oracles
 from helpers import antipodal_patch_frame, dyadic_frame, random_frame, random_hull_points
+from softgrasp import geom
 from softgrasp import (
     DegenerateInputError,
     InvalidInputError,
@@ -125,6 +127,27 @@ class TestConvexHull:
         assert affine_rank_of(pts) == 1
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-3]])
         assert affine_rank_of(pts) == 2
+
+
+    def test_joggle_retry_logged(self, rng, monkeypatch, caplog):
+        options = []
+
+        def failing_once(points, qhull_options=None):
+            options.append(qhull_options)
+            if len(options) == 1:
+                raise QhullError("forced failure")
+            return ConvexHull(points, qhull_options=qhull_options)
+
+        monkeypatch.setattr(geom, "ConvexHull", failing_once)
+        pts = random_hull_points(rng, 6, 40)
+        with caplog.at_level(logging.INFO, logger="softgrasp.geom"):
+            poly = convex_hull(pts)
+        assert options == [None, "QJ Qx"]
+        assert poly.is_full_dimensional
+        [record] = caplog.records
+        assert record.levelno == logging.INFO
+        assert "40 points in 6D" in record.getMessage()
+        assert "QJ" in record.getMessage()
 
 
 class TestRayExit:

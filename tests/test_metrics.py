@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -32,6 +36,7 @@ from softgrasp import (
     min_facet_distance,
     monotonicity,
     quality_trace,
+    quality_traces,
     saturation_index,
     volume_metric,
 )
@@ -420,6 +425,137 @@ class TestFrameQuality:
         assert q.values == {m: 0.0 for m in TRACE_METRICS}
         assert (q.vertices, q.facets, q.affine_rank) == (0, 0, 0)
         assert epsilon_metric(f, WrenchSpaceConfig()) == 0.0
+
+
+def bind_cpus(monkeypatch, count):
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
+
+
+class TestConcurrentFrames:
+    def trajectory(self, rng):
+        counts = (3, 1, 4, 6, 2, 5, 8, 4, 3)
+        frames = [random_frame(rng, n, time=0.1 * (i + 1)) for i, n in enumerate(counts)]
+        return frames + [
+            TrajectoryFrame(time=1.0, contacts=(), squeeze_force=0.0, com=np.zeros(3), mass=0.1)
+        ]
+
+    def test_traces_bit_equal_for_any_cpu_count(self, rng, monkeypatch):
+        frames = self.trajectory(rng)
+        cfg, gcfg, dirs = WrenchSpaceConfig(), GravityConfig(), fibonacci_sphere(12)
+        serial = [frame_quality(f, cfg, gcfg, TRACE_METRICS, dirs).values for f in frames]
+        for cpus in (1, 2, 4):
+            bind_cpus(monkeypatch, cpus)
+            traces = quality_traces(frames, TRACE_METRICS, cfg, gcfg, dirs)
+            for m in TRACE_METRICS:
+                values = np.array([q[m] for q in serial])
+                sat = saturation_index(values)
+                assert np.array_equal(traces[m].values, values)
+                assert traces[m].saturation_force == (
+                    None if sat is None else frames[sat].squeeze_force
+                )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_lowest_index_failure_is_raised(self, cpus, monkeypatch):
+        bind_cpus(monkeypatch, cpus)
+        later_failed = threading.Event()
+
+        def score(i):
+            if i == 3:
+                if cpus > 1:  # fail only after frame 7 has failed
+                    later_failed.wait(timeout=5.0)
+                raise ValueError("frame 3")
+            if i == 7:
+                later_failed.set()
+                raise KeyError("frame 7")
+            return i
+
+        with pytest.raises(ValueError, match="frame 3"):
+            metrics._map_frames(score, range(12))
+        assert later_failed.is_set() == (cpus > 1)
+
+    @pytest.mark.parametrize("cpus, count, helpers", [(1, 8, 0), (4, 1, 0), (2, 8, 1)])
+    def test_threads_started(self, cpus, count, helpers, rng, monkeypatch):
+        bind_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        seen = []
+
+        def counting_build_gws(frame, cfg):
+            seen.append(threading.active_count())
+            return build_gws(frame, cfg)
+
+        monkeypatch.setattr(metrics, "build_gws", counting_build_gws)
+        frames = [random_frame(rng, 3, time=0.1 * (i + 1)) for i in range(count)]
+        quality_traces(frames, ("epsilon",), WrenchSpaceConfig())
+        assert len(seen) == count
+        assert max(seen) == before + helpers
+        assert threading.active_count() == before
+
+    def test_unknown_metric_raises_before_scoring(self, rng, monkeypatch):
+        scored = []
+        monkeypatch.setattr(metrics, "frame_quality", lambda *a, **k: scored.append(a))
+        frames = [random_frame(rng, 3, time=0.1 * (i + 1)) for i in range(4)]
+        with pytest.raises(InvalidInputError, match="bogus"):
+            quality_traces(frames, ("epsilon", "bogus"), WrenchSpaceConfig())
+        assert scored == []
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        bind_cpus(monkeypatch, 8)
+        calls, out = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: out.append(
+                    metrics._map_frames(lambda i: calls.append(i) or i * i, range(500))
+                )
+            )
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert out == [[i * i for i in range(500)]]
+        assert sorted(calls) == list(range(500))
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_cgroup_cpu_limit", lambda: None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert metrics._usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert metrics._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert metrics._usable_cpus() == 1
+
+    @pytest.mark.parametrize("limit, cpus", [(None, 8), (1.5, 2), (2.0, 2), (0.25, 1), (16.0, 8)])
+    def test_usable_cpus_capped_by_cgroup_quota(self, limit, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(metrics, "_cgroup_cpu_limit", lambda: limit)
+        assert metrics._usable_cpus() == cpus
+
+    @pytest.mark.parametrize("cgroup, files, limit", [
+        ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 1.5),
+        ("0::/job\n", {"job/cpu.max": "max 100000\n"}, None),
+        ("0::/job\n", {"cpu.max": "200000 100000\n"}, 2.0),  # namespaced: the mount's root
+        ("4:memory:/job\n2:cpu,cpuacct:/job\n0::/\n",
+         {"cpu,cpuacct/job/cpu.cfs_quota_us": "300000\n",
+          "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, 3.0),
+        ("2:cpu,cpuacct:/job\n",
+         {"cpu,cpuacct/cpu.cfs_quota_us": "-1\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"}, None),
+        ("4:memory:/job\n", {}, None),
+        (None, {}, None),
+    ])
+    def test_cgroup_cpu_limit(self, cgroup, files, limit, tmp_path, monkeypatch):
+        proc = tmp_path / "cgroup"
+        if cgroup is not None:
+            proc.write_text(cgroup)
+        mount = tmp_path / "fs"
+        for name, text in files.items():
+            (mount / name).parent.mkdir(parents=True, exist_ok=True)
+            (mount / name).write_text(text)
+        monkeypatch.setattr(metrics, "PROC_CGROUP", str(proc))
+        monkeypatch.setattr(metrics, "CGROUP_MOUNT", str(mount))
+        assert metrics._cgroup_cpu_limit() == limit
 
 
 class TestHullMonotonicityAcrossMetrics:
