@@ -13,7 +13,6 @@ from .contact import (
     WrenchSpaceConfig,
     build_gws,
     contact_centroid,
-    contact_wrench,
     default_torque_scale,
     frame_wrenches,
     friction_pyramid,
@@ -43,7 +42,6 @@ from .fem import (
     mesh_center_of_mass,
     quasi_static_step,
     run_squeeze,
-    run_squeeze_assembled,
     tet_volumes,
 )
 from .fileio import (
@@ -65,26 +63,19 @@ from .geom import (
     convex_hull,
     min_facet_distance,
     polytope_volume,
-    ray_exit_distance,
     ray_exit_distances,
-    support_function,
 )
 from .metrics import (
     FrameQuality,
     GravityConfig,
     QualityTrace,
     desired_force_index,
-    epsilon_metric,
     fibonacci_sphere,
     frame_quality,
     gravity_directions,
-    gravity_resistant_quality,
-    instability_proxy,
     monotonicity,
-    quality_trace,
     quality_traces,
     saturation_index,
-    volume_metric,
 )
 
 __version__ = "0.1.0"

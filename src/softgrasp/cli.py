@@ -34,6 +34,7 @@ from .fem import (
     step_frame,
 )
 from .metrics import (
+    METRIC_NAMES,
     GravityConfig,
     _map_frames,
     desired_force_index,
@@ -44,8 +45,6 @@ from .metrics import (
 )
 
 logger = logging.getLogger(__name__)
-
-METRIC_CHOICES = ("epsilon", "volume", "gravity")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ def cmd_metric(args, rc: RunConfig) -> int:
     rho = rc.torque_scale_rho if rc.torque_scale_rho is not None else traj.header.torque_scale_rho
     wcfg = rc.wrench_config(rho)
     gcfg = rc.gravity_config()
-    names = list(METRIC_CHOICES) if args.metric == "all" else [args.metric]
+    names = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
     desired = rc.desired_force
 
     traces = quality_traces(frames, names, wcfg, gcfg)
@@ -469,16 +468,17 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
     # candidates are squeezed mid-air: the protocol compares grasps on a held
     # object, so no platform sits under it
     rc = dataclasses.replace(rc, platform_height=-1.0)
+    # bench_mesh rejects an unknown name before any candidate is squeezed
+    meshes = [bench_mesh(name) for name in object_names]
     rows = []
-    for obj_idx, name in enumerate(object_names):
-        mesh = bench_mesh(name)
+    for obj_idx, (name, mesh) in enumerate(zip(object_names, meshes)):
         rng = np.random.default_rng([rc.seed, obj_idx])
         candidates = sample_grasps(mesh, grasps_per_object, rng, rc)
         payloads = [(i, mesh, cand, rc) for i, cand in enumerate(candidates)]
         evals = _map_jobs(_run_candidate, payloads, jobs)
         proxy = np.array([e.proxy for e in evals])
         scores = {}
-        for metric in METRIC_CHOICES:
+        for metric in METRIC_NAMES:
             vals = np.array([getattr(e, metric) for e in evals])
             with np.errstate(invalid="ignore"):
                 scores[metric] = monotonicity(vals, proxy)
@@ -499,11 +499,6 @@ def cmd_bench(args, rc: RunConfig) -> int:
         raise ConfigError("no bench objects given")
     if args.grasps_per_object < 3:
         raise ConfigError("--grasps-per-object must be >= 3 (rank correlation needs 3 grasps)")
-    for name in names:
-        if name not in BENCH_OBJECTS:
-            raise ConfigError(
-                f"unknown bench object {name!r} (available: {', '.join(sorted(BENCH_OBJECTS))})"
-            )
     import warnings as _warnings
 
     with _warnings.catch_warnings():
@@ -526,15 +521,12 @@ def cmd_hull_info(args, rc: RunConfig) -> int:
     rho = rc.torque_scale_rho if rc.torque_scale_rho is not None else traj.header.torque_scale_rho
     wcfg = rc.wrench_config(rho)
     gcfg = rc.gravity_config()
-    qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, METRIC_CHOICES), frames)
-    _emit((
-        "frame", "time", "contacts", "vertices", "facets", "affine_rank",
-        "epsilon", "volume", "gravity",
-    ))
+    qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, METRIC_NAMES), frames)
+    _emit(("frame", "time", "contacts", "vertices", "facets", "affine_rank") + METRIC_NAMES)
     for i, (frame, q) in enumerate(zip(frames, qualities)):
         _emit(
             [i, frame.time, len(frame.contacts), q.vertices, q.facets, q.affine_rank]
-            + [q.values[name] for name in METRIC_CHOICES]
+            + [q.values[name] for name in METRIC_NAMES]
         )
     return 0
 
@@ -565,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metric", parents=[common], help="evaluate metrics on a trajectory")
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--metric", default="all", choices=("all",) + METRIC_CHOICES)
+    p.add_argument("--metric", default="all", choices=("all",) + METRIC_NAMES)
     p.add_argument("--desired-force", type=float, default=None)
     p.set_defaults(func=cmd_metric)
 
@@ -573,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", required=True)
     p.add_argument("--ele", required=True)
     p.add_argument("--grasps", required=True)
-    p.add_argument("--metric", default="gravity", choices=METRIC_CHOICES)
+    p.add_argument("--metric", default="gravity", choices=METRIC_NAMES)
     p.add_argument("--desired-force", type=float, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_rank)

@@ -112,17 +112,6 @@ def contact_centroid(frame: TrajectoryFrame) -> np.ndarray:
     return np.mean([c.position for c in frame.contacts], axis=0)
 
 
-def contact_wrench(x, f, centroid, rho: float) -> np.ndarray:
-    """6D wrench (f, ((x - centroid) x f) / rho) of a point force."""
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise InvalidInputError("rho must be > 0")
-    xv = _vec3(x, "x")
-    fv = _vec3(f, "f")
-    cv = _vec3(centroid, "centroid")
-    torque = np.cross(xv - cv, fv) / rho
-    return np.concatenate([fv, torque])
-
-
 def orthonormal_tangents(normal) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed tangent basis (t1, t2) for a unit normal.
 

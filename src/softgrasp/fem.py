@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import ContactPoint, TrajectoryFrame, orthonormal_tangents
+from .contact import ContactPoint, TrajectoryFrame, _vec3, orthonormal_tangents
 from .errors import InvalidInputError, MeshError, SolverError
 
 logger = logging.getLogger(__name__)
@@ -25,13 +25,6 @@ logger = logging.getLogger(__name__)
 # Tikhonov factor anchoring the six rigid modes of the free-floating object,
 # relative to the mean stiffness diagonal.
 RIGID_REG_REL = 1e-9
-
-
-def _vec3(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} must be a finite 3-vector")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +738,6 @@ def run_squeeze(
     empty list.
     """
     model = assemble_model(mesh, mat)
-    return run_squeeze_assembled(model, grasp, cfg)
-
-
-def run_squeeze_assembled(
-    model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig
-) -> list[TrajectoryFrame]:
     return [step_frame(model, cfg, *step) for step in squeeze_steps(model, grasp, cfg)]
 
 

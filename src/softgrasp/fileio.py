@@ -17,7 +17,7 @@ import numpy as np
 
 from .contact import ContactPoint, TrajectoryFrame
 from .errors import ParseError, UnsupportedVersionError
-from .fem import GraspCandidate, MaterialParams, TetMesh
+from .fem import GraspCandidate, MaterialParams, TetMesh, tet_volumes
 
 TRAJECTORY_FORMAT = "softgrasp-trajectory"
 TRAJECTORY_VERSION = 1
@@ -341,8 +341,7 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
             tets[row, k] = ids[ref]
         tet_linenos[row] = ln
 
-    edges = coords[tets[:, 1:]] - coords[tets[:, :1]]
-    vols = np.linalg.det(edges) / 6.0
+    vols = tet_volumes(coords, tets)
     bad = np.nonzero(vols <= 0.0)[0]
     if bad.size:
         raise ParseError(

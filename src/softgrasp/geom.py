@@ -52,7 +52,7 @@ class Polytope:
         return self.affine_rank == self.dim
 
 
-def affine_rank_of(points: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def affine_rank_of(points: np.ndarray) -> int:
     """Rank of the centered point matrix with a relative singular-value cutoff."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] <= 1:
@@ -61,14 +61,7 @@ def affine_rank_of(points: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals.size == 0 or svals[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(svals > rel_tol * svals[0]))
-
-
-def support_function(points, directions) -> np.ndarray:
-    """max over the point set of u . x, for each direction u (brute force)."""
-    pts = np.asarray(points, dtype=float)
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    return (dirs @ pts.T).max(axis=1)
+    return int(np.count_nonzero(svals > RANK_REL_TOL * svals[0]))
 
 
 def _dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: float = FACET_MERGE_TOL):
@@ -225,10 +218,6 @@ def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.where(dots > _RAY_DOT_MIN, offs[None, :] / dots, np.inf)
     return np.maximum(steps.min(axis=1), 0.0)
-
-
-def ray_exit_distance(poly: Polytope, direction) -> float:
-    return float(ray_exit_distances(poly, direction)[0])
 
 
 def min_facet_distance(poly: Polytope) -> float:

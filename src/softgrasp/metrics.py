@@ -55,40 +55,32 @@ def _unit_rows(arr, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GravityConfig:
-    """How gravity directions are sampled and scaled."""
+    """How gravity directions are sampled and scaled.
+
+    custom_directions, when given, replaces the Fibonacci-sphere lattice of
+    num_directions directions, and num_directions becomes its row count.
+    """
 
     num_directions: int = 16
     gravity_accel: float = 9.81
-    direction_set: str = "fibonacci-sphere"
     custom_directions: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.direction_set not in ("fibonacci-sphere", "custom"):
-            raise InvalidInputError(
-                f"direction_set must be 'fibonacci-sphere' or 'custom', got {self.direction_set!r}"
-            )
         if not (np.isfinite(self.gravity_accel) and self.gravity_accel > 0.0):
             raise InvalidInputError("gravity_accel must be > 0")
-        if self.direction_set == "custom":
-            if self.custom_directions is None:
-                raise InvalidInputError("custom direction_set needs custom_directions")
+        if self.custom_directions is not None:
             dirs = _unit_rows(self.custom_directions, "custom_directions")
-            if dirs.shape[0] < 4:
-                raise InvalidInputError("need at least 4 gravity directions")
             object.__setattr__(self, "custom_directions", dirs)
             object.__setattr__(self, "num_directions", dirs.shape[0])
-        else:
-            if self.custom_directions is not None:
-                raise InvalidInputError("custom_directions given without direction_set='custom'")
-            if int(self.num_directions) < 4:
-                raise InvalidInputError("need at least 4 gravity directions")
-            object.__setattr__(self, "num_directions", int(self.num_directions))
+        if int(self.num_directions) < 4:
+            raise InvalidInputError("need at least 4 gravity directions")
+        object.__setattr__(self, "num_directions", int(self.num_directions))
 
 
 def gravity_directions(gcfg: GravityConfig) -> np.ndarray:
-    if gcfg.direction_set == "custom":
-        return gcfg.custom_directions
-    return fibonacci_sphere(gcfg.num_directions)
+    if gcfg.custom_directions is None:
+        return fibonacci_sphere(gcfg.num_directions)
+    return gcfg.custom_directions
 
 
 @dataclass(frozen=True)
@@ -157,8 +149,6 @@ def frame_quality(
     if gcfg is None:
         gcfg = GravityConfig()
     inertial = "gravity" in names or "proxy" in names
-    if inertial and frame.mass <= 0.0:
-        raise InvalidInputError("mass must be > 0")
     if "proxy" in names:
         dirs = gravity_directions(gcfg) if proxy_dirs is None else _unit_rows(proxy_dirs, "proxy_dirs")
 
@@ -187,39 +177,6 @@ def frame_quality(
         facets=gws.facet_offsets.shape[0],
         affine_rank=gws.affine_rank,
     )
-
-
-def epsilon_metric(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> float:
-    """Radius of the largest origin-centered ball inside the wrench hull."""
-    return frame_quality(frame, cfg, None, ("epsilon",)).values["epsilon"]
-
-
-def volume_metric(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> float:
-    """Hypervolume of the wrench hull."""
-    return frame_quality(frame, cfg, None, ("volume",)).values["volume"]
-
-
-def gravity_resistant_quality(
-    frame: TrajectoryFrame, cfg: WrenchSpaceConfig, gcfg: GravityConfig
-) -> float:
-    """Smallest survivable gravity wrench over the sampled directions.
-
-    For each direction the wrench hull's boundary distance along the
-    gravity-wrench ray is capped by the physical wrench magnitude m*g*||v||;
-    the quality is the minimum over directions.  Zero when the hull is
-    degenerate or fails to surround the origin in some sampled direction.
-    """
-    return frame_quality(frame, cfg, gcfg, ("gravity",)).values["gravity"]
-
-
-def instability_proxy(frame: TrajectoryFrame, cfg: WrenchSpaceConfig, dirs) -> float:
-    """Mean resistible acceleration over inertial pull directions, m/s^2.
-
-    Analytic stand-in for a dynamic shake test: along each direction the
-    wrench hull's exit distance is the largest force magnitude the grasp
-    balances, and dividing by mass turns it into an acceleration.
-    """
-    return frame_quality(frame, cfg, None, ("proxy",), dirs).values["proxy"]
 
 
 def monotonicity(metric_values, ground_truth) -> float:
@@ -405,14 +362,3 @@ def quality_traces(
             times=times, values=values, metric_name=metric, saturation_force=sat_force
         )
     return traces
-
-
-def quality_trace(
-    trajectory,
-    metric: str,
-    cfg: WrenchSpaceConfig,
-    gcfg: GravityConfig | None = None,
-    proxy_directions=None,
-) -> QualityTrace:
-    """Evaluate one metric on every frame of a trajectory (see quality_traces)."""
-    return quality_traces(trajectory, (metric,), cfg, gcfg, proxy_directions)[metric]

@@ -6,7 +6,12 @@ import itertools
 
 import numpy as np
 
-from softgrasp import ContactPoint, TrajectoryFrame
+from softgrasp import ContactPoint, TrajectoryFrame, frame_quality
+
+
+def quality(frame, cfg, metric: str, gcfg=None, proxy_dirs=None) -> float:
+    """One metric of one frame, requested alone from frame_quality."""
+    return frame_quality(frame, cfg, gcfg, (metric,), proxy_dirs).values[metric]
 
 
 def random_unit(rng, d: int = 3) -> np.ndarray:

@@ -39,15 +39,13 @@ from softgrasp.geom import (
     min_facet_distance,
     polytope_volume,
     ray_exit_distances,
-    support_function,
 )
 from softgrasp.metrics import (
+    METRIC_NAMES,
     GravityConfig,
-    epsilon_metric,
+    frame_quality,
     gravity_directions,
-    gravity_resistant_quality,
-    quality_trace,
-    volume_metric,
+    quality_traces,
 )
 
 IO_ERRORS = (ParseError, UnsupportedVersionError)
@@ -102,7 +100,7 @@ def test_criterion_1_geometry_oracles(rng, capsys):
         pts = helpers.random_hull_points(rng, 6, 40)
         poly = convex_hull(pts, 6)
         dirs = unit_dirs(rng, 25, 6)
-        ours = support_function(poly.vertices, dirs)
+        ours = oracles.brute_support(poly.vertices, dirs)
         ref = oracles.brute_support(pts, dirs)
         worst_support = max(worst_support, float(np.max(np.abs(ours - ref))))
 
@@ -166,9 +164,14 @@ def test_criterion_2_metric_laws(rng, capsys):
     frames += patches
     assert len(frames) == 200
 
+    def scores(f, gc=gcfg):
+        """(epsilon, volume, gravity) of a frame, read off one wrench hull."""
+        values = frame_quality(f, cfg, gc, METRIC_NAMES).values
+        return tuple(values[m] for m in METRIC_NAMES)
+
     cap_violations = zero_violations = 0
     for f in frames:
-        q = gravity_resistant_quality(f, cfg, gcfg)
+        q = helpers.quality(f, cfg, "gravity", gcfg)
         arm = np.asarray(f.com, dtype=float) - contact_centroid(f)
         rays = np.hstack([base_dirs, np.cross(arm, base_dirs) / cfg.torque_scale_rho])
         caps = f.mass * gcfg.gravity_accel * np.linalg.norm(rays, axis=1)
@@ -186,23 +189,13 @@ def test_criterion_2_metric_laws(rng, capsys):
         elif q != 0.0:  # flat wrench set resists nothing
             zero_violations += 1
 
-    degenerate_violations = sum(
-        epsilon_metric(f, cfg) != 0.0
-        or volume_metric(f, cfg) != 0.0
-        or gravity_resistant_quality(f, cfg, gcfg) != 0.0
-        for f in degenerate
-    )
+    degenerate_violations = sum(scores(f) != (0.0, 0.0, 0.0) for f in degenerate)
 
     translation_violations = 0
     for f in dyadic:
         t = rng.integers(-16, 17, size=3) / 8.0
         g = helpers.translate_frame(f, t)
-        if (
-            epsilon_metric(f, cfg) != epsilon_metric(g, cfg)
-            or volume_metric(f, cfg) != volume_metric(g, cfg)
-            or gravity_resistant_quality(f, cfg, gcfg)
-            != gravity_resistant_quality(g, cfg, gcfg)
-        ):
+        if scores(f) != scores(g):
             translation_violations += 1
 
     # generic frames only: exactly tied normal components flip the tangent
@@ -210,20 +203,15 @@ def test_criterion_2_metric_laws(rng, capsys):
     rot_frames = []
     while len(rot_frames) < 6:
         f = helpers.random_frame(rng, int(rng.integers(4, 7)))
-        if gravity_resistant_quality(f, cfg, gcfg) > 1e-9:
+        if helpers.quality(f, cfg, "gravity", gcfg) > 1e-9:
             rot_frames.append(f)
     worst_rot = 0.0
     for f in rot_frames:
-        e0, v0 = epsilon_metric(f, cfg), volume_metric(f, cfg)
-        q0 = gravity_resistant_quality(f, cfg, gcfg)
+        before = scores(f)
         for r in helpers.octahedral_rotations():
             g = helpers.rotate_frame(f, r)
-            gc = GravityConfig(direction_set="custom", custom_directions=base_dirs @ r.T)
-            for a, b in (
-                (e0, epsilon_metric(g, cfg)),
-                (v0, volume_metric(g, cfg)),
-                (q0, gravity_resistant_quality(g, cfg, gc)),
-            ):
+            gc = GravityConfig(custom_directions=base_dirs @ r.T)
+            for a, b in zip(before, scores(g, gc)):
                 worst_rot = max(worst_rot, abs(b - a) / max(abs(a), 1e-12))
 
     elapsed = time.perf_counter() - start
@@ -259,13 +247,13 @@ def test_criterion_3_gravity_oracle(rng, capsys):
     frames = [helpers.antipodal_patch_frame()]
     while len(frames) < 51:  # degenerate draws compare 0 == 0, keep informative ones
         f = helpers.random_frame(rng, int(rng.integers(4, 7)))
-        if epsilon_metric(f, cfg) > 1e-6:  # origin interior, every exit positive
+        if helpers.quality(f, cfg, "epsilon") > 1e-6:  # origin interior, every exit positive
             frames.append(f)
 
     worst = 0.0
     compared = 0
     for f in frames:
-        q = gravity_resistant_quality(f, cfg, gcfg)
+        q = helpers.quality(f, cfg, "gravity", gcfg)
         ref = oracles.subspace_gravity_quality(
             frame_wrenches(f, cfg),
             np.asarray(f.com, dtype=float) - contact_centroid(f),
@@ -367,7 +355,7 @@ def box_sweep():
     wcfg = rc.wrench_config(rho)
     gcfg = rc.gravity_config()
     t0 = time.perf_counter()
-    trace = quality_trace(frames, "gravity", wcfg, gcfg)
+    trace = quality_traces(frames, ("gravity",), wcfg, gcfg)["gravity"]
     metric_s = (time.perf_counter() - t0) / len(frames)
     return {
         "frames": frames,

@@ -391,10 +391,17 @@ class TestExitCodes:
         assert out == ""
         assert err.strip() == "error: --jobs must be >= 1"
 
-    def test_bench_unknown_object_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--objects", "box,teapot")
+    def test_bench_unknown_object_exit_2(self, capsys, monkeypatch):
+        def no_squeeze(*args, **kwargs):
+            raise AssertionError("squeezed before every object name was checked")
+
+        monkeypatch.setattr("softgrasp.cli.squeeze_steps", no_squeeze)
+        code, out, err = run_cli(capsys, "bench", "--objects", "box,teapot")
         assert code == 2
-        assert "teapot" in err
+        assert out == ""
+        assert err == (
+            "error: unknown bench object 'teapot' (available: box, cylinder, slab, sphere)\n"
+        )
 
     def test_bench_empty_objects_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--objects", ",")

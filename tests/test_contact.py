@@ -19,7 +19,6 @@ from softgrasp import (
     WrenchSpaceConfig,
     build_gws,
     contact_centroid,
-    contact_wrench,
     default_torque_scale,
     frame_wrenches,
     friction_pyramid,
@@ -83,28 +82,46 @@ class TestContactCentroid:
 
 
 class TestContactWrench:
+    """Each contact's rows in frame_wrenches are (f, ((x - centroid) x f) / rho).
+
+    With mu = 0 every pyramid edge is the contact normal, so row 3*i is
+    contact i's wrench.
+    """
+
+    def wrench_rows(self, contacts, rho=1.0, mode="unit-edge"):
+        cfg = WrenchSpaceConfig(
+            friction_mu=0.0, cone_edges=3, torque_scale_rho=rho, force_normalization=mode
+        )
+        return frame_wrenches(make_frame(contacts), cfg)
+
+    def pair(self):
+        return [contact((1, 0, 0), (0, 0, 1)), contact((-1, 0, 0), (0, 0, 1))]
+
     def test_cross_product_example(self):
-        w = contact_wrench((1, 0, 0), (0, 0, 1), (0, 0, 0), 1.0)
-        assert np.allclose(w, (0, 0, 1, 0, -1, 0), atol=1e-15)
+        w = self.wrench_rows(self.pair())
+        assert np.allclose(w[0], (0, 0, 1, 0, -1, 0), atol=1e-15)
+        assert np.allclose(w[3], (0, 0, 1, 0, 1, 0), atol=1e-15)
 
     def test_zero_force(self):
-        w = contact_wrench((1, 2, 3), (0, 0, 0), (0, 0, 0), 1.0)
-        assert np.allclose(w, 0.0)
+        c = contact((1, 2, 3), (0, 0, 1), force=(0, 0, 0))
+        w = self.wrench_rows([c, contact((0, 0, 0), (1, 0, 0))], mode="reported-force")
+        assert np.allclose(w[:3], 0.0)
 
     def test_zero_arm(self):
-        w = contact_wrench((1, 2, 3), (4, 5, 6), (1, 2, 3), 1.0)
-        assert np.allclose(w[3:], 0.0)
-        assert np.allclose(w[:3], (4, 5, 6))
+        c = contact((1, 2, 3), (4, 5, 6), force=(4, 5, 6))
+        w = self.wrench_rows([c], mode="reported-force")
+        assert np.allclose(w[0, 3:], 0.0)
+        assert np.allclose(w[0, :3], (4, 5, 6))
 
     def test_rho_scales_torque_only(self):
-        w1 = contact_wrench((1, 0, 0), (0, 0, 1), (0, 0, 0), 1.0)
-        w2 = contact_wrench((1, 0, 0), (0, 0, 1), (0, 0, 0), 2.0)
-        assert np.allclose(w2[:3], w1[:3])
-        assert np.allclose(w2[3:], w1[3:] / 2.0)
+        w1 = self.wrench_rows(self.pair(), rho=1.0)
+        w2 = self.wrench_rows(self.pair(), rho=2.0)
+        assert np.allclose(w2[:, :3], w1[:, :3])
+        assert np.allclose(w2[:, 3:], w1[:, 3:] / 2.0)
 
     def test_bad_rho(self):
         with pytest.raises(InvalidInputError):
-            contact_wrench((0, 0, 0), (0, 0, 1), (0, 0, 0), 0.0)
+            WrenchSpaceConfig(torque_scale_rho=0.0)
 
 
 class TestTangentBasis:

@@ -19,7 +19,6 @@ from softgrasp import (
     mesh_center_of_mass,
     quasi_static_step,
     run_squeeze,
-    run_squeeze_assembled,
     tet_volumes,
 )
 
@@ -371,7 +370,7 @@ class TestQuasiStaticStep:
 @pytest.fixture(scope="module")
 def squeeze(box_model):
     cfg = pinch_config()
-    frames = run_squeeze_assembled(box_model, box_grasp(max_force=6.0), cfg)
+    frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=6.0), cfg)
     return frames, cfg
 
 
@@ -451,12 +450,12 @@ class TestRunSqueeze:
     def test_miss_returns_empty_with_diagnostic(self, box_model, caplog):
         grasp = GraspCandidate((0.0, 0.5, 0.0), (1.0, 0, 0), 0.005, 10.0)
         with caplog.at_level("WARNING", logger="softgrasp.fem"):
-            frames = run_squeeze_assembled(box_model, grasp, pinch_config())
+            frames = run_squeeze(box_model.mesh, box_model.mat, grasp, pinch_config())
         assert frames == []
         assert any("no contact frames" in r.message for r in caplog.records)
 
     def test_tiny_max_force_stops_immediately(self, box_model):
-        frames = run_squeeze_assembled(box_model, box_grasp(max_force=1e-6), pinch_config())
+        frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=1e-6), pinch_config())
         assert len(frames) == 1
         assert frames[0].squeeze_force >= 1e-6
 
@@ -468,7 +467,7 @@ class TestRunSqueeze:
 
 
 class TestFrameCenterOfMass:
-    @pytest.mark.parametrize("entry", ["run_squeeze_assembled", "simulate"])
+    @pytest.mark.parametrize("entry", ["run_squeeze", "simulate"])
     def test_com_is_the_deformed_mesh_com(self, box_model, entry, monkeypatch, tmp_path):
         # the displacement of every step, in step order
         us = []
@@ -488,7 +487,7 @@ class TestFrameCenterOfMass:
             frames, dt = load_trajectory(out).frames, rc.dt
         else:
             cfg = pinch_config()
-            frames = run_squeeze_assembled(assemble_model(box_model.mesh, box_model.mat), grasp, cfg)
+            frames = run_squeeze(box_model.mesh, box_model.mat, grasp, cfg)
             dt = cfg.dt
         assert len(frames) >= 3
         mesh = box_model.mesh
@@ -544,10 +543,10 @@ class TestFactorReuse:
         cfg = pinch_config()
         with monkeypatch.context() as m:
             reused = record_factorize(m)
-            frames = run_squeeze_assembled(assemble_model(box_model.mesh, mat), grasp, cfg)
+            frames = run_squeeze(box_model.mesh, mat, grasp, cfg)
         with monkeypatch.context() as m:
             fresh = record_factorize(m, clear_slot=True)
-            reference = run_squeeze_assembled(assemble_model(box_model.mesh, mat), grasp, cfg)
+            reference = run_squeeze(box_model.mesh, mat, grasp, cfg)
         assert len(frames) >= 3
         assert frame_bytes(frames) == frame_bytes(reference)
         assert reused["fresh"] < reused["solves"] == fresh["fresh"] == fresh["solves"]
@@ -558,10 +557,11 @@ class TestFactorReuse:
         grasp_a = box_grasp(max_force=6.0)
         grasp_b = GraspCandidate((0.0, 0.01, 0.005), (0.0, 1.0, 0.0), 0.04, 4.0)
         model = assemble_model(box_model.mesh, box_model.mat)
-        run_squeeze_assembled(model, grasp_a, cfg)
+        for _ in fem.squeeze_steps(model, grasp_a, cfg):
+            pass
         assert model.factor_slot is not None
-        frames_b = run_squeeze_assembled(model, grasp_b, cfg)
-        fresh_b = run_squeeze_assembled(assemble_model(box_model.mesh, box_model.mat), grasp_b, cfg)
+        frames_b = [fem.step_frame(model, cfg, *step) for step in fem.squeeze_steps(model, grasp_b, cfg)]
+        fresh_b = run_squeeze(box_model.mesh, box_model.mat, grasp_b, cfg)
         assert len(frames_b) >= 3
         assert frame_bytes(frames_b) == frame_bytes(fresh_b)
 
@@ -579,8 +579,7 @@ class TestFactorReuse:
 
         monkeypatch.setattr(fem, "quasi_static_step", step)
         stats = record_factorize(monkeypatch)
-        model = assemble_model(box_model.mesh, box_model.mat)
-        frames = run_squeeze_assembled(model, box_grasp(max_force=6.0), pinch_config())
+        frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=6.0), pinch_config())
         assert len(frames) >= 3
         assert len(splu_calls) == sum(r.factorizations for r in reports) == stats["fresh"]
         assert 0 < len(splu_calls) < stats["solves"]
@@ -642,8 +641,7 @@ class TestContactBlocksOracle:
             return got
 
         monkeypatch.setattr(fem, "_contact_blocks", checked_blocks)
-        model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
-        run_squeeze_assembled(model, SLIP_GRASP, pinch_config())
+        run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
         assert all(same for _, _, same in checked)
         assert any(slip for _, slip, _ in checked)
         assert any(n >= 2 for n, _, _ in checked)

@@ -16,11 +16,9 @@ from softgrasp import (
     convex_hull,
     min_facet_distance,
     polytope_volume,
-    ray_exit_distance,
     ray_exit_distances,
     WrenchSpaceConfig,
     frame_wrenches,
-    support_function,
 )
 from softgrasp.geom import FACET_MERGE_TOL, _dedupe_facets
 
@@ -63,8 +61,8 @@ class TestConvexHull:
         inside = weights @ gens
         padded = np.vstack([gens, inside])
         dirs = unit_dirs(rng, 1000, 6)
-        h_gen = support_function(convex_hull(gens, 6).vertices, dirs)
-        h_pad = support_function(convex_hull(padded, 6).vertices, dirs)
+        h_gen = oracles.brute_support(convex_hull(gens, 6).vertices, dirs)
+        h_pad = oracles.brute_support(convex_hull(padded, 6).vertices, dirs)
         assert np.max(np.abs(h_gen - h_pad)) <= 1e-9
 
     def test_hull_idempotence(self, rng):
@@ -153,12 +151,12 @@ class TestConvexHull:
 class TestRayExit:
     def test_cube_axis(self):
         p = convex_hull(cube_points(3), 3)
-        assert ray_exit_distance(p, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+        assert ray_exit_distances(p, [[1.0, 0.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cube_diagonal(self):
         p = convex_hull(cube_points(3), 3)
         u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        assert ray_exit_distance(p, u) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert ray_exit_distances(p, [u])[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_vs_lp_and_bisection_oracles(self, rng):
         half = random_hull_points(rng, 6, 10)
@@ -184,13 +182,13 @@ class TestRayExit:
     def test_origin_outside_returns_zero(self, rng):
         pts = random_hull_points(rng, 3, 20) + np.array([5.0, 0.0, 0.0])
         p = convex_hull(pts, 3)
-        assert ray_exit_distance(p, np.array([1.0, 0.0, 0.0])) == 0.0
+        assert ray_exit_distances(p, [[1.0, 0.0, 0.0]])[0] == 0.0
 
     def test_degenerate_raises(self, rng):
         planar = np.hstack([rng.normal(size=(10, 2)), np.zeros((10, 1))])
         p = convex_hull(planar, 3)
         with pytest.raises(DegenerateInputError):
-            ray_exit_distance(p, np.array([1.0, 0.0, 0.0]))
+            ray_exit_distances(p, [[1.0, 0.0, 0.0]])
 
     def test_cube_exits(self):
         p = convex_hull(cube_points(3), 3)
@@ -209,7 +207,7 @@ class TestRayExit:
     def test_non_unit_direction_rejected(self, rng):
         p = convex_hull(cube_points(3), 3)
         with pytest.raises(InvalidInputError):
-            ray_exit_distance(p, np.array([1.0, 1.0, 0.0]))
+            ray_exit_distances(p, [[1.0, 1.0, 0.0]])
 
 
 class TestMinFacetDistance:

@@ -11,6 +11,7 @@ from helpers import (
     antipodal_patch_frame,
     dyadic_frame,
     octahedral_rotations,
+    quality,
     random_frame,
     rotate_frame,
     translate_frame,
@@ -26,19 +27,14 @@ from softgrasp import (
     build_gws,
     contact_centroid,
     desired_force_index,
-    epsilon_metric,
     fibonacci_sphere,
     frame_quality,
     frame_wrenches,
     gravity_directions,
-    gravity_resistant_quality,
-    instability_proxy,
     min_facet_distance,
     monotonicity,
-    quality_trace,
     quality_traces,
     saturation_index,
-    volume_metric,
 )
 from softgrasp import metrics
 from softgrasp.metrics import TRACE_METRICS
@@ -94,11 +90,13 @@ class TestDirections:
         with pytest.raises(InvalidInputError):
             GravityConfig(gravity_accel=0.0)
         with pytest.raises(InvalidInputError):
-            GravityConfig(direction_set="custom", custom_directions=[[1.0, 1.0, 0.0]])
+            GravityConfig(custom_directions=[[1.0, 1.0, 0.0]])
+        with pytest.raises(InvalidInputError):
+            GravityConfig(custom_directions=np.eye(3))  # fewer than 4 directions
 
     def test_custom_directions(self):
         dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        g = GravityConfig(direction_set="custom", custom_directions=dirs)
+        g = GravityConfig(custom_directions=dirs)
         assert np.allclose(gravity_directions(g), dirs)
         assert g.num_directions == 4
 
@@ -107,13 +105,13 @@ class TestEpsilonVolume:
     def test_single_contact_epsilon_zero(self):
         c = ContactPoint(position=(0, 0, 0), normal=(0, 0, 1.0), force=(0, 0, 1.0))
         f = TrajectoryFrame(time=0.0, contacts=(c,), squeeze_force=1.0, com=(0, 0, 0), mass=1.0)
-        assert epsilon_metric(f, WrenchSpaceConfig(friction_mu=0.0)) == 0.0
-        assert volume_metric(f, WrenchSpaceConfig(friction_mu=0.0)) == 0.0
+        assert quality(f, WrenchSpaceConfig(friction_mu=0.0), "epsilon") == 0.0
+        assert quality(f, WrenchSpaceConfig(friction_mu=0.0), "volume") == 0.0
 
     def test_antipodal_patch_epsilon_vs_oracle(self):
         cfg = WrenchSpaceConfig(friction_mu=0.5, cone_edges=8)
         f = antipodal_patch_frame()
-        eps = epsilon_metric(f, cfg)
+        eps = quality(f, cfg, "epsilon")
         assert eps > 0.0
         p = build_gws(f, cfg)
         wrenches = frame_wrenches(f, cfg)
@@ -125,24 +123,24 @@ class TestEpsilonVolume:
     def test_rotation_invariance(self, rng):
         cfg = WrenchSpaceConfig()
         f = random_frame(rng, 4)
-        e0 = epsilon_metric(f, cfg)
-        v0 = volume_metric(f, cfg)
+        e0 = quality(f, cfg, "epsilon")
+        v0 = quality(f, cfg, "volume")
         for r in octahedral_rotations()[:4]:
             g = rotate_frame(f, r)
-            assert epsilon_metric(g, cfg) == pytest.approx(e0, abs=1e-9)
-            assert volume_metric(g, cfg) == pytest.approx(v0, rel=1e-9)
+            assert quality(g, cfg, "epsilon") == pytest.approx(e0, abs=1e-9)
+            assert quality(g, cfg, "volume") == pytest.approx(v0, rel=1e-9)
 
     def test_volume_scales_as_force_sixth_power(self, rng):
         cfg = WrenchSpaceConfig(force_normalization="reported-force")
         f = random_frame(rng, 4)
-        v1 = volume_metric(f, cfg)
-        v2 = volume_metric(frame_with_forces(f, 2.0), cfg)
+        v1 = quality(f, cfg, "volume")
+        v2 = quality(frame_with_forces(f, 2.0), cfg, "volume")
         assert v2 == pytest.approx(64.0 * v1, rel=1e-6)
 
     def test_volume_vs_monte_carlo(self, rng):
         cfg = WrenchSpaceConfig()
         f = random_frame(rng, 4)
-        vol = volume_metric(f, cfg)
+        vol = quality(f, cfg, "volume")
         wrenches = frame_wrenches(f, cfg)
         hull = ConvexHull(wrenches)  # independent H-representation
         a = hull.equations[:, :-1]
@@ -162,18 +160,18 @@ class TestGravityQuality:
     def test_degenerate_frame_zero(self):
         c = ContactPoint(position=(0, 0, 0), normal=(0, 0, 1.0), force=(0, 0, 1.0))
         f = TrajectoryFrame(time=0.0, contacts=(c,), squeeze_force=1.0, com=(0, 0, 0), mass=1.0)
-        assert gravity_resistant_quality(f, WrenchSpaceConfig(friction_mu=0.0), GravityConfig()) == 0.0
+        assert quality(f, WrenchSpaceConfig(friction_mu=0.0), "gravity", GravityConfig()) == 0.0
 
     def test_two_point_pinch_zero(self):
         f = two_point_pinch_frame()
-        assert gravity_resistant_quality(f, WrenchSpaceConfig(), GravityConfig()) == 0.0
+        assert quality(f, WrenchSpaceConfig(), "gravity", GravityConfig()) == 0.0
 
     def test_cap_limited_regime_exact(self):
         # huge reported forces make the hull enormous; with com at the
         # centroid every ray caps at exactly m*g
         f = antipodal_patch_frame(force_scale=1e4, mass=0.1)
         cfg = WrenchSpaceConfig(friction_mu=0.5, force_normalization="reported-force")
-        q = gravity_resistant_quality(f, cfg, GravityConfig())
+        q = quality(f, cfg, "gravity", GravityConfig())
         assert q == pytest.approx(0.1 * 9.81, rel=1e-12)
 
     def test_cap_law(self, rng):
@@ -181,7 +179,7 @@ class TestGravityQuality:
         gcfg = GravityConfig()
         for _ in range(20):
             f = random_frame(rng, 4)
-            q = gravity_resistant_quality(f, cfg, gcfg)
+            q = quality(f, cfg, "gravity", gcfg)
             arm = f.com - contact_centroid(f)
             dirs = gravity_directions(gcfg)
             v = np.hstack([dirs, np.cross(np.broadcast_to(arm, dirs.shape), dirs)])
@@ -193,7 +191,7 @@ class TestGravityQuality:
         gcfg = GravityConfig()
         frames = [antipodal_patch_frame()] + [random_frame(rng, 4) for _ in range(10)]
         for f in frames:
-            q = gravity_resistant_quality(f, cfg, gcfg)
+            q = quality(f, cfg, "gravity", gcfg)
             oracle = oracles.subspace_gravity_quality(
                 frame_wrenches(f, cfg),
                 f.com - contact_centroid(f),
@@ -204,37 +202,28 @@ class TestGravityQuality:
             )
             assert q == pytest.approx(oracle, rel=1e-4, abs=1e-12)
 
-    def test_mass_error(self, rng):
-        f = random_frame(rng, 4)
-        bad = TrajectoryFrame(
-            time=0.0, contacts=f.contacts, squeeze_force=1.0, com=f.com, mass=1.0
-        )
-        object.__setattr__(bad, "mass", 0.0)  # bypass constructor check
-        with pytest.raises(InvalidInputError):
-            gravity_resistant_quality(bad, WrenchSpaceConfig(), GravityConfig())
-
     def test_translation_invariance(self, rng):
         cfg = WrenchSpaceConfig()
         gcfg = GravityConfig()
         for _ in range(5):
             f = dyadic_frame(rng, 4)
             t = rng.integers(-16, 17, size=3) / 8.0
-            q0 = gravity_resistant_quality(f, cfg, gcfg)
-            q1 = gravity_resistant_quality(translate_frame(f, t), cfg, gcfg)
+            q0 = quality(f, cfg, "gravity", gcfg)
+            q1 = quality(translate_frame(f, t), cfg, "gravity", gcfg)
             assert q0 == q1  # bitwise: arms reproduce exactly on the grid
 
 
 class TestInstabilityProxy:
     def test_degenerate_zero(self):
         f = two_point_pinch_frame()
-        assert instability_proxy(f, WrenchSpaceConfig(), fibonacci_sphere(8)) == 0.0
+        assert quality(f, WrenchSpaceConfig(), "proxy", proxy_dirs=fibonacci_sphere(8)) == 0.0
 
     def test_mass_halves_proxy(self, rng):
         cfg = WrenchSpaceConfig()
         dirs = fibonacci_sphere(8)
         f = random_frame(rng, 4)
-        p1 = instability_proxy(f, cfg, dirs)
-        p2 = instability_proxy(with_mass(f, 2.0 * f.mass), cfg, dirs)
+        p1 = quality(f, cfg, "proxy", proxy_dirs=dirs)
+        p2 = quality(with_mass(f, 2.0 * f.mass), cfg, "proxy", proxy_dirs=dirs)
         assert p2 == pytest.approx(0.5 * p1, rel=1e-15)
 
     def test_symmetric_grasp_direction_symmetry(self):
@@ -242,22 +231,22 @@ class TestInstabilityProxy:
         cfg = WrenchSpaceConfig(friction_mu=0.5, cone_edges=8)
         d = np.array([[0.3, -0.5, 0.81]])
         d /= np.linalg.norm(d)
-        p_fwd = instability_proxy(f, cfg, d)
-        p_bwd = instability_proxy(f, cfg, -d)
+        p_fwd = quality(f, cfg, "proxy", proxy_dirs=d)
+        p_bwd = quality(f, cfg, "proxy", proxy_dirs=-d)
         assert p_fwd == pytest.approx(p_bwd, abs=1e-9)
 
     def test_min_direction_bounds_mean(self, rng):
         cfg = WrenchSpaceConfig()
         dirs = fibonacci_sphere(16)
         f = random_frame(rng, 4)
-        per_dir = [instability_proxy(f, cfg, dirs[i : i + 1]) for i in range(16)]
-        mean_proxy = instability_proxy(f, cfg, dirs)
+        per_dir = [quality(f, cfg, "proxy", proxy_dirs=dirs[i : i + 1]) for i in range(16)]
+        mean_proxy = quality(f, cfg, "proxy", proxy_dirs=dirs)
         assert min(per_dir) <= mean_proxy + 1e-12
 
     def test_non_unit_dirs_rejected(self, rng):
         f = random_frame(rng, 4)
         with pytest.raises(InvalidInputError):
-            instability_proxy(f, WrenchSpaceConfig(), np.array([[1.0, 1.0, 0.0]]))
+            quality(f, WrenchSpaceConfig(), "proxy", proxy_dirs=np.array([[1.0, 1.0, 0.0]]))
 
 
 class TestMonotonicity:
@@ -322,7 +311,7 @@ class TestQualityTrace:
     def test_identical_frames_constant_trace(self):
         traj = self.make_trajectory([1.0, 1.0, 1.0])
         cfg = WrenchSpaceConfig(friction_mu=0.5)
-        trace = quality_trace(traj, "epsilon", cfg)
+        trace = quality_traces(traj, ("epsilon",), cfg)["epsilon"]
         assert np.allclose(trace.values, trace.values[0])
         assert trace.saturation_force == pytest.approx(traj[0].squeeze_force)
 
@@ -345,31 +334,31 @@ class TestQualityTrace:
                     mass=base.mass,
                 )
             )
-        trace = quality_trace(frames, "epsilon", cfg)
+        trace = quality_traces(frames, ("epsilon",), cfg)["epsilon"]
         assert np.all(np.diff(trace.values) >= -1e-12)
 
     def test_gravity_and_proxy_traces(self):
         traj = self.make_trajectory([1.0, 2.0, 3.0])
         cfg = WrenchSpaceConfig(friction_mu=0.5, force_normalization="reported-force")
-        tg = quality_trace(traj, "gravity", cfg, GravityConfig())
-        tp = quality_trace(traj, "proxy", cfg, GravityConfig())
+        tg = quality_traces(traj, ("gravity",), cfg, GravityConfig())["gravity"]
+        tp = quality_traces(traj, ("proxy",), cfg, GravityConfig())["proxy"]
         assert tg.values.shape == (3,)
         assert tp.values.shape == (3,)
         assert np.all(np.diff(tg.values) >= -1e-12)
 
     def test_unknown_metric(self):
         with pytest.raises(InvalidInputError):
-            quality_trace(self.make_trajectory([1.0]), "bogus", WrenchSpaceConfig())
+            quality_traces(self.make_trajectory([1.0]), ("bogus",), WrenchSpaceConfig())
 
     def test_time_ordering_enforced(self):
         f1 = antipodal_patch_frame(time=1.0)
         f2 = antipodal_patch_frame(time=1.0)
         with pytest.raises(InvalidInputError):
-            quality_trace([f1, f2], "epsilon", WrenchSpaceConfig())
+            quality_traces([f1, f2], ("epsilon",), WrenchSpaceConfig())
 
     def test_empty_trajectory(self):
         with pytest.raises(InvalidInputError):
-            quality_trace([], "epsilon", WrenchSpaceConfig())
+            quality_traces([], ("epsilon",), WrenchSpaceConfig())
 
 
 class TestFrameQuality:
@@ -381,16 +370,14 @@ class TestFrameQuality:
             antipodal_patch_frame(),
         ]
 
-    def test_equals_per_metric_functions(self, rng):
+    def test_equals_single_metric_requests(self, rng):
         dirs = fibonacci_sphere(12)
         gcfg = GravityConfig()
         for cfg in (WrenchSpaceConfig(), WrenchSpaceConfig(friction_mu=0.0)):
             for f in self.frames(rng):
                 q = frame_quality(f, cfg, gcfg, TRACE_METRICS, dirs)
-                assert q.values["epsilon"] == epsilon_metric(f, cfg)
-                assert q.values["volume"] == volume_metric(f, cfg)
-                assert q.values["gravity"] == gravity_resistant_quality(f, cfg, gcfg)
-                assert q.values["proxy"] == instability_proxy(f, cfg, dirs)
+                for m in TRACE_METRICS:
+                    assert q.values[m] == quality(f, cfg, m, gcfg, dirs)
                 gws = build_gws(f, cfg)
                 assert (q.vertices, q.facets, q.affine_rank) == (
                     gws.vertices.shape[0], gws.facet_offsets.shape[0], gws.affine_rank
@@ -424,7 +411,7 @@ class TestFrameQuality:
         q = frame_quality(f, WrenchSpaceConfig(), GravityConfig())
         assert q.values == {m: 0.0 for m in TRACE_METRICS}
         assert (q.vertices, q.facets, q.affine_rank) == (0, 0, 0)
-        assert epsilon_metric(f, WrenchSpaceConfig()) == 0.0
+        assert quality(f, WrenchSpaceConfig(), "epsilon") == 0.0
 
 
 def bind_cpus(monkeypatch, count):
