@@ -464,7 +464,14 @@ def sample_grasps(mesh: TetMesh, count: int, rng, rc: RunConfig) -> list[GraspCa
 
 
 def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1):
-    """Monotonicity table rows (object, n, eps, vol, grav) plus ordering count."""
+    """Monotonicity table rows (object, grasps, failed, empty, eps, vol, grav)
+    plus the number of objects whose metrics are ordered.
+
+    Only ok candidates enter the rank correlations: a failed or empty
+    candidate was never measured, and scoring it 0 on both sides would add
+    ties.  An object with fewer than 3 ok candidates gets NaN correlations
+    and does not count as ordered.
+    """
     # candidates are squeezed mid-air: the protocol compares grasps on a held
     # object, so no platform sits under it
     rc = dataclasses.replace(rc, platform_height=-1.0)
@@ -476,17 +483,25 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
         candidates = sample_grasps(mesh, grasps_per_object, rng, rc)
         payloads = [(i, mesh, cand, rc) for i, cand in enumerate(candidates)]
         evals = _map_jobs(_run_candidate, payloads, jobs)
-        proxy = np.array([e.proxy for e in evals])
-        scores = {}
-        for metric in METRIC_NAMES:
-            vals = np.array([getattr(e, metric) for e in evals])
-            with np.errstate(invalid="ignore"):
-                scores[metric] = monotonicity(vals, proxy)
-        rows.append((name, len(evals), scores["epsilon"], scores["volume"], scores["gravity"]))
+        measured = [e for e in evals if e.status == "ok"]
+        failed = sum(e.status == "failed" for e in evals)
+        empty = sum(e.status == "empty" for e in evals)
+        proxy = np.array([e.proxy for e in measured])
+        scores = dict.fromkeys(METRIC_NAMES, float("nan"))
+        if len(measured) < 3:
+            logger.warning("bench %s: %d measured grasps, too few to rank", name, len(measured))
+        else:
+            for metric in METRIC_NAMES:
+                vals = np.array([getattr(e, metric) for e in measured])
+                with np.errstate(invalid="ignore"):
+                    scores[metric] = monotonicity(vals, proxy)
+        rows.append(
+            (name, len(evals), failed, empty, scores["epsilon"], scores["volume"], scores["gravity"])
+        )
         logger.info("bench %s: %s", name, scores)
     ordered = sum(
         1
-        for (_, _, eps, vol, grav) in rows
+        for (*_, eps, vol, grav) in rows
         if np.isfinite(eps) and np.isfinite(vol) and np.isfinite(grav)
         and grav >= vol >= eps
     )
@@ -504,7 +519,7 @@ def cmd_bench(args, rc: RunConfig) -> int:
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")  # constant-series NaNs are reported in the table
         rows, ordered = run_bench(names, args.grasps_per_object, rc, jobs=args.jobs)
-    _emit(("object", "grasps", "epsilon", "volume", "gravity"))
+    _emit(("object", "grasps", "failed", "empty", "epsilon", "volume", "gravity"))
     for row in rows:
         _emit(row)
     print(f"# ordering gravity>=volume>=epsilon on {ordered}/{len(rows)} objects")

@@ -73,7 +73,12 @@ def _dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: float = FACET_
     is the next row kept whenever k is kept; the kept rows are the path
     0 -> nxt[0] -> ..., marked by pointer doubling.
     """
-    rows = np.unique(np.column_stack([normals, offsets]), axis=0)
+    rows = np.column_stack([normals, offsets])
+    # lexicographic order, column 0 first; exact repeats are dropped up front
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    rows = rows[fresh]
     n = rows.shape[0]
     nxt = np.full(n, n)
     pending = np.arange(n - 1)

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .contact import TrajectoryFrame, WrenchSpaceConfig, build_gws, contact_centroid
 from .errors import InvalidInputError, UndefinedCorrelationWarning
@@ -185,6 +184,10 @@ def monotonicity(metric_values, ground_truth) -> float:
     Constant input on either side leaves ranks undefined: that returns NaN
     and raises UndefinedCorrelationWarning instead of failing.
     """
+    # not a module-level import: scipy.stats adds ~0.8 s and ~32 MiB to the
+    # start of every command, and only bench ranks
+    from scipy import stats
+
     a = np.asarray(metric_values, dtype=float)
     b = np.asarray(ground_truth, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 3:

@@ -401,7 +401,8 @@ def test_criterion_6_benchmark_ordering(capsys):
     elapsed = time.perf_counter() - start
 
     parts = [
-        f"{name} {eps:.0f}/{vol:.0f}/{grav:.0f}" for name, _, eps, vol, grav in rows
+        f"{name} {eps:.0f}/{vol:.0f}/{grav:.0f} ({failed} failed, {empty} empty)"
+        for name, _, failed, empty, eps, vol, grav in rows
     ]
     ok = ordered >= 3 and elapsed < 1200.0
     report(

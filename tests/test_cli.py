@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+import softgrasp
 from helpers import tetgen_text
 from softgrasp import (
     ConfigError,
@@ -23,12 +27,14 @@ from softgrasp import (
 )
 from softgrasp.cli import (
     BENCH_OBJECTS,
+    GraspEvaluation,
     RunConfig,
     _run_candidate,
     bench_mesh,
     load_run_config,
     main,
     parse_run_config,
+    run_bench,
     sample_grasps,
 )
 
@@ -418,11 +424,88 @@ class TestBenchSmoke:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].split("\t") == ["object", "grasps", "epsilon", "volume", "gravity"]
+        assert lines[0].split("\t") == [
+            "object", "grasps", "failed", "empty", "epsilon", "volume", "gravity"
+        ]
         row = lines[1].split("\t")
         assert row[0] == "box"
         assert row[1] == "3"
+        assert int(row[2]) + int(row[3]) <= 3
         assert lines[-1].startswith("# ordering")
+
+
+def fake_evaluations(monkeypatch, statuses, values):
+    """Make run_bench's candidates end with the given statuses; the ok ones
+    take their metric and proxy values, in order, from values[name].
+
+    Unmeasured candidates score 0 everywhere, as _run_candidate reports them.
+    """
+
+    def fake_map(func, payloads, jobs):
+        ok = iter(range(len(statuses)))
+        evals = []
+        for (index, *_), status in zip(payloads, statuses):
+            scores = dict.fromkeys(("epsilon", "volume", "gravity", "proxy"), 0.0)
+            if status == "ok":
+                k = next(ok)
+                scores = {name: float(series[k]) for name, series in values.items()}
+            evals.append(GraspEvaluation(
+                index=index, status=status, frames=0, reached=False, eval_force=0.0, **scores
+            ))
+        return evals
+
+    monkeypatch.setattr(cli, "_map_jobs", fake_map)
+
+
+class TestBenchAccounting:
+    def test_unmeasured_candidates_left_out(self, monkeypatch):
+        # with the two unmeasured candidates scored 0 on both sides, their tie
+        # would lift epsilon from -100 to 41 and volume from 80 to 94
+        values = {
+            "epsilon": [4, 3, 2, 1],
+            "volume": [1, 3, 2, 4],
+            "gravity": [1, 2, 3, 4],
+            "proxy": [1, 2, 3, 4],
+        }
+        fake_evaluations(monkeypatch, ["ok", "failed", "ok", "empty", "ok", "ok"], values)
+        rows, ordered = run_bench(["box"], 6, RunConfig())
+        assert rows == [("box", 6, 1, 1, -100.0, pytest.approx(80.0), 100.0)]
+        assert ordered == 1
+
+    @pytest.mark.parametrize("statuses", [["ok", "failed", "ok", "empty"], ["failed"] * 3])
+    def test_too_few_measured_is_nan_and_unordered(self, statuses, monkeypatch, capsys):
+        values = {name: [1, 2] for name in ("epsilon", "volume", "gravity", "proxy")}
+        fake_evaluations(monkeypatch, statuses, values)
+        code, out, _ = run_cli(
+            capsys, "bench", "--objects", "box", "--grasps-per-object", str(len(statuses))
+        )
+        assert code == 0
+        failed, empty = statuses.count("failed"), statuses.count("empty")
+        assert out.splitlines() == [
+            "object\tgrasps\tfailed\tempty\tepsilon\tvolume\tgravity",
+            f"box\t{len(statuses)}\t{failed}\t{empty}\tnan\tnan\tnan",
+            "# ordering gravity>=volume>=epsilon on 0/1 objects",
+        ]
+
+
+class TestStartupImports:
+    def test_scoring_commands_leave_scipy_stats_unloaded(self):
+        # scipy.stats adds ~0.8 s and ~32 MiB to a command's start; only bench ranks
+        script = (
+            "import sys\n"
+            "import softgrasp\n"
+            "from softgrasp import cli\n"
+            f"path = {str(FIXTURE_TRAJECTORY)!r}\n"
+            "assert cli.main(['hull-info', '--trajectory', path]) == 0\n"
+            "assert cli.main(['metric', '--trajectory', path]) == 0\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        )
+        path = [str(Path(softgrasp.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # run_bench's protocol: candidates squeezed mid-air

@@ -373,6 +373,11 @@ class TestDedupeFacets:
         self.assert_same_as_oracle(twice, np.array([0.5, 0.5]))
         got_n, _ = _dedupe_facets(twice, np.array([0.5, 0.5]))
         assert got_n.shape == (1, 3)
+        # exact repeats, equal up to the sign of zero
+        repeats = np.array([[1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [1.0, -0.0, 0.0], [0.0, 1.0, 0.0]])
+        self.assert_same_as_oracle(repeats, np.array([0.5, 0.0, 0.5, -0.0]))
+        got_n, _ = _dedupe_facets(repeats, np.array([0.5, 0.0, 0.5, -0.0]))
+        assert got_n.shape == (2, 3)
 
     def test_real_wrench_hulls(self, rng):
         cfg = WrenchSpaceConfig()
