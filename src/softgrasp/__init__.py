@@ -68,13 +68,11 @@ from .geom import (
 from .metrics import (
     FrameQuality,
     GravityConfig,
-    QualityTrace,
     desired_force_index,
     fibonacci_sphere,
     frame_quality,
     gravity_directions,
     monotonicity,
-    quality_traces,
     saturation_index,
 )
 

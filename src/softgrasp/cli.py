@@ -41,7 +41,7 @@ from .metrics import (
     fibonacci_sphere,
     frame_quality,
     monotonicity,
-    quality_traces,
+    saturation_index,
 )
 
 logger = logging.getLogger(__name__)
@@ -168,8 +168,7 @@ def validate_run_config(rc: RunConfig) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_run_config(fh.read())
+    return parse_run_config(fileio.read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +342,19 @@ def cmd_metric(args, rc: RunConfig) -> int:
     names = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
     desired = rc.desired_force
 
-    traces = quality_traces(frames, names, wcfg, gcfg)
+    values = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, names).values, frames)
     _emit(["frame", "time", "squeeze_force"] + names)
     for i, frame in enumerate(frames):
-        _emit([i, frame.time, frame.squeeze_force] + [float(traces[n].values[i]) for n in names])
+        _emit([i, frame.time, frame.squeeze_force] + [values[i][n] for n in names])
     idx = desired_force_index(frames, desired)
     print(f"# desired_force\t{_fmt(float(desired))}")
     print(f"# desired_force_frame\t{idx if idx is not None else 'none'}")
     for name in names:
-        at = float(traces[name].values[idx]) if idx is not None else float("nan")
-        sat = traces[name].saturation_force
+        at = values[idx][name] if idx is not None else float("nan")
+        sat = saturation_index([v[name] for v in values])
+        sat_force = _fmt(frames[sat].squeeze_force) if sat is not None else "none"
         print(f"# {name}_at_desired\t{_fmt(at)}")
-        print(f"# {name}_saturation_force\t{_fmt(sat) if sat is not None else 'none'}")
+        print(f"# {name}_saturation_force\t{sat_force}")
     return 0
 
 

@@ -33,7 +33,7 @@ class ContactPoint:
 
     ``normal`` is the unit direction the finger (or platform) pushes the
     object along at this contact.  Forces whose component along the normal
-    is not positive are kept but flagged, since sliding frames can be
+    is not positive are kept as they are, since sliding frames can be
     tangential-dominant.
     """
 
@@ -48,11 +48,6 @@ class ContactPoint:
         if abs(float(np.linalg.norm(n)) - 1.0) > 1e-6:
             raise InvalidInputError("contact normal must be unit length (1e-6)")
         object.__setattr__(self, "normal", n)
-
-    @property
-    def tangential_dominant(self) -> bool:
-        """True when the reported force does not push along the normal."""
-        return float(self.force @ self.normal) <= 0.0 and float(np.linalg.norm(self.force)) > 0.0
 
 
 @dataclass(frozen=True)

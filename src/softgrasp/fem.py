@@ -759,8 +759,7 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     u = np.zeros(3 * mesh.num_nodes)
     gap = gap0
     step_idx = 0
-    max_steps = int(np.ceil(gap0 / cfg.displacement_increment)) + 2
-    while gap - cfg.displacement_increment > 0.0 and step_idx < max_steps:
+    while gap - cfg.displacement_increment > 0.0:
         step_idx += 1
         gap = gap0 - step_idx * cfg.displacement_increment
         u, report = quasi_static_step(model, grasp, gap, u, cfg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactPoint, TrajectoryFrame
-from .errors import ParseError, UnsupportedVersionError
+from .errors import MeshError, ParseError, UnsupportedVersionError
 from .fem import GraspCandidate, MaterialParams, TetMesh, tet_volumes
 
 TRAJECTORY_FORMAT = "softgrasp-trajectory"
@@ -38,6 +38,15 @@ class TrajectoryHeader:
 class TrajectoryFile:
     header: TrajectoryHeader
     frames: tuple[TrajectoryFrame, ...]
+
+
+def read_text(path) -> str:
+    """A whole input file's text; a file that is not UTF-8 raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
 
 
 def _float_list(values) -> list[float]:
@@ -232,12 +241,7 @@ def save_trajectory(path, frames, header: TrajectoryHeader) -> None:
 
 
 def load_trajectory(path) -> TrajectoryFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}") from None
-    return read_trajectory(text)
+    return read_trajectory(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,9 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
 
     0- or 1-based numbering is auto-detected from the first node index and
     applied to both files.  '#' starts a comment.  Index errors, non-numeric
-    tokens, and inverted tets report the offending line.
+    tokens, and inverted tets report the offending line; a mesh that TetMesh
+    rejects, such as one with a face shared by three tets, raises
+    ParseError too.
     """
     node_lines = list(_data_lines(node_text))
     if not node_lines:
@@ -348,18 +354,14 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
             f"inverted or flat tet (signed volume {vols[bad[0]]:.3e})",
             line=int(tet_linenos[bad[0]]),
         )
-    return TetMesh(nodes=coords, tets=tets)
+    try:
+        return TetMesh(nodes=coords, tets=tets)
+    except MeshError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def load_tet_mesh(node_path, ele_path) -> TetMesh:
-    def read(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
-
-    return parse_tet_mesh(read(node_path), read(ele_path))
+    return parse_tet_mesh(read_text(node_path), read_text(ele_path))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +422,4 @@ def write_grasp_candidates(candidates) -> str:
 
 
 def load_grasp_candidates(path) -> list[GraspCandidate]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_grasp_candidates(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}") from None
+    return parse_grasp_candidates(read_text(path))

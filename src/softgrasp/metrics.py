@@ -83,24 +83,6 @@ def gravity_directions(gcfg: GravityConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QualityTrace:
-    """Per-frame metric values over a trajectory plus the saturation point."""
-
-    times: np.ndarray
-    values: np.ndarray
-    metric_name: str
-    saturation_force: float | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise InvalidInputError("times and values must be equal-length 1D arrays")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class FrameQuality:
     """Requested metrics of one frame plus the size of its wrench hull.
 
@@ -114,14 +96,6 @@ class FrameQuality:
     affine_rank: int
 
 
-def _check_metric_names(metrics) -> tuple:
-    names = tuple(metrics)
-    unknown = [m for m in names if m not in TRACE_METRICS]
-    if unknown:
-        raise InvalidInputError(f"unknown metric {unknown[0]!r}, expected one of {TRACE_METRICS}")
-    return names
-
-
 def _inertial_exits(gws: Polytope, arm: np.ndarray, dirs: np.ndarray, rho: float):
     """Hull exit distances along the unit 6D rays (d, (arm x d)/rho), plus the
     rays' pre-normalization norms."""
@@ -133,20 +107,21 @@ def _inertial_exits(gws: Polytope, arm: np.ndarray, dirs: np.ndarray, rho: float
 def frame_quality(
     frame: TrajectoryFrame,
     cfg: WrenchSpaceConfig,
-    gcfg: GravityConfig | None,
+    gcfg: GravityConfig,
     metrics=TRACE_METRICS,
     proxy_dirs=None,
 ) -> FrameQuality:
     """Every requested metric of one frame from a single wrench hull.
 
     metrics is any subset of epsilon | volume | gravity | proxy; only the
-    requested ones are computed.  gcfg None means GravityConfig(); proxy
-    directions default to the gravity directions.  Flat hulls and
-    contact-free frames score zero on every metric.
+    requested ones are computed.  Proxy directions default to the gravity
+    directions.  Flat hulls and contact-free frames score zero on every
+    metric.
     """
-    names = _check_metric_names(metrics)
-    if gcfg is None:
-        gcfg = GravityConfig()
+    names = tuple(metrics)
+    unknown = [m for m in names if m not in TRACE_METRICS]
+    if unknown:
+        raise InvalidInputError(f"unknown metric {unknown[0]!r}, expected one of {TRACE_METRICS}")
     inertial = "gravity" in names or "proxy" in names
     if "proxy" in names:
         dirs = gravity_directions(gcfg) if proxy_dirs is None else _unit_rows(proxy_dirs, "proxy_dirs")
@@ -329,39 +304,3 @@ def _map_frames(func, frames) -> list:
     if errors:
         raise errors[min(errors)]
     return results
-
-
-def quality_traces(
-    trajectory,
-    metrics,
-    cfg: WrenchSpaceConfig,
-    gcfg: GravityConfig | None = None,
-    proxy_directions=None,
-) -> dict:
-    """Evaluate several metrics on every frame, one wrench hull per frame.
-
-    Returns a QualityTrace per requested metric (epsilon | volume | gravity
-    | proxy).  saturation_force is the squeeze force of the first frame
-    after which the metric never rises by more than 1% relative (None when
-    the trace never settles).  Frames are scored concurrently on every CPU
-    the process may use (see _map_frames); the values do not depend on it.
-    """
-    frames = list(trajectory)
-    if len(frames) == 0:
-        raise InvalidInputError("empty trajectory")
-    times = np.array([f.time for f in frames])
-    if np.any(np.diff(times) <= 0.0):
-        raise InvalidInputError("frame times must be strictly increasing")
-    names = _check_metric_names(metrics)
-    per_frame = _map_frames(
-        lambda f: frame_quality(f, cfg, gcfg, names, proxy_directions).values, frames
-    )
-    traces = {}
-    for metric in names:
-        values = np.array([q[metric] for q in per_frame])
-        sat = saturation_index(values)
-        sat_force = float(frames[sat].squeeze_force) if sat is not None else None
-        traces[metric] = QualityTrace(
-            times=times, values=values, metric_name=metric, saturation_force=sat_force
-        )
-    return traces

@@ -6,10 +6,10 @@ import itertools
 
 import numpy as np
 
-from softgrasp import ContactPoint, TrajectoryFrame, frame_quality
+from softgrasp import ContactPoint, GravityConfig, TrajectoryFrame, frame_quality
 
 
-def quality(frame, cfg, metric: str, gcfg=None, proxy_dirs=None) -> float:
+def quality(frame, cfg, metric: str, gcfg=GravityConfig(), proxy_dirs=None) -> float:
     """One metric of one frame, requested alone from frame_quality."""
     return frame_quality(frame, cfg, gcfg, (metric,), proxy_dirs).values[metric]
 

@@ -340,6 +340,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "metric", "--trajectory", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["trajectory", "config", "node", "ele", "grasps"])
+    def test_non_utf8_input_exit_2(self, bad, workspace, capsys, tmp_path):
+        inputs = {
+            "trajectory": FIXTURE_TRAJECTORY, "config": workspace / "run.cfg",
+            "node": workspace / "box.node", "ele": workspace / "box.ele",
+            "grasps": workspace / "good.jsonl",
+        }
+        inputs[bad] = tmp_path / f"bad.{bad}"
+        inputs[bad].write_bytes(b"# \xff\n")
+        config = ["--config", str(inputs["config"])]
+        if bad in ("trajectory", "config"):
+            argv = ["metric", "--trajectory", str(inputs["trajectory"])] + config
+        else:
+            argv = ["rank"] + config
+            for key in ("node", "ele", "grasps"):
+                argv += [f"--{key}", str(inputs[key])]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {inputs[bad]}: not valid UTF-8")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "rank"])
+    def test_face_shared_by_three_tets_exit_2(self, command, workspace, capsys, tmp_path):
+        # three positive-volume tets on the face (0, 1, 2): not a manifold mesh
+        (tmp_path / "fan.node").write_text(
+            "6 3 0 0\n0 0 0 0\n1 1 0 0\n2 0 1 0\n3 0.2 0.2 1\n4 0.3 0.3 2\n5 0.1 0.4 3\n"
+        )
+        (tmp_path / "fan.ele").write_text("3 4 0\n0 0 1 2 3\n1 0 1 2 4\n2 0 1 2 5\n")
+        argv = [command, "--node", str(tmp_path / "fan.node"), "--ele", str(tmp_path / "fan.ele"),
+                "--grasps", str(workspace / "good.jsonl")]
+        if command == "simulate":
+            argv += ["--out-dir", str(tmp_path / "traj")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: face (0, 1, 2) shared by more than two tets\n"
+
     def test_negative_seed_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--objects", "box", "--seed", "-3")
         assert code == 2

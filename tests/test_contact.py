@@ -45,12 +45,6 @@ class TestContactPoint:
         with pytest.raises(InvalidInputError):
             ContactPoint(position=(0, 0, 0), normal=(0, 0, 2.0), force=(0, 0, 1.0))
 
-    def test_tangential_dominant_flag(self):
-        c = ContactPoint(position=(0, 0, 0), normal=(0, 0, 1.0), force=(1.0, 0, -0.1))
-        assert c.tangential_dominant
-        c = ContactPoint(position=(0, 0, 0), normal=(0, 0, 1.0), force=(0.1, 0, 1.0))
-        assert not c.tangential_dominant
-
     def test_frame_validation(self):
         c = contact((0, 0, 0), (0, 0, 1))
         with pytest.raises(InvalidInputError):

@@ -33,7 +33,6 @@ from softgrasp import (
     gravity_directions,
     min_facet_distance,
     monotonicity,
-    quality_traces,
     saturation_index,
 )
 from softgrasp import metrics
@@ -52,6 +51,15 @@ def frame_with_forces(frame, k):
         com=frame.com,
         mass=frame.mass,
     )
+
+
+def score_frames(frames, names, cfg, gcfg=GravityConfig(), proxy_dirs=None):
+    """Per-frame values of each metric in names, scored the way the metric
+    command scores a trajectory: frame_quality mapped over the frames."""
+    per_frame = metrics._map_frames(
+        lambda f: frame_quality(f, cfg, gcfg, names, proxy_dirs).values, frames
+    )
+    return {m: np.array([v[m] for v in per_frame]) for m in names}
 
 
 def with_mass(frame, mass):
@@ -311,9 +319,9 @@ class TestQualityTrace:
     def test_identical_frames_constant_trace(self):
         traj = self.make_trajectory([1.0, 1.0, 1.0])
         cfg = WrenchSpaceConfig(friction_mu=0.5)
-        trace = quality_traces(traj, ("epsilon",), cfg)["epsilon"]
-        assert np.allclose(trace.values, trace.values[0])
-        assert trace.saturation_force == pytest.approx(traj[0].squeeze_force)
+        values = score_frames(traj, ("epsilon",), cfg)["epsilon"]
+        assert np.allclose(values, values[0])
+        assert saturation_index(values) == 0
 
     def test_growing_contacts_nondecreasing_epsilon(self, rng):
         cfg = WrenchSpaceConfig()
@@ -334,31 +342,20 @@ class TestQualityTrace:
                     mass=base.mass,
                 )
             )
-        trace = quality_traces(frames, ("epsilon",), cfg)["epsilon"]
-        assert np.all(np.diff(trace.values) >= -1e-12)
+        values = score_frames(frames, ("epsilon",), cfg)["epsilon"]
+        assert np.all(np.diff(values) >= -1e-12)
 
     def test_gravity_and_proxy_traces(self):
         traj = self.make_trajectory([1.0, 2.0, 3.0])
         cfg = WrenchSpaceConfig(friction_mu=0.5, force_normalization="reported-force")
-        tg = quality_traces(traj, ("gravity",), cfg, GravityConfig())["gravity"]
-        tp = quality_traces(traj, ("proxy",), cfg, GravityConfig())["proxy"]
-        assert tg.values.shape == (3,)
-        assert tp.values.shape == (3,)
-        assert np.all(np.diff(tg.values) >= -1e-12)
+        values = score_frames(traj, ("gravity", "proxy"), cfg)
+        assert values["gravity"].shape == (3,)
+        assert values["proxy"].shape == (3,)
+        assert np.all(np.diff(values["gravity"]) >= -1e-12)
 
     def test_unknown_metric(self):
         with pytest.raises(InvalidInputError):
-            quality_traces(self.make_trajectory([1.0]), ("bogus",), WrenchSpaceConfig())
-
-    def test_time_ordering_enforced(self):
-        f1 = antipodal_patch_frame(time=1.0)
-        f2 = antipodal_patch_frame(time=1.0)
-        with pytest.raises(InvalidInputError):
-            quality_traces([f1, f2], ("epsilon",), WrenchSpaceConfig())
-
-    def test_empty_trajectory(self):
-        with pytest.raises(InvalidInputError):
-            quality_traces([], ("epsilon",), WrenchSpaceConfig())
+            score_frames(self.make_trajectory([1.0, 2.0]), ("bogus",), WrenchSpaceConfig())
 
 
 class TestFrameQuality:
@@ -393,18 +390,18 @@ class TestFrameQuality:
             return build_gws(frame, cfg)
 
         monkeypatch.setattr(metrics, "build_gws", counting_build_gws)
-        f = random_frame(rng, 4)
-        frame_quality(f, WrenchSpaceConfig(), GravityConfig())
+        frames = [random_frame(rng, n, time=0.1 * (n + 1)) for n in (4, 3, 5)]
+        frame_quality(frames[0], WrenchSpaceConfig(), GravityConfig())
         assert len(built) == 1
-        traces = metrics.quality_traces([f], TRACE_METRICS, WrenchSpaceConfig())
-        assert len(built) == 2
-        assert set(traces) == set(TRACE_METRICS)
+        values = score_frames(frames, TRACE_METRICS, WrenchSpaceConfig())
+        assert len(built) == 1 + len(frames)
+        assert set(values) == set(TRACE_METRICS)
 
     def test_computes_only_requested(self, rng):
-        q = frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), None, ("gravity",))
+        q = frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), GravityConfig(), ("gravity",))
         assert list(q.values) == ["gravity"]
         with pytest.raises(InvalidInputError):
-            frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), None, ("bogus",))
+            frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), GravityConfig(), ("bogus",))
 
     def test_contact_free_frame_scores_zero(self):
         f = TrajectoryFrame(time=0.0, contacts=(), squeeze_force=0.0, com=np.zeros(3), mass=0.1)
@@ -432,14 +429,11 @@ class TestConcurrentFrames:
         serial = [frame_quality(f, cfg, gcfg, TRACE_METRICS, dirs).values for f in frames]
         for cpus in (1, 2, 4):
             bind_cpus(monkeypatch, cpus)
-            traces = quality_traces(frames, TRACE_METRICS, cfg, gcfg, dirs)
+            traces = score_frames(frames, TRACE_METRICS, cfg, gcfg, dirs)
             for m in TRACE_METRICS:
                 values = np.array([q[m] for q in serial])
-                sat = saturation_index(values)
-                assert np.array_equal(traces[m].values, values)
-                assert traces[m].saturation_force == (
-                    None if sat is None else frames[sat].squeeze_force
-                )
+                assert np.array_equal(traces[m], values)
+                assert saturation_index(traces[m]) == saturation_index(values)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_lowest_index_failure_is_raised(self, cpus, monkeypatch):
@@ -472,18 +466,10 @@ class TestConcurrentFrames:
 
         monkeypatch.setattr(metrics, "build_gws", counting_build_gws)
         frames = [random_frame(rng, 3, time=0.1 * (i + 1)) for i in range(count)]
-        quality_traces(frames, ("epsilon",), WrenchSpaceConfig())
+        score_frames(frames, ("epsilon",), WrenchSpaceConfig())
         assert len(seen) == count
         assert max(seen) == before + helpers
         assert threading.active_count() == before
-
-    def test_unknown_metric_raises_before_scoring(self, rng, monkeypatch):
-        scored = []
-        monkeypatch.setattr(metrics, "frame_quality", lambda *a, **k: scored.append(a))
-        frames = [random_frame(rng, 3, time=0.1 * (i + 1)) for i in range(4)]
-        with pytest.raises(InvalidInputError, match="bogus"):
-            quality_traces(frames, ("epsilon", "bogus"), WrenchSpaceConfig())
-        assert scored == []
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
         bind_cpus(monkeypatch, 8)
