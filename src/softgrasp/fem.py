@@ -26,6 +26,11 @@ logger = logging.getLogger(__name__)
 # relative to the mean stiffness diagonal.
 RIGID_REG_REL = 1e-9
 
+# LUs of all-stick Newton Jacobians a model keeps for reuse.  A squeeze
+# alternates between a few all-stick contact sets; a Jacobian with a slipping
+# node depends on u and, in practice, never repeats.
+STICK_LUS = 2
+
 
 # ---------------------------------------------------------------------------
 # Mesh and material types.
@@ -103,22 +108,24 @@ _TET_FACES = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
 
 
 def _extract_surface(tets: np.ndarray) -> np.ndarray:
-    """Outward-oriented boundary triangles: faces owned by exactly one tet."""
-    seen: dict[tuple, tuple | None] = {}
-    for tet in tets:
-        for fa, fb, fc in _TET_FACES:
-            tri = (int(tet[fa]), int(tet[fb]), int(tet[fc]))
-            key = tuple(sorted(tri))
-            if key in seen:
-                if seen[key] is None:
-                    raise MeshError(f"face {key} shared by more than two tets")
-                seen[key] = None
-            else:
-                seen[key] = tri
-    boundary = [tri for tri in seen.values() if tri is not None]
-    if not boundary:
+    """Outward-oriented boundary triangles: faces owned by exactly one tet.
+
+    Faces come in first-seen order (tet by tet, _TET_FACES order within a
+    tet); a face met a third time raises, naming the earliest such face.
+    """
+    tris = tets[:, _TET_FACES].reshape(-1, 3)
+    keys = np.sort(tris, axis=1).astype(np.int64)
+    n = int(tets.max()) + 1  # the int64 code holds n**3 for n below 2**21 nodes
+    codes = (keys[:, 0] * n + keys[:, 1]) * n + keys[:, 2]
+    order = np.argsort(codes, kind="stable")
+    _, starts, counts = np.unique(codes[order], return_index=True, return_counts=True)
+    if counts.max() > 2:
+        third = order[starts[counts > 2] + 2].min()
+        raise MeshError(f"face {tuple(int(v) for v in keys[third])} shared by more than two tets")
+    boundary = np.sort(order[starts[counts == 1]])
+    if not boundary.size:
         raise MeshError("mesh has no boundary faces")
-    return np.array(boundary, dtype=int)
+    return tris[boundary]
 
 
 @dataclass(frozen=True)
@@ -430,25 +437,25 @@ def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
 class AssembledModel:
     """Mesh plus its factor-ready stiffness and the rigid-mode regularizer.
 
-    regularized is K + reg*I, the contact-free part of every Newton Jacobian.
-    mass is the rest mesh's mass, stamped on every frame.  factor_slot holds
-    the last Newton Jacobian's LU as (contact-block key, SuperLU); see
-    _factorize.
+    regularized is K + reg*I in CSC, the contact-free part of every Newton
+    Jacobian.  mass is the rest mesh's mass, stamped on every frame.
+    stick_lus holds the LUs of the last STICK_LUS all-stick Jacobians,
+    least recently used first; see _factorize.
     """
 
     mesh: TetMesh
     mat: MaterialParams
     stiffness: sp.csr_matrix
     reg: float
-    regularized: sp.csr_matrix
+    regularized: sp.csc_matrix
     mass: float
-    factor_slot: tuple | None = field(default=None, init=False, repr=False)
+    stick_lus: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
     k = assemble_stiffness(mesh, mat)
     reg = RIGID_REG_REL * float(k.diagonal().mean())
-    regularized = k + reg * sp.identity(3 * mesh.num_nodes, format="csr")
+    regularized = (k + reg * sp.identity(3 * mesh.num_nodes, format="csr")).tocsc()
     return AssembledModel(
         mesh=mesh, mat=mat, stiffness=k, reg=reg, regularized=regularized,
         mass=mat.density * mesh.volume(),
@@ -467,7 +474,8 @@ class StepReport:
 
     iterations counts Newton loop passes, i.e. solves + 1 on a step that
     converged before the iteration cap.  factorizations counts the fresh LU
-    factorizations among those solves; the rest reused the previous LU.
+    factorizations among those solves; the rest reused an all-stick LU the
+    model kept (see _factorize).
     """
 
     contacts: tuple[ContactPoint, ...]
@@ -601,8 +609,8 @@ def quasi_static_step(
         lu, fresh = _factorize(model, pieces, kp)
         factorizations += fresh
         du = lu.solve(residual)
-        # only the model's slot may keep the LU, so the next _factorize can
-        # free it before building a new one
+        # only model.stick_lus may keep an LU: a slip LU is freed here, and
+        # an evicted stick LU in the next _factorize, before splu runs
         del lu
         step = float(np.max(np.abs(du)))
         if step > clamp:
@@ -673,25 +681,31 @@ def _contact_blocks(pieces, kp: float, mu: float):
 def _factorize(model, pieces, kp: float):
     """LU of elastic stiffness + rigid-mode regularizer + contact blocks.
 
-    Returns (lu, fresh).  K and reg are fixed per model, so equal contact
-    triplets in equal order mean the same Jacobian: the model's slot then
-    hands back the LU it holds (fresh False), and the solve is bit-identical
-    to refactorizing.  All-stick blocks (k_p I) do not depend on u, so this
-    is the common case.  On a new key the old LU is dropped before splu
-    runs, so no two factors are alive at once.
+    Returns (lu, fresh).  An all-stick Jacobian is K + reg*I plus k_p on the
+    diagonal of its active nodes' dofs, so (k_p, active node ids in piece
+    order) fixes it bit for bit.  The model keeps the LUs of its last
+    STICK_LUS such Jacobians; a hit hands one back (fresh False), and its
+    solve is bit-identical to refactorizing.  A Jacobian with slip blocks is
+    factorized for its one solve and never kept.  A stick miss with
+    STICK_LUS held evicts the least recently used LU before splu runs, so at
+    most STICK_LUS + 1 factors are alive at once.
     """
-    rows, cols, vals = _contact_blocks(pieces, kp, model.mat.friction_mu)
-    key = rows.tobytes() + cols.tobytes() + vals.tobytes()
-    if model.factor_slot is not None and model.factor_slot[0] == key:
-        return model.factor_slot[1], False
-    model.factor_slot = None
+    stick = all(p["stick"].all() for p in pieces)
+    if stick:
+        key = (kp, b"".join(p["nodes"].tobytes() for p in pieces))
+        lu = model.stick_lus.pop(key, None)
+        if lu is not None:
+            model.stick_lus[key] = lu
+            return lu, False
+        while len(model.stick_lus) >= STICK_LUS:
+            del model.stick_lus[next(iter(model.stick_lus))]
     j = model.regularized
+    rows, cols, vals = _contact_blocks(pieces, kp, model.mat.friction_mu)
     if vals.size:
-        n3 = 3 * model.mesh.num_nodes
-        blocks = sp.coo_matrix((vals, (rows, cols)), shape=(n3, n3))
-        j = j + blocks.tocsr()
-    lu = spla.splu(j.tocsc())
-    model.factor_slot = (key, lu)
+        j = j + sp.csc_matrix((vals, (rows, cols)), shape=j.shape)
+    lu = spla.splu(j)
+    if stick:
+        model.stick_lus[key] = lu
     return lu, True
 
 

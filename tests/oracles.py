@@ -223,6 +223,54 @@ def loop_contact_blocks(pieces, kp: float, mu: float):
     )
 
 
+def loop_extract_surface(tets: np.ndarray) -> np.ndarray:
+    """Boundary triangles found face by face with a dict.
+
+    The loop TetMesh first extracted its surface with: faces keyed by their
+    sorted node ids in first-seen order, a face met twice dropped, a face
+    met a third time raising MeshError.  fem._extract_surface must give the
+    same faces in the same order and raise on the same face.
+    """
+    from softgrasp.errors import MeshError
+    from softgrasp.fem import _TET_FACES
+
+    seen = {}
+    for tet in tets:
+        for fa, fb, fc in _TET_FACES:
+            tri = (int(tet[fa]), int(tet[fb]), int(tet[fc]))
+            key = tuple(sorted(tri))
+            if key in seen:
+                if seen[key] is None:
+                    raise MeshError(f"face {key} shared by more than two tets")
+                seen[key] = None
+            else:
+                seen[key] = tri
+    boundary = [tri for tri in seen.values() if tri is not None]
+    if not boundary:
+        raise MeshError("mesh has no boundary faces")
+    return np.array(boundary, dtype=int)
+
+
+def lru_factorizations(keys, size: int) -> int:
+    """Fresh factorizations of a Jacobian key sequence under an LRU of size.
+
+    A key of None is a Jacobian that is never kept (one with slip blocks);
+    any other key is looked up, and on a miss stored, evicting the least
+    recently used key once size are held.
+    """
+    held = []
+    fresh = 0
+    for key in keys:
+        if key is not None and key in held:
+            held.remove(key)
+            held.append(key)
+            continue
+        fresh += 1
+        if key is not None:
+            held = (held + [key])[-size:]
+    return fresh
+
+
 def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
     """A rank/bench candidate scored from every frame of its full squeeze.
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
@@ -159,6 +160,45 @@ class TestTetMeshValidation:
             TetMesh(nodes=self.unit_tet()[:3], tets=[[0, 1, 2, 3]])
         with pytest.raises(MeshError):
             TetMesh(nodes=self.unit_tet(), tets=np.zeros((0, 4), dtype=int))
+
+
+def raised_message(fn, *args):
+    with pytest.raises(MeshError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestSurfaceOracle:
+    @pytest.mark.parametrize("name", sorted(cli.BENCH_OBJECTS))
+    def test_bench_mesh_matches_loop(self, name):
+        tets = cli.bench_mesh(name).tets
+        got = fem._extract_surface(tets)
+        want = oracles.loop_extract_surface(tets)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_shuffled_tets_match_loop(self):
+        rng = np.random.default_rng(3)
+        tets = cli.bench_mesh("cylinder").tets
+        for _ in range(3):
+            tets = tets[rng.permutation(len(tets))]
+            tets = np.take_along_axis(tets, rng.permuted(np.tile(np.arange(4), (len(tets), 1)), axis=1), axis=1)
+            assert fem._extract_surface(tets).tobytes() == oracles.loop_extract_surface(tets).tobytes()
+
+    def test_face_shared_by_three_tets_raises_like_loop(self):
+        # fans of three tets on faces (0, 1, 2) and (6, 7, 8); the first
+        # fan's face is seen first, the second's is met a third time first
+        tets = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [6, 7, 8, 9], [6, 8, 7, 10], [6, 7, 8, 11], [0, 1, 2, 5]])
+        message = raised_message(oracles.loop_extract_surface, tets)
+        assert message == "face (6, 7, 8) shared by more than two tets"
+        assert raised_message(fem._extract_surface, tets) == message
+        assert raised_message(fem._extract_surface, tets[[0, 1, 5]]) == "face (0, 1, 2) shared by more than two tets"
+
+    def test_closed_surface_raises_like_loop(self):
+        tets = np.array([[0, 1, 2, 3], [0, 1, 2, 3]])
+        message = raised_message(oracles.loop_extract_surface, tets)
+        assert message == "mesh has no boundary faces"
+        assert raised_message(fem._extract_surface, tets) == message
 
 
 @pytest.fixture(scope="module")
@@ -514,14 +554,14 @@ SLIP_GRASP = GraspCandidate(
 )
 
 
-def record_factorize(monkeypatch, clear_slot=False):
+def record_factorize(monkeypatch, clear_cache=False):
     """Wrap fem._factorize; count solves, fresh LUs and solves with slip blocks."""
     stats = {"solves": 0, "fresh": 0, "slip_solves": 0}
     original = fem._factorize
 
     def wrapped(model, pieces, kp):
-        if clear_slot:
-            model.factor_slot = None
+        if clear_cache:
+            model.stick_lus.clear()
         stats["solves"] += 1
         stats["slip_solves"] += any(not p["stick"].all() for p in pieces)
         lu, fresh = original(model, pieces, kp)
@@ -545,7 +585,7 @@ class TestFactorReuse:
             reused = record_factorize(m)
             frames = run_squeeze(box_model.mesh, mat, grasp, cfg)
         with monkeypatch.context() as m:
-            fresh = record_factorize(m, clear_slot=True)
+            fresh = record_factorize(m, clear_cache=True)
             reference = run_squeeze(box_model.mesh, mat, grasp, cfg)
         assert len(frames) >= 3
         assert frame_bytes(frames) == frame_bytes(reference)
@@ -559,7 +599,7 @@ class TestFactorReuse:
         model = assemble_model(box_model.mesh, box_model.mat)
         for _ in fem.squeeze_steps(model, grasp_a, cfg):
             pass
-        assert model.factor_slot is not None
+        assert model.stick_lus
         frames_b = [fem.step_frame(model, cfg, *step) for step in fem.squeeze_steps(model, grasp_b, cfg)]
         fresh_b = run_squeeze(box_model.mesh, box_model.mat, grasp_b, cfg)
         assert len(frames_b) >= 3
@@ -585,6 +625,105 @@ class TestFactorReuse:
         assert 0 < len(splu_calls) < stats["solves"]
         # every pass but the converged one solves
         assert stats["solves"] == sum(r.iterations - 1 for r in reports)
+
+    def test_only_stick_lus_are_kept(self, box_model, monkeypatch):
+        original = fem._factorize
+        slip_lus = []
+        stick_calls = []
+
+        def checked(model, pieces, kp):
+            lu, fresh = original(model, pieces, kp)
+            held = list(model.stick_lus.values())
+            if all(p["stick"].all() for p in pieces):
+                stick_calls.append(len(held))
+                assert any(h is lu for h in held)
+            else:
+                slip_lus.append(lu)
+            assert len(held) <= fem.STICK_LUS == 2
+            assert not any(h is s for h in held for s in slip_lus)
+            return lu, fresh
+
+        monkeypatch.setattr(fem, "_factorize", checked)
+        run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
+        assert slip_lus
+        assert max(stick_calls) == 2
+
+    def test_factorizations_match_stick_lru_replay(self, box_model, monkeypatch):
+        # a tilted pinch of a box on the platform: stick sets recur between
+        # slip solves, and a second LU pays
+        keys = []
+        original = fem._factorize
+
+        def recorded(model, pieces, kp):
+            stick = all(p["stick"].all() for p in pieces)
+            keys.append((kp, tuple(n for p in pieces for n in p["nodes"])) if stick else None)
+            return original(model, pieces, kp)
+
+        reports = []
+        original_step = fem.quasi_static_step
+
+        def step(*args):
+            u, report = original_step(*args)
+            reports.append(report)
+            return u, report
+
+        monkeypatch.setattr(fem, "_factorize", recorded)
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        grasp = GraspCandidate((0.0, 0.01, 0.035), np.array([1.0, 0.2, 0.0]) / np.hypot(1.0, 0.2), 0.05, 4.0)
+        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, grasp,
+                             SimConfig(platform_height=0.0))
+        assert len(frames) >= 3
+        assert None in keys
+        total = sum(r.factorizations for r in reports)
+        assert total == oracles.lru_factorizations(keys, 2) < oracles.lru_factorizations(keys, 1)
+
+    def test_penalty_stiffness_change_forces_fresh_lu(self):
+        mesh = generate_primitive_mesh("box", (0.06, 0.06, 0.06), 2)
+        model = assemble_model(mesh, MaterialParams())
+        nodes = mesh.surface_nodes[:5]
+        pieces = [{"kind": fem.PAD_A, "nodes": nodes, "normal": np.array([1.0, 0.0, 0.0]),
+                   "depths": np.full(5, 1e-4), "stick": np.ones(5, dtype=bool),
+                   "sdir": np.zeros((5, 3)), "snorm": np.zeros(5)}]
+        lu_a, fresh_a = fem._factorize(model, pieces, 1e6)
+        lu_again, fresh_again = fem._factorize(model, pieces, 1e6)
+        lu_b, fresh_b = fem._factorize(model, pieces, 4e6)
+        assert (fresh_a, fresh_again, fresh_b) == (True, False, True)
+        assert lu_again is lu_a and lu_b is not lu_a
+        dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
+        j = model.regularized.tolil()
+        j[dofs, dofs] = j[dofs, dofs].toarray().ravel() + 4e6
+        rhs = np.random.default_rng(5).normal(size=3 * mesh.num_nodes)
+        assert lu_b.solve(rhs).tobytes() == spla.splu(j.tocsc()).solve(rhs).tobytes()
+
+    def test_jacobian_csc_matches_csr_route(self, box_model, monkeypatch):
+        # the Jacobian is built in CSC directly; its arrays must equal the
+        # coo -> csr, csr + csr, tocsc route's
+        triplets = []
+        checked = []
+        original_blocks = fem._contact_blocks
+        original_splu = fem.spla.splu
+
+        def blocks(pieces, kp, mu):
+            triplets.append(original_blocks(pieces, kp, mu))
+            return triplets[-1]
+
+        def splu(j):
+            rows, cols, vals = triplets[-1]
+            n3 = 3 * box_model.mesh.num_nodes
+            want = box_model.stiffness + box_model.reg * sp.identity(n3, format="csr")
+            if vals.size:
+                want = want + sp.coo_matrix((vals, (rows, cols)), shape=want.shape).tocsr()
+            want = want.tocsc()
+            checked.append(vals.size)
+            for name in ("data", "indices", "indptr"):
+                got_a, want_a = getattr(j, name), getattr(want, name)
+                assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes()
+            return original_splu(j)
+
+        monkeypatch.setattr(fem, "_contact_blocks", blocks)
+        monkeypatch.setattr(fem.spla, "splu", splu)
+        run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
+        assert len(checked) > 10
 
 
 def random_pieces(rng, snorm_scale):
