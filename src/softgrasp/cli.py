@@ -13,14 +13,14 @@ import dataclasses
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .contact import WrenchSpaceConfig, contact_centroid, default_torque_scale, orthonormal_tangents
-from .errors import ConfigError, ParseError, SoftGraspError, SolverError
+from .errors import ConfigError, InvalidInputError, ParseError, SolverError
 from .fem import (
     GraspCandidate,
     MaterialParams,
@@ -55,55 +55,38 @@ logger = logging.getLogger(__name__)
 class RunConfig:
     """Every tunable of the pipeline with its default.
 
+    material, sim and gravity are the configs of the squeeze and gravity
+    stages, which declare their own tunables; the fields after them are the
+    wrench-space and run settings no stage config declares.
     torque_scale_rho None means "auto": the maximum distance from the first
     contact centroid to any mesh node, resolved per trajectory.
     """
 
-    friction_mu: float = 0.8
+    material: MaterialParams = field(default_factory=MaterialParams)
+    sim: SimConfig = field(default_factory=SimConfig)
+    gravity: GravityConfig = field(default_factory=GravityConfig)
     cone_edges: int = 8
     torque_scale_rho: float | None = None
     force_normalization: str = "unit-edge"
-    num_directions: int = 16
-    gravity_accel: float = 9.81
-    youngs_modulus: float = 2e5
-    poisson_ratio: float = 0.3
-    density: float = 500.0
-    penalty_stiffness: float = 1e6
-    max_fixedpoint_iters: int = 80
-    displacement_increment: float = 1e-4
-    convergence_tol: float = 1e-3
-    platform_height: float = 0.0
-    dt: float = 0.01
     desired_force: float = 5.0
     proxy_directions: int = 32
     seed: int = 0
 
-    def material(self) -> MaterialParams:
-        return MaterialParams(
-            youngs_modulus=self.youngs_modulus,
-            poisson_ratio=self.poisson_ratio,
-            friction_mu=self.friction_mu,
-            density=self.density,
-        )
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            penalty_stiffness=self.penalty_stiffness,
-            max_fixedpoint_iters=self.max_fixedpoint_iters,
-            displacement_increment=self.displacement_increment,
-            convergence_tol=self.convergence_tol,
-            platform_height=self.platform_height,
-            dt=self.dt,
-        )
-
-    def gravity_config(self) -> GravityConfig:
-        return GravityConfig(
-            num_directions=self.num_directions, gravity_accel=self.gravity_accel
-        )
+    def __post_init__(self):
+        try:
+            self.wrench_config(1.0 if self.torque_scale_rho is None else self.torque_scale_rho)
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
+        if not (np.isfinite(self.desired_force) and self.desired_force > 0.0):
+            raise ConfigError("desired_force must be > 0")
+        if int(self.proxy_directions) < 1:
+            raise ConfigError("proxy_directions must be >= 1")
+        if int(self.seed) < 0:
+            raise ConfigError("seed must be >= 0")
 
     def wrench_config(self, rho: float) -> WrenchSpaceConfig:
         return WrenchSpaceConfig(
-            friction_mu=self.friction_mu,
+            friction_mu=self.material.friction_mu,
             cone_edges=self.cone_edges,
             torque_scale_rho=rho,
             force_normalization=self.force_normalization,
@@ -115,14 +98,31 @@ class RunConfig:
         return default_torque_scale(mesh_nodes, centroid)
 
 
-_INT_KEYS = {"cone_edges", "num_directions", "max_fixedpoint_iters", "proxy_directions", "seed"}
-_STR_KEYS = {"force_normalization"}
+# The stage configs RunConfig holds, by field name.
+_SECTIONS = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(RunConfig)
+    if f.default_factory is not dataclasses.MISSING
+}
+# Each flat config key -> (the section whose dataclass declares it, or None
+# for RunConfig's own fields; that field's default).  custom_directions, an
+# array, has no flat form.
+_KEYS = {f.name: (None, f.default) for f in dataclasses.fields(RunConfig) if f.name not in _SECTIONS}
+_KEYS.update(
+    (g.name, (name, g.default))
+    for name, cls in _SECTIONS.items()
+    for g in dataclasses.fields(cls)
+    if g.default is not None
+)
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse the flat key=value config format ('#' comments, last key wins)."""
-    allowed = {f.name for f in dataclasses.fields(RunConfig)}
-    overrides = {}
+    """Parse the flat key=value config format ('#' comments, last key wins).
+
+    A value takes the type of its field's default; torque_scale_rho also
+    takes "auto".
+    """
+    groups = {name: {} for name in (None, *_SECTIONS)}
     for lineno_raw, raw in enumerate(text.splitlines()):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -133,38 +133,22 @@ def parse_run_config(text: str) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in allowed:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, default = _KEYS[key]
         try:
-            if key in _STR_KEYS:
-                overrides[key] = value
-            elif key == "torque_scale_rho":
-                overrides[key] = None if value == "auto" else float(value)
-            elif key in _INT_KEYS:
-                overrides[key] = int(value)
+            if key == "torque_scale_rho":
+                groups[section][key] = None if value == "auto" else float(value)
             else:
-                overrides[key] = float(value)
+                groups[section][key] = type(default)(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {value!r} for {key}") from None
-    return validate_run_config(RunConfig(**overrides))
-
-
-def validate_run_config(rc: RunConfig) -> RunConfig:
-    """Instantiate every sub-config so bad values surface as ConfigError."""
     try:
-        rc.material()
-        rc.sim_config()
-        rc.gravity_config()
-        rc.wrench_config(rc.torque_scale_rho if rc.torque_scale_rho is not None else 1.0)
-        if rc.desired_force <= 0.0 or not np.isfinite(rc.desired_force):
-            raise ConfigError("desired_force must be > 0")
-        if int(rc.proxy_directions) < 1:
-            raise ConfigError("proxy_directions must be >= 1")
-        if int(rc.seed) < 0:
-            raise ConfigError("seed must be >= 0")
-    except (ValueError, SoftGraspError) as exc:
+        for name, cls in _SECTIONS.items():
+            groups[None][name] = cls(**groups[name])
+    except InvalidInputError as exc:
         raise ConfigError(str(exc)) from None
-    return rc
+    return RunConfig(**groups[None])
 
 
 def load_run_config(path) -> RunConfig:
@@ -205,7 +189,7 @@ def evaluate_frames(first, frame, count: int, mesh_nodes, rc: RunConfig, index: 
     """
     rho = rc.resolve_rho(mesh_nodes, contact_centroid(first))
     q = frame_quality(
-        frame, rc.wrench_config(rho), rc.gravity_config(),
+        frame, rc.wrench_config(rho), rc.gravity,
         proxy_dirs=fibonacci_sphere(rc.proxy_directions),
     )
     return GraspEvaluation(
@@ -228,19 +212,18 @@ def _squeeze_to_scored_frame(mesh, cand, rc: RunConfig):
     touches the object.  The model and its LU are freed on return, before
     the frame's hull is built.
     """
-    model = assemble_model(mesh, rc.material())
-    cfg = rc.sim_config()
+    model = assemble_model(mesh, rc.material)
     grasp = dataclasses.replace(cand, max_force=min(cand.max_force, rc.desired_force))
     first = last = None
     count = 0
-    for step in squeeze_steps(model, grasp, cfg):
+    for step in squeeze_steps(model, grasp, rc.sim):
         if first is None:
             first = step[2]
         last = step
         count += 1
     if last is None:
         return None
-    return first, step_frame(model, cfg, *last), count
+    return first, step_frame(model, rc.sim, *last), count
 
 
 def _run_candidate(payload) -> GraspEvaluation:
@@ -285,10 +268,10 @@ def _emit(columns) -> None:
 
 def _simulate_worker(payload):
     index, mesh, cand, rc, out_path, object_name = payload
-    mat = rc.material()
+    mat = rc.material
     mass = mat.density * mesh.volume()
     try:
-        frames = run_squeeze(mesh, mat, cand, rc.sim_config())
+        frames = run_squeeze(mesh, mat, cand, rc.sim)
     except SolverError as exc:
         return (index, "failed", 0, str(exc), "")
     if frames:
@@ -330,19 +313,28 @@ def cmd_simulate(args, rc: RunConfig) -> int:
 # metric
 
 
-def cmd_metric(args, rc: RunConfig) -> int:
-    traj = fileio.load_trajectory(args.trajectory)
+def _score_trajectory(path, rc: RunConfig, names):
+    """A trajectory file's frames, and each frame's FrameQuality on names
+    (the metric and hull-info commands).
+
+    The torque scale is the config's torque_scale_rho, or, when that is
+    auto, the one the trajectory header recorded.
+    """
+    traj = fileio.load_trajectory(path)
+    rho = traj.header.torque_scale_rho if rc.torque_scale_rho is None else rc.torque_scale_rho
+    wcfg = rc.wrench_config(rho)
     frames = list(traj.frames)
+    return frames, _map_frames(lambda f: frame_quality(f, wcfg, rc.gravity, names), frames)
+
+
+def cmd_metric(args, rc: RunConfig) -> int:
+    names = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
+    frames, qualities = _score_trajectory(args.trajectory, rc, names)
     if not frames:
         print("# empty trajectory", file=sys.stdout)
         return 0
-    rho = rc.torque_scale_rho if rc.torque_scale_rho is not None else traj.header.torque_scale_rho
-    wcfg = rc.wrench_config(rho)
-    gcfg = rc.gravity_config()
-    names = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
+    values = [q.values for q in qualities]
     desired = rc.desired_force
-
-    values = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, names).values, frames)
     _emit(["frame", "time", "squeeze_force"] + names)
     for i, frame in enumerate(frames):
         _emit([i, frame.time, frame.squeeze_force] + [values[i][n] for n in names])
@@ -474,7 +466,7 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
     """
     # candidates are squeezed mid-air: the protocol compares grasps on a held
     # object, so no platform sits under it
-    rc = dataclasses.replace(rc, platform_height=-1.0)
+    rc = dataclasses.replace(rc, sim=dataclasses.replace(rc.sim, platform_height=-1.0))
     # bench_mesh rejects an unknown name before any candidate is squeezed
     meshes = [bench_mesh(name) for name in object_names]
     rows = []
@@ -531,12 +523,7 @@ def cmd_bench(args, rc: RunConfig) -> int:
 
 
 def cmd_hull_info(args, rc: RunConfig) -> int:
-    traj = fileio.load_trajectory(args.trajectory)
-    frames = list(traj.frames)
-    rho = rc.torque_scale_rho if rc.torque_scale_rho is not None else traj.header.torque_scale_rho
-    wcfg = rc.wrench_config(rho)
-    gcfg = rc.gravity_config()
-    qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, METRIC_NAMES), frames)
+    frames, qualities = _score_trajectory(args.trajectory, rc, METRIC_NAMES)
     _emit(("frame", "time", "contacts", "vertices", "facets", "affine_rank") + METRIC_NAMES)
     for i, (frame, q) in enumerate(zip(frames, qualities)):
         _emit(
@@ -615,7 +602,7 @@ def main(argv=None) -> int:
             value = getattr(args, key, None)
             if value is not None:
                 rc = dataclasses.replace(rc, **{key: value})
-        return args.func(args, validate_run_config(rc))
+        return args.func(args, rc)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,14 +41,14 @@ class TetMesh:
     """Tetrahedral mesh in its rest configuration.
 
     Tets must have positive signed volume.  surface_faces (outward-oriented
-    boundary triangles) and surface_nodes are derived at construction;
-    a face shared by three or more tets marks a broken mesh.
+    boundary triangles) and surface_nodes are derived at construction, not
+    passed; a face shared by three or more tets marks a broken mesh.
     """
 
     nodes: np.ndarray
     tets: np.ndarray
-    surface_faces: np.ndarray = None
-    surface_nodes: np.ndarray = None
+    surface_faces: np.ndarray = field(init=False)
+    surface_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

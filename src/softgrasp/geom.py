@@ -191,16 +191,16 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     )
 
 
-def _check_unit_directions(poly_dim: int, directions) -> np.ndarray:
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.ndim != 2 or dirs.shape[1] != poly_dim:
-        raise InvalidInputError("direction dimension mismatch")
-    if not np.all(np.isfinite(dirs)):
-        raise InvalidInputError("non-finite direction")
-    lens = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(lens - 1.0) > 1e-6):
-        raise InvalidInputError("directions must be unit vectors")
-    return dirs
+def _unit_rows(arr, dim: int, name: str) -> np.ndarray:
+    """arr as a nonempty (k, dim) float array of finite unit rows (1e-6)."""
+    a = np.atleast_2d(np.asarray(arr, dtype=float))
+    if a.ndim != 2 or a.shape[1] != dim or a.shape[0] == 0:
+        raise InvalidInputError(f"{name} must be a nonempty (k, {dim}) array")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > 1e-6):
+        raise InvalidInputError(f"{name} rows must be unit vectors")
+    return a
 
 
 def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
@@ -214,7 +214,7 @@ def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
         raise DegenerateInputError("ray exit undefined for a flat polytope")
     if poly.facet_offsets.shape[0] == 0:
         raise InvalidInputError("polytope has no facets")
-    dirs = _check_unit_directions(poly.dim, directions)
+    dirs = _unit_rows(directions, poly.dim, "directions")
     offs = poly.facet_offsets
     scale = max(1.0, float(np.max(np.abs(offs))))
     if float(offs.min()) < -1e-9 * scale:

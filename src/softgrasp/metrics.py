@@ -20,7 +20,7 @@ import numpy as np
 
 from .contact import TrajectoryFrame, WrenchSpaceConfig, build_gws, contact_centroid
 from .errors import InvalidInputError, UndefinedCorrelationWarning
-from .geom import Polytope, min_facet_distance, polytope_volume, ray_exit_distances
+from .geom import Polytope, _unit_rows, min_facet_distance, polytope_volume, ray_exit_distances
 
 METRIC_NAMES = ("epsilon", "volume", "gravity")
 TRACE_METRICS = METRIC_NAMES + ("proxy",)
@@ -41,17 +41,6 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
 
-def _unit_rows(arr, name: str) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(arr, dtype=float))
-    if a.ndim != 2 or a.shape[1] != 3 or a.shape[0] == 0:
-        raise InvalidInputError(f"{name} must be a nonempty (k, 3) array")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > 1e-6):
-        raise InvalidInputError(f"{name} rows must be unit vectors")
-    return a
-
-
 @dataclass(frozen=True)
 class GravityConfig:
     """How gravity directions are sampled and scaled.
@@ -68,7 +57,7 @@ class GravityConfig:
         if not (np.isfinite(self.gravity_accel) and self.gravity_accel > 0.0):
             raise InvalidInputError("gravity_accel must be > 0")
         if self.custom_directions is not None:
-            dirs = _unit_rows(self.custom_directions, "custom_directions")
+            dirs = _unit_rows(self.custom_directions, 3, "custom_directions")
             object.__setattr__(self, "custom_directions", dirs)
             object.__setattr__(self, "num_directions", dirs.shape[0])
         if int(self.num_directions) < 4:
@@ -124,7 +113,7 @@ def frame_quality(
         raise InvalidInputError(f"unknown metric {unknown[0]!r}, expected one of {TRACE_METRICS}")
     inertial = "gravity" in names or "proxy" in names
     if "proxy" in names:
-        dirs = gravity_directions(gcfg) if proxy_dirs is None else _unit_rows(proxy_dirs, "proxy_dirs")
+        dirs = gravity_directions(gcfg) if proxy_dirs is None else _unit_rows(proxy_dirs, 3, "proxy_dirs")
 
     if len(frame.contacts) == 0:
         return FrameQuality({m: 0.0 for m in names}, vertices=0, facets=0, affine_rank=0)

@@ -294,7 +294,7 @@ def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
     idx = desired_force_index(frames, rc.desired_force)
     frame = frames[idx] if idx is not None else frames[-1]
     q = frame_quality(
-        frame, rc.wrench_config(rho), rc.gravity_config(),
+        frame, rc.wrench_config(rho), rc.gravity,
         proxy_dirs=fibonacci_sphere(rc.proxy_directions),
     )
     return GraspEvaluation(

@@ -349,12 +349,12 @@ def box_sweep():
         max_force=20.0,
     )
     t0 = time.perf_counter()
-    frames = run_squeeze(mesh, rc.material(), cand, rc.sim_config())
+    frames = run_squeeze(mesh, rc.material, cand, rc.sim)
     squeeze_s = time.perf_counter() - t0
 
     rho = default_torque_scale(mesh.nodes, contact_centroid(frames[0]))
     wcfg = rc.wrench_config(rho)
-    gcfg = rc.gravity_config()
+    gcfg = rc.gravity
     t0 = time.perf_counter()
     # scored as the metric command scores a trajectory: frames concurrently
     qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, ("gravity",)), frames)

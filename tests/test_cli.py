@@ -37,6 +37,7 @@ from softgrasp.cli import (
     run_bench,
     sample_grasps,
 )
+from softgrasp.contact import WrenchSpaceConfig
 
 DATA = Path(__file__).parent / "data"
 # six frames: one contact, a two-point pinch (both flat), then full-rank hulls
@@ -57,7 +58,7 @@ class TestRunConfigParsing:
         rc = parse_run_config(
             "# comment\n\nfriction_mu = 0.5  # inline\nfriction_mu=0.6\ncone_edges=12\n"
         )
-        assert rc.friction_mu == 0.6
+        assert rc.material.friction_mu == 0.6
         assert rc.cone_edges == 12
         assert isinstance(rc.cone_edges, int)
 
@@ -86,6 +87,81 @@ class TestRunConfigParsing:
             parse_run_config("desired_force=-1\n")
         with pytest.raises(ConfigError):
             parse_run_config("seed=-2\n")
+
+    def test_docs_table_matches_parser(self):
+        rows = docs_config_table()
+        assert set(rows) == set(cli._KEYS)
+        for key, row in rows.items():
+            # each documented default parses to what RunConfig() holds
+            assert parse_run_config(f"{key} = {row['default']}\n") == RunConfig(), key
+            section = cli._KEYS[key][0]
+            owner = type(getattr(RunConfig(), section)).__name__ if section else "RunConfig"
+            assert row["declared by"] == owner, key
+
+    def test_no_field_declared_twice(self):
+        own = {f.name for f in dataclasses.fields(RunConfig)}
+        for cls in (fem.MaterialParams, fem.SimConfig, metrics.GravityConfig):
+            assert not own & {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+    def test_every_key_set_golden(self):
+        # the expected configs are what parse_run_config followed by
+        # RunConfig.material(), .sim_config(), .gravity_config() and
+        # .wrench_config(rho) gave before the stage configs moved into RunConfig
+        rc = parse_run_config(ALL_KEYS_TEXT)
+        assert rc.material == fem.MaterialParams(
+            youngs_modulus=150000.0, poisson_ratio=0.42, friction_mu=0.45, density=950.0
+        )
+        assert rc.sim == fem.SimConfig(
+            penalty_stiffness=2500000.0, max_fixedpoint_iters=40, displacement_increment=5e-05,
+            convergence_tol=0.0002, platform_height=-0.25, dt=0.02,
+        )
+        assert rc.gravity == metrics.GravityConfig(num_directions=24, gravity_accel=3.7)
+        assert rc.wrench_config(rc.resolve_rho(None, None)) == WrenchSpaceConfig(
+            friction_mu=0.45, cone_edges=6, torque_scale_rho=0.07, force_normalization="reported-force"
+        )
+        assert (rc.desired_force, rc.proxy_directions, rc.seed) == (7.5, 12, 9)
+        ints = (rc.cone_edges, rc.proxy_directions, rc.seed, rc.gravity.num_directions,
+                rc.sim.max_fixedpoint_iters)
+        assert all(type(v) is int for v in ints)
+        assert type(rc.material.density) is float and type(rc.sim.platform_height) is float
+        assert all(getattr(rc, f.name) != f.default for f in dataclasses.fields(RunConfig)
+                   if f.name not in cli._SECTIONS)
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+
+# every config key, each set away from its default
+ALL_KEYS_TEXT = """friction_mu = 0.45
+cone_edges = 6
+torque_scale_rho = 0.07
+force_normalization = reported-force
+num_directions = 24
+gravity_accel = 3.7
+youngs_modulus = 1.5e5
+poisson_ratio = 0.42
+density = 950
+penalty_stiffness = 2.5e6
+max_fixedpoint_iters = 40
+displacement_increment = 5e-5
+convergence_tol = 2e-4
+platform_height = -0.25
+dt = 0.02
+desired_force = 7.5
+proxy_directions = 12
+seed = 9
+"""
+
+
+def docs_config_table() -> dict:
+    """docs/formats.md's run-configuration table: key -> {column: cell}."""
+    section = DOCS.read_text(encoding="utf-8").split("## Run configuration", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    header = [c.strip() for c in lines[0].strip("|").split("|")]
+    rows = {}
+    for line in lines[2:]:
+        cells = dict(zip(header, (c.strip().strip("`") for c in line.strip("|").split("|"))))
+        rows[cells.pop("key")] = cells
+    return rows
 
 
 class TestBenchFixtures:
@@ -334,6 +410,16 @@ class TestExitCodes:
         assert code == 2
         assert "nonsense_key" in err
 
+    @pytest.mark.parametrize("key", ["material", "sim", "gravity", "custom_directions"])
+    def test_section_and_array_names_are_unknown_keys_exit_2(self, key, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, out, err = run_cli(
+            capsys, "hull-info", "--trajectory", str(FIXTURE_TRAJECTORY), "--config", str(cfg)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: line 1: unknown key {key!r}\n"
+
     def test_unparseable_trajectory_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "t.jsonl"
         bad.write_text("this is not json\n")
@@ -547,7 +633,7 @@ class TestStartupImports:
 
 
 # run_bench's protocol: candidates squeezed mid-air
-MIDAIR = RunConfig(platform_height=-1.0)
+MIDAIR = RunConfig(sim=fem.SimConfig(platform_height=-1.0))
 
 
 def bench_candidates(name, count):
@@ -558,7 +644,7 @@ def bench_candidates(name, count):
 
 
 def full_squeeze(mesh, cand, rc):
-    return run_squeeze(mesh, rc.material(), cand, rc.sim_config())
+    return run_squeeze(mesh, rc.material, cand, rc.sim)
 
 
 class TestScoredFrameStop:

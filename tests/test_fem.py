@@ -134,6 +134,12 @@ class TestTetMeshValidation:
         assert m.surface_faces.shape == (4, 3)
         assert np.array_equal(m.surface_nodes, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("derived", ["surface_faces", "surface_nodes"])
+    def test_derived_fields_are_not_parameters(self, derived):
+        # they are always derived from tets, so passing one is an error, not ignored
+        with pytest.raises(TypeError, match=derived):
+            TetMesh(nodes=self.unit_tet(), tets=[[0, 1, 2, 3]], **{derived: np.zeros((0, 3), dtype=int)})
+
     def test_index_out_of_range(self):
         with pytest.raises(MeshError):
             TetMesh(nodes=self.unit_tet(), tets=[[0, 1, 2, 4]])
@@ -521,10 +527,10 @@ class TestFrameCenterOfMass:
         monkeypatch.setattr(fem, "quasi_static_step", step)
         grasp = box_grasp(max_force=6.0)
         if entry == "simulate":
-            rc = cli.RunConfig(platform_height=NO_PLATFORM)
+            rc = cli.RunConfig(sim=SimConfig(platform_height=NO_PLATFORM))
             out = tmp_path / "grasp.jsonl"
             cli._simulate_worker((0, box_model.mesh, grasp, rc, out, "box"))
-            frames, dt = load_trajectory(out).frames, rc.dt
+            frames, dt = load_trajectory(out).frames, rc.sim.dt
         else:
             cfg = pinch_config()
             frames = run_squeeze(box_model.mesh, box_model.mat, grasp, cfg)
