@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +38,6 @@ from .fem import (
 from .metrics import (
     METRIC_NAMES,
     GravityConfig,
-    _map_frames,
     desired_force_index,
     fibonacci_sphere,
     frame_quality,
@@ -244,12 +245,91 @@ def _run_candidate(payload) -> GraspEvaluation:
     return evaluate_frames(*squeezed, mesh.nodes, rc, index)
 
 
+# ---------------------------------------------------------------------------
+# Spreading work: candidates over --jobs processes, frames over CPU threads.
+
+
+def _map(executor, func, items, workers: int) -> list:
+    """[func(x) for x in items] on min(workers, len(items)) workers of
+    executor (a concurrent.futures executor class); one worker runs the
+    plain loop.
+
+    Results come back in item order.  They are read in that order, so a
+    failure raises the exception of the lowest failing index, as the loop
+    would, and map cancels the items not yet started when one fails or the
+    caller is interrupted.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [func(x) for x in items]
+    with executor(max_workers=workers) as pool:
+        return list(pool.map(func, items))
+
+
 def _map_jobs(func, payloads, jobs: int):
-    """Run payloads through func, in order, optionally with worker processes."""
-    if jobs <= 1 or len(payloads) <= 1:
-        return [func(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, payloads))
+    """Run payloads through func, in order, on up to jobs worker processes."""
+    return _map(ProcessPoolExecutor, func, payloads, jobs)
+
+
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_MOUNT = "/sys/fs/cgroup"
+
+
+def _cgroup_cpu_limit() -> float | None:
+    """CPUs' worth of run time a cgroup CPU quota grants this process
+    (v2 cpu.max, v1 cpu.cfs_quota_us / cpu.cfs_period_us), None without one.
+
+    The affinity mask does not show such a quota, and threads beyond it
+    only add contention and malloc arenas.  The quota file is looked up in
+    the process's own cgroup, then at the mount's root, which is where a
+    container without a cgroup namespace sees its own cgroup.
+    """
+    try:
+        with open(PROC_CGROUP) as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return None
+    for _, controllers, path in entries:
+        if controllers == "":
+            mount, files = CGROUP_MOUNT, ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            mount, files = f"{CGROUP_MOUNT}/{controllers}", ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        for base in (mount + path, mount):
+            try:
+                fields = []
+                for name in files:
+                    with open(os.path.join(base, name)) as fh:
+                        fields += fh.read().split()
+                quota, period = fields[:2]
+                return None if quota in ("max", "-1") else int(quota) / int(period)
+            except (OSError, ValueError):
+                continue
+    return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    capped by a cgroup CPU quota."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return cpus if limit is None else max(1, min(cpus, math.ceil(limit)))
+
+
+def _map_frames(func, frames) -> list:
+    """[func(f) for f in frames], on min(len(frames), usable CPUs) threads
+    while the caller waits.
+
+    Frames are independent and a wrench hull's qhull call releases the GIL,
+    so threads score them side by side; the output does not depend on the
+    CPU count.
+    """
+    return _map(ThreadPoolExecutor, func, frames, _usable_cpus())
 
 
 def _fmt(value) -> str:

@@ -114,11 +114,12 @@ def _extract_surface(tets: np.ndarray) -> np.ndarray:
     tet); a face met a third time raises, naming the earliest such face.
     """
     tris = tets[:, _TET_FACES].reshape(-1, 3)
-    keys = np.sort(tris, axis=1).astype(np.int64)
-    n = int(tets.max()) + 1  # the int64 code holds n**3 for n below 2**21 nodes
-    codes = (keys[:, 0] * n + keys[:, 1]) * n + keys[:, 2]
-    order = np.argsort(codes, kind="stable")
-    _, starts, counts = np.unique(codes[order], return_index=True, return_counts=True)
+    keys = np.sort(tris, axis=1)
+    # stable sort by (k0, k1, k2): equal faces end up adjacent, in first-seen order
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
+    counts = np.diff(np.r_[starts, len(ranked)])
     if counts.max() > 2:
         third = order[starts[counts > 2] + 2].min()
         raise MeshError(f"face {tuple(int(v) for v in keys[third])} shared by more than two tets")
@@ -599,7 +600,7 @@ def quasi_static_step(
 
     u = u_start.copy()
     residual, res_norm, pieces = state_at(u)
-    best = (u, res_norm, pieces)
+    least = res_norm
     clamp = 20.0 * cfg.displacement_increment
     iterations = 0
     factorizations = 0
@@ -630,15 +631,15 @@ def quasi_static_step(
         # accept the least-bad trial even without strict descent; the next
         # linearization starts from its (possibly different) contact sets
         u, residual, res_norm, pieces = trial
-        if res_norm < best[1]:
-            best = (u, res_norm, pieces)
-    if best[1] < cfg.convergence_tol:
-        u, res_norm, pieces = best
+        least = min(least, res_norm)
+    # the loop stops at the first converged state, so only the current one
+    # can be converged; least is the smallest residual seen, for the error
+    if res_norm < cfg.convergence_tol:
         return u, _build_report(model, u, pieces, res_norm, iterations, factorizations)
     raise SolverError(
         f"no convergence after {cfg.max_fixedpoint_iters} iterations "
-        f"(residual {best[1]:.3e} N, tol {cfg.convergence_tol:.3e} N)",
-        residual=best[1],
+        f"(residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
+        residual=least,
     )
 
 

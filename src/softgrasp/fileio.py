@@ -31,7 +31,6 @@ class TrajectoryHeader:
     mass: float
     material: MaterialParams
     torque_scale_rho: float
-    version: int = TRAJECTORY_VERSION
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def write_trajectory(frames, header: TrajectoryHeader) -> str:
     mat = header.material
     head = {
         "format": TRAJECTORY_FORMAT,
-        "version": int(header.version),
+        "version": TRAJECTORY_VERSION,
         "object": str(header.object_name),
         "mass": float(header.mass),
         "material": {
@@ -167,9 +166,7 @@ def _parse_header(obj: dict, lineno: int) -> TrajectoryHeader:
     rho = _get_num(obj, "torque_scale_rho", lineno)
     if rho <= 0.0:
         raise ParseError("torque_scale_rho must be > 0", line=lineno)
-    return TrajectoryHeader(
-        object_name=name, mass=mass, material=material, torque_scale_rho=rho, version=version
-    )
+    return TrajectoryHeader(object_name=name, mass=mass, material=material, torque_scale_rho=rho)
 
 
 def _parse_frame(obj: dict, lineno: int) -> TrajectoryFrame:

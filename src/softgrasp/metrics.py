@@ -11,8 +11,6 @@ serves as benchmark ground truth, compared via rank correlation.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -195,101 +193,3 @@ def desired_force_index(trajectory, desired_force: float) -> int | None:
         if frame.squeeze_force >= desired_force:
             return i
     return None
-
-
-PROC_CGROUP = "/proc/self/cgroup"
-CGROUP_MOUNT = "/sys/fs/cgroup"
-
-
-def _cgroup_cpu_limit() -> float | None:
-    """CPUs' worth of run time a cgroup CPU quota grants this process
-    (v2 cpu.max, v1 cpu.cfs_quota_us / cpu.cfs_period_us), None without one.
-
-    The affinity mask does not show such a quota, and threads beyond it
-    only add contention and malloc arenas.  The quota file is looked up in
-    the process's own cgroup, then at the mount's root, which is where a
-    container without a cgroup namespace sees its own cgroup.
-    """
-    try:
-        with open(PROC_CGROUP) as fh:
-            entries = [line.rstrip("\n").split(":", 2) for line in fh]
-    except OSError:
-        return None
-    for _, controllers, path in entries:
-        if controllers == "":
-            mount, files = CGROUP_MOUNT, ("cpu.max",)
-        elif "cpu" in controllers.split(","):
-            mount, files = f"{CGROUP_MOUNT}/{controllers}", ("cpu.cfs_quota_us", "cpu.cfs_period_us")
-        else:
-            continue
-        for base in (mount + path, mount):
-            try:
-                fields = []
-                for name in files:
-                    with open(os.path.join(base, name)) as fh:
-                        fields += fh.read().split()
-                quota, period = fields[:2]
-                return None if quota in ("max", "-1") else int(quota) / int(period)
-            except (OSError, ValueError):
-                continue
-    return None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one,
-    capped by a cgroup CPU quota."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    limit = _cgroup_cpu_limit()
-    return cpus if limit is None else max(1, min(cpus, math.ceil(limit)))
-
-
-def _map_frames(func, frames) -> list:
-    """[func(f) for f in frames], scored on every CPU the process may use.
-
-    Frames are independent and a wrench hull's qhull call releases the GIL,
-    so min(len(frames), CPUs) threads score them: the calling thread and
-    workers - 1 helpers, each claiming the next unclaimed frame, so one
-    worker starts no thread.  Results come back in frame order.
-    When frames fail, the exception of the lowest-index failing frame is
-    raised, as a serial loop would: indices are claimed in increasing order,
-    so once a frame fails every lower index is already claimed, and no
-    further frame is started.
-    """
-    frames = list(frames)
-    workers = min(len(frames), _usable_cpus())
-    results = [None] * len(frames)
-    errors = {}
-    lock = threading.Lock()
-    pending = iter(range(len(frames)))
-
-    def work():
-        while True:
-            with lock:
-                i = None if errors else next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = func(frames[i])
-            except BaseException as exc:  # re-raised by the calling thread
-                with lock:
-                    errors[i] = exc
-                return
-
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        # an interrupt in the calling thread leaves the helpers nothing to claim
-        with lock:
-            for _ in pending:
-                pass
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results

@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 import helpers
 import oracles
-from softgrasp.cli import RunConfig, run_bench
+from softgrasp.cli import RunConfig, _map_frames, run_bench
 from softgrasp.contact import (
     ContactPoint,
     TrajectoryFrame,
@@ -43,7 +43,6 @@ from softgrasp.geom import (
 from softgrasp.metrics import (
     METRIC_NAMES,
     GravityConfig,
-    _map_frames,
     frame_quality,
     gravity_directions,
     saturation_index,

@@ -315,6 +315,30 @@ class TestPipeline:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    # pool: the worker count asked of the executor, None when the loop runs
+    @pytest.mark.parametrize("jobs, count, pool", [(64, 2, 2), (2, 5, 2), (3, 1, None), (1, 4, None)])
+    def test_jobs_start_at_most_one_process_per_candidate(self, jobs, count, pool, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert cli._map_jobs(lambda i: i * i, list(range(count)), jobs) == [i * i for i in range(count)]
+        assert asked == ([] if pool is None else [pool])
+
 
 def data_columns(text):
     rows = [ln.split("\t") for ln in text.splitlines() if ln and not ln.startswith("#")]
@@ -345,7 +369,7 @@ class TestMetricAndHullInfoOutputs:
     def test_output_independent_of_cpu_count(self, capsys, monkeypatch):
         outputs = set()
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(metrics, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
             code, hull_info, _ = run_cli(capsys, "hull-info", "--trajectory", str(FIXTURE_TRAJECTORY))
             assert code == 0
             assert hull_info == (DATA / "hull_info_fixture.tsv").read_text()

@@ -191,6 +191,15 @@ class TestSurfaceOracle:
             tets = np.take_along_axis(tets, rng.permuted(np.tile(np.arange(4), (len(tets), 1)), axis=1), axis=1)
             assert fem._extract_surface(tets).tobytes() == oracles.loop_extract_surface(tets).tobytes()
 
+    def test_node_ids_past_two_to_the_21_match_loop(self):
+        # faces (2**20, a, b) and (0, a, b) of a 2**22-node mesh once shared
+        # one int64 code, (k0 * n + k1) * n + k2 wrapping past 2**64
+        a, b, c = 2**20 + 5, 2**20 + 7, 2**20 + 9
+        tets = np.array([[2**20, a, b, 2**22 - 1], [0, a, b, c]])
+        want = oracles.loop_extract_surface(tets)
+        assert len(want) == 8
+        assert fem._extract_surface(tets).tobytes() == want.tobytes()
+
     def test_face_shared_by_three_tets_raises_like_loop(self):
         # fans of three tets on faces (0, 1, 2) and (6, 7, 8); the first
         # fan's face is seen first, the second's is met a third time first

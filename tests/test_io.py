@@ -54,6 +54,12 @@ class TestTrajectoryRoundTrip:
         assert out.header == header
         assert out.frames == ()
 
+    def test_header_takes_no_version(self):
+        # the writer always writes TRAJECTORY_VERSION, the one version the reader reads
+        with pytest.raises(TypeError):
+            make_header(version=2)
+        assert '"version": 1,' in write_trajectory([], make_header())
+
     def test_file_round_trip(self, tmp_path, rng):
         path = tmp_path / "traj.jsonl"
         frames = make_frames(rng, 7)

@@ -35,7 +35,7 @@ from softgrasp import (
     monotonicity,
     saturation_index,
 )
-from softgrasp import metrics
+from softgrasp import cli, metrics
 from softgrasp.metrics import TRACE_METRICS
 
 
@@ -56,7 +56,7 @@ def frame_with_forces(frame, k):
 def score_frames(frames, names, cfg, gcfg=GravityConfig(), proxy_dirs=None):
     """Per-frame values of each metric in names, scored the way the metric
     command scores a trajectory: frame_quality mapped over the frames."""
-    per_frame = metrics._map_frames(
+    per_frame = cli._map_frames(
         lambda f: frame_quality(f, cfg, gcfg, names, proxy_dirs).values, frames
     )
     return {m: np.array([v[m] for v in per_frame]) for m in names}
@@ -412,7 +412,7 @@ class TestFrameQuality:
 
 
 def bind_cpus(monkeypatch, count):
-    monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
 
 
 class TestConcurrentFrames:
@@ -451,11 +451,11 @@ class TestConcurrentFrames:
             return i
 
         with pytest.raises(ValueError, match="frame 3"):
-            metrics._map_frames(score, range(12))
+            cli._map_frames(score, range(12))
         assert later_failed.is_set() == (cpus > 1)
 
-    @pytest.mark.parametrize("cpus, count, helpers", [(1, 8, 0), (4, 1, 0), (2, 8, 1)])
-    def test_threads_started(self, cpus, count, helpers, rng, monkeypatch):
+    @pytest.mark.parametrize("cpus, count, threads", [(1, 8, 0), (4, 1, 0), (2, 8, 2)])
+    def test_threads_started(self, cpus, count, threads, rng, monkeypatch):
         bind_cpus(monkeypatch, cpus)
         before = threading.active_count()
         seen = []
@@ -468,7 +468,7 @@ class TestConcurrentFrames:
         frames = [random_frame(rng, 3, time=0.1 * (i + 1)) for i in range(count)]
         score_frames(frames, ("epsilon",), WrenchSpaceConfig())
         assert len(seen) == count
-        assert max(seen) == before + helpers
+        assert max(seen) == before + threads
         assert threading.active_count() == before
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
@@ -479,7 +479,7 @@ class TestConcurrentFrames:
         try:
             runner = threading.Thread(
                 target=lambda: out.append(
-                    metrics._map_frames(lambda i: calls.append(i) or i * i, range(500))
+                    cli._map_frames(lambda i: calls.append(i) or i * i, range(500))
                 )
             )
             runner.start()
@@ -491,20 +491,20 @@ class TestConcurrentFrames:
         assert sorted(calls) == list(range(500))
 
     def test_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_cgroup_cpu_limit", lambda: None)
+        monkeypatch.setattr(cli, "_cgroup_cpu_limit", lambda: None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-        assert metrics._usable_cpus() == 2
+        assert cli._usable_cpus() == 2
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert metrics._usable_cpus() == 3
+        assert cli._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert metrics._usable_cpus() == 1
+        assert cli._usable_cpus() == 1
 
     @pytest.mark.parametrize("limit, cpus", [(None, 8), (1.5, 2), (2.0, 2), (0.25, 1), (16.0, 8)])
     def test_usable_cpus_capped_by_cgroup_quota(self, limit, cpus, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(metrics, "_cgroup_cpu_limit", lambda: limit)
-        assert metrics._usable_cpus() == cpus
+        monkeypatch.setattr(cli, "_cgroup_cpu_limit", lambda: limit)
+        assert cli._usable_cpus() == cpus
 
     @pytest.mark.parametrize("cgroup, files, limit", [
         ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 1.5),
@@ -526,9 +526,9 @@ class TestConcurrentFrames:
         for name, text in files.items():
             (mount / name).parent.mkdir(parents=True, exist_ok=True)
             (mount / name).write_text(text)
-        monkeypatch.setattr(metrics, "PROC_CGROUP", str(proc))
-        monkeypatch.setattr(metrics, "CGROUP_MOUNT", str(mount))
-        assert metrics._cgroup_cpu_limit() == limit
+        monkeypatch.setattr(cli, "PROC_CGROUP", str(proc))
+        monkeypatch.setattr(cli, "CGROUP_MOUNT", str(mount))
+        assert cli._cgroup_cpu_limit() == limit
 
 
 class TestHullMonotonicityAcrossMetrics:
