@@ -162,31 +162,27 @@ def load_run_config(path) -> RunConfig:
 
 @dataclass
 class GraspEvaluation:
-    """Metrics of one candidate at its evaluation frame.
-
-    frames counts the squeeze's frames up to and including the scored one.
-    """
+    """Metrics of one candidate at its evaluation frame; a failed or empty
+    candidate was never measured and scores 0."""
 
     index: int
-    status: str  # ok | empty | failed
-    frames: int
-    reached: bool
-    eval_force: float
-    epsilon: float
-    volume: float
-    gravity: float
-    proxy: float
+    status: str = "ok"  # ok | empty | failed
+    reached: bool = False
+    eval_force: float = 0.0
+    epsilon: float = 0.0
+    volume: float = 0.0
+    gravity: float = 0.0
+    proxy: float = 0.0
     message: str = ""
 
 
-def evaluate_frames(first, frame, count: int, mesh_nodes, rc: RunConfig, index: int) -> GraspEvaluation:
+def evaluate_frames(first, frame, mesh_nodes, rc: RunConfig, index: int) -> GraspEvaluation:
     """Score a squeeze at its last frame.
 
     The squeeze stops at the first frame that reaches the desired force, so
     that frame is the one scored; a squeeze that stops short of it is scored
     at its last frame and marked not reached.  first carries the contacts of
-    the first frame, which fix the torque scale; count is the number of
-    frames up to and including frame.
+    the first frame, which fix the torque scale.
     """
     rho = rc.resolve_rho(mesh_nodes, contact_centroid(first))
     q = frame_quality(
@@ -195,54 +191,34 @@ def evaluate_frames(first, frame, count: int, mesh_nodes, rc: RunConfig, index: 
     )
     return GraspEvaluation(
         index=index,
-        status="ok",
-        frames=count,
         reached=frame.squeeze_force >= rc.desired_force,
         eval_force=frame.squeeze_force,
         **q.values,
     )
 
 
-def _squeeze_to_scored_frame(mesh, cand, rc: RunConfig):
-    """Squeeze a candidate up to the frame rank and bench score.
+def _run_candidate(payload) -> GraspEvaluation:
+    """Squeeze a rank or bench candidate up to the frame they score, and score it.
 
     That is the first frame to reach desired_force, so the squeeze stops
     there.  Only the first step's report (for its contacts) and the latest
-    step are kept, and only the scored frame gets a center of mass.
-    Returns (first report, scored frame, frame count), or None when no step
-    touches the object.  The model and its LU are freed on return, before
-    the frame's hull is built.
+    step are kept, and only the scored frame gets a center of mass.  The
+    model and its LUs are freed before the frame's hull is built.
     """
+    index, mesh, cand, rc = payload
     model = assemble_model(mesh, rc.material)
     grasp = dataclasses.replace(cand, max_force=min(cand.max_force, rc.desired_force))
     first = last = None
-    count = 0
-    for step in squeeze_steps(model, grasp, rc.sim):
-        if first is None:
-            first = step[2]
-        last = step
-        count += 1
-    if last is None:
-        return None
-    return first, step_frame(model, rc.sim, *last), count
-
-
-def _run_candidate(payload) -> GraspEvaluation:
-    index, mesh, cand, rc = payload
     try:
-        squeezed = _squeeze_to_scored_frame(mesh, cand, rc)
+        for last in squeeze_steps(model, grasp, rc.sim):
+            first = first or last[2]
     except SolverError as exc:
-        return GraspEvaluation(
-            index=index, status="failed", frames=0, reached=False, eval_force=0.0,
-            epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0, message=str(exc),
-        )
-    if squeezed is None:
-        return GraspEvaluation(
-            index=index, status="empty", frames=0, reached=False, eval_force=0.0,
-            epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0,
-            message="no contact frames",
-        )
-    return evaluate_frames(*squeezed, mesh.nodes, rc, index)
+        return GraspEvaluation(index, "failed", message=str(exc))
+    if last is None:
+        return GraspEvaluation(index, "empty", message="no contact frames")
+    frame = step_frame(model, rc.sim, *last)
+    del model
+    return evaluate_frames(first, frame, mesh.nodes, rc, index)
 
 
 # ---------------------------------------------------------------------------

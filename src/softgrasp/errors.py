@@ -24,13 +24,18 @@ class MeshError(SoftGraspError, ValueError):
 class SolverError(SoftGraspError):
     """The quasi-static solver failed to converge.
 
-    Carries the last residual norm so callers can decide whether the
-    result is still usable for diagnostics.
+    Carries the smallest residual norm the failed step reached, so callers
+    can decide whether the result is still usable for diagnostics, and the
+    step's Newton loop passes and fresh LU factorizations, counted as in
+    fem.StepReport.
     """
 
-    def __init__(self, message: str, residual: float = float("nan")):
+    def __init__(self, message: str, residual: float = float("nan"), iterations: int = 0,
+                 factorizations: int = 0):
         super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
+        self.factorizations = factorizations
 
 
 class ParseError(SoftGraspError, ValueError):

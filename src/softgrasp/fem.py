@@ -488,7 +488,8 @@ class StepReport:
 
 
 class _PadGeometry:
-    """Cached pad frame: axis, tangents, and the lateral bound test."""
+    """Cached pad frame: axis, tangents, the surfaces' normals, and the
+    lateral bound test."""
 
     def __init__(self, grasp: GraspCandidate, platform_height: float):
         self.axis = grasp.approach_axis
@@ -496,82 +497,87 @@ class _PadGeometry:
         self.halfwidth = grasp.finger_halfwidth
         self.t1, self.t2 = orthonormal_tangents(self.axis)
         self.platform_height = platform_height
+        # indexed by PAD_A, PAD_B, PLATFORM
+        self.normals = (self.axis, -self.axis, np.array([0.0, 0.0, 1.0]))
 
     def contact_candidates(self, x: np.ndarray, gap: float):
-        """Active-contact pieces per surface for deformed node positions x.
+        """Penetrating nodes of deformed node positions x, surface by surface.
 
-        Returns a list of (kind, node_rows, depths, normal) with depths > 0.
+        Returns (kind, rows, depths) with depths > 0: pad A's rows, then pad
+        B's, then the platform's, each ascending.
         """
-        s = (x - self.center) @ self.axis
-        lat1 = np.abs((x - self.center) @ self.t1) <= self.halfwidth
-        lat2 = np.abs((x - self.center) @ self.t2) <= self.halfwidth
-        in_pad = lat1 & lat2
+        rel = x - self.center
+        s = rel @ self.axis
+        in_pad = (np.abs(rel @ self.t1) <= self.halfwidth) & (np.abs(rel @ self.t2) <= self.halfwidth)
         half = gap / 2.0
-        out = []
-        depth_a = -half - s
-        rows = np.nonzero(in_pad & (depth_a > 0.0))[0]
-        if rows.size:
-            out.append((PAD_A, rows, depth_a[rows], self.axis))
-        depth_b = s - half
-        rows = np.nonzero(in_pad & (depth_b > 0.0))[0]
-        if rows.size:
-            out.append((PAD_B, rows, depth_b[rows], -self.axis))
-        depth_p = self.platform_height - x[:, 2]
-        rows = np.nonzero(depth_p > 0.0)[0]
-        if rows.size:
-            out.append((PLATFORM, rows, depth_p[rows], np.array([0.0, 0.0, 1.0])))
-        return out
+        depth = np.stack([-half - s, s - half, self.platform_height - x[:, 2]])
+        kind, rows = np.nonzero((depth > 0.0) & np.stack([in_pad, in_pad, np.ones_like(in_pad)]))
+        return kind, rows, depth[kind, rows]
+
+
+@dataclass(frozen=True, eq=False)
+class _Contacts:
+    """Penalty contact state at one displacement, one row per penetrating node.
+
+    Rows run pad A's, then pad B's, then the platform's (see
+    _PadGeometry.contact_candidates).  fn is the normal force k_p * depth,
+    force the total force on the node; a slipping node (stick False) has its
+    tangential force capped by the Coulomb cone, with sdir the unit
+    tangential slip and snorm the slip length.  A sticking node has sdir 0.
+    """
+
+    kind: np.ndarray
+    nodes: np.ndarray
+    normal: np.ndarray
+    depth: np.ndarray
+    fn: np.ndarray
+    force: np.ndarray
+    stick: np.ndarray
+    sdir: np.ndarray
+    snorm: np.ndarray
 
 
 def _contact_state(model, pads, gap, u, u_step_start, cfg):
     """Evaluate penalty contact forces at displacement u.
 
-    Returns (f_ext flat array, pieces) where each piece carries the surface
-    kind, global node ids, depths, normal, force vectors, and stick flags.
-    Tangential forces oppose the slip accumulated since the step start and
-    are capped by the Coulomb cone.
+    Returns (f_ext flat array, _Contacts).  Tangential forces oppose the
+    slip accumulated since the step start and are capped by the Coulomb
+    cone.
     """
     surf = model.mesh.surface_nodes
     x = model.mesh.nodes[surf] + u.reshape(-1, 3)[surf]
     kp = cfg.penalty_stiffness
     mu = model.mat.friction_mu
+    kind, rows, depth = pads.contact_candidates(x, gap)
+    nodes = surf[rows]
+    normal = np.array(pads.normals)[kind]
+    fn = kp * depth
+    du = (u - u_step_start).reshape(-1, 3)
+    # A matvec's bits depend on its rows (BLAS blocks them), so each surface's
+    # normal slip is the matvec of that surface's rows alone, as a fresh array.
+    along = np.concatenate([du[nodes[kind == k]] @ n for k, n in enumerate(pads.normals)])
+    slip_t = du[nodes] - along[:, None] * normal
+    ft = -kp * slip_t
+    ft_norm = np.linalg.norm(ft, axis=1)
+    cap = mu * fn
+    slipping = ft_norm > cap
+    scale = np.ones_like(ft_norm)
+    nz = ft_norm > 0.0
+    scale[nz & slipping] = cap[nz & slipping] / ft_norm[nz & slipping]
+    ft = ft * scale[:, None]
+    force = fn[:, None] * normal + ft
     f_ext = np.zeros(3 * model.mesh.num_nodes)
-    pieces = []
-    for kind, rows, depths, normal in pads.contact_candidates(x, gap):
-        nodes_g = surf[rows]
-        fn = kp * depths
-        slip = (u - u_step_start).reshape(-1, 3)[nodes_g]
-        slip_t = slip - np.outer(slip @ normal, normal)
-        ft = -kp * slip_t
-        ft_norm = np.linalg.norm(ft, axis=1)
-        cap = mu * fn
-        slipping = ft_norm > cap
-        scale = np.ones_like(ft_norm)
-        nz = ft_norm > 0.0
-        scale[nz & slipping] = cap[nz & slipping] / ft_norm[nz & slipping]
-        ft = ft * scale[:, None]
-        forces = np.outer(fn, normal) + ft
-        np.add.at(f_ext.reshape(-1, 3), nodes_g, forces)
-        # unit slip directions and magnitudes for the capped nodes
-        # (ft_norm = kp * ||slip_t|| before capping)
-        sdir = np.zeros_like(slip_t)
-        snorm = ft_norm / kp
-        if np.any(slipping):
-            sdir[slipping] = slip_t[slipping] * (kp / ft_norm[slipping])[:, None]
-        pieces.append(
-            {
-                "kind": kind,
-                "nodes": nodes_g,
-                "depths": depths,
-                "normal": normal,
-                "fn": fn,
-                "forces": forces,
-                "stick": ~slipping,
-                "sdir": sdir,
-                "snorm": snorm,
-            }
-        )
-    return f_ext, pieces
+    np.add.at(f_ext.reshape(-1, 3), nodes, force)
+    # unit slip directions and magnitudes for the capped nodes
+    # (ft_norm = kp * ||slip_t|| before capping)
+    sdir = np.zeros_like(slip_t)
+    if np.any(slipping):
+        sdir[slipping] = slip_t[slipping] * (kp / ft_norm[slipping])[:, None]
+    contacts = _Contacts(
+        kind=kind, nodes=nodes, normal=normal, depth=depth, fn=fn, force=force,
+        stick=~slipping, sdir=sdir, snorm=ft_norm / kp,
+    )
+    return f_ext, contacts
 
 
 def quasi_static_step(
@@ -594,12 +600,12 @@ def quasi_static_step(
     kp = cfg.penalty_stiffness
 
     def state_at(u):
-        f_ext, pieces = _contact_state(model, pads, gap, u, u_start, cfg)
+        f_ext, contacts = _contact_state(model, pads, gap, u, u_start, cfg)
         r = f_ext - model.stiffness @ u - model.reg * u
-        return r, float(np.linalg.norm(r)), pieces
+        return r, float(np.linalg.norm(r)), contacts
 
     u = u_start.copy()
-    residual, res_norm, pieces = state_at(u)
+    residual, res_norm, contacts = state_at(u)
     least = res_norm
     clamp = 20.0 * cfg.displacement_increment
     iterations = 0
@@ -607,7 +613,7 @@ def quasi_static_step(
     for iterations in range(1, cfg.max_fixedpoint_iters + 1):
         if res_norm < cfg.convergence_tol:
             break
-        lu, fresh = _factorize(model, pieces, kp)
+        lu, fresh = _factorize(model, contacts, kp)
         factorizations += fresh
         du = lu.solve(residual)
         # only model.stick_lus may keep an LU: a slip LU is freed here, and
@@ -623,27 +629,27 @@ def quasi_static_step(
         trial = None
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
             u_try = u + scale * du
-            r_try, rn_try, p_try = state_at(u_try)
+            r_try, rn_try, c_try = state_at(u_try)
             if trial is None or rn_try < trial[2]:
-                trial = (u_try, r_try, rn_try, p_try)
+                trial = (u_try, r_try, rn_try, c_try)
             if rn_try < cfg.convergence_tol:
                 break
         # accept the least-bad trial even without strict descent; the next
         # linearization starts from its (possibly different) contact sets
-        u, residual, res_norm, pieces = trial
+        u, residual, res_norm, contacts = trial
         least = min(least, res_norm)
     # the loop stops at the first converged state, so only the current one
     # can be converged; least is the smallest residual seen, for the error
     if res_norm < cfg.convergence_tol:
-        return u, _build_report(model, u, pieces, res_norm, iterations, factorizations)
+        return u, _build_report(model, u, contacts, res_norm, iterations, factorizations)
     raise SolverError(
         f"no convergence after {cfg.max_fixedpoint_iters} iterations "
         f"(residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
-        residual=least,
+        residual=least, iterations=iterations, factorizations=factorizations,
     )
 
 
-def _contact_blocks(pieces, kp: float, mu: float):
+def _contact_blocks(contacts: _Contacts, kp: float, mu: float):
     """Penalty contact blocks of the Newton Jacobian as (rows, cols, vals).
 
     A sticking node adds an isotropic k_p block (normal and tangential hold).
@@ -651,39 +657,34 @@ def _contact_blocks(pieces, kp: float, mu: float):
     -mu*k_p*depth * s(u), so its derivative has a cap part (-mu s n^T, the
     cone shrinking with depth) and a rotation part ((mu depth/||slip||)
     (I - n n^T - s s^T), the slip direction turning with u).  The slip block
-    is nonsymmetric, hence the LU solve.  Entries come node by node, each
-    block row-major, exact zeros dropped.
+    is nonsymmetric, hence the LU solve.  Entries come row by row of the
+    record, each block row-major, exact zeros dropped.
     """
     eye = np.eye(3)
-    rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for piece in pieces:
-        normal = piece["normal"]
-        nn = np.outer(normal, normal)
-        slip = ~piece["stick"]
-        blocks = np.broadcast_to(kp * eye, (slip.size, 3, 3)).copy()
-        if np.any(slip):
-            sdir = piece["sdir"][slip]
-            ratio = piece["depths"][slip] / np.maximum(piece["snorm"][slip], 1e-12)
-            blocks[slip] = kp * (
-                nn
-                - mu * (sdir[:, :, None] * normal)
-                + (mu * ratio)[:, None, None] * (eye - nn - sdir[:, :, None] * sdir[:, None, :])
-            )
-        base = 3 * piece["nodes"][:, None, None]
-        r = np.broadcast_to(base + np.arange(3)[None, :, None], blocks.shape)
-        c = np.broadcast_to(base + np.arange(3)[None, None, :], blocks.shape)
-        keep = blocks != 0.0
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(blocks[keep])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    slip = ~contacts.stick
+    blocks = np.broadcast_to(kp * eye, (slip.size, 3, 3)).copy()
+    if np.any(slip):
+        normal = contacts.normal[slip][:, None, :]
+        nn = normal.transpose(0, 2, 1) * normal
+        sdir = contacts.sdir[slip]
+        ratio = contacts.depth[slip] / np.maximum(contacts.snorm[slip], 1e-12)
+        blocks[slip] = kp * (
+            nn
+            - mu * (sdir[:, :, None] * normal)
+            + (mu * ratio)[:, None, None] * (eye - nn - sdir[:, :, None] * sdir[:, None, :])
+        )
+    base = 3 * contacts.nodes[:, None, None]
+    r = np.broadcast_to(base + np.arange(3)[None, :, None], blocks.shape)
+    c = np.broadcast_to(base + np.arange(3)[None, None, :], blocks.shape)
+    keep = blocks != 0.0
+    return r[keep], c[keep], blocks[keep]
 
 
-def _factorize(model, pieces, kp: float):
+def _factorize(model, contacts: _Contacts, kp: float):
     """LU of elastic stiffness + rigid-mode regularizer + contact blocks.
 
     Returns (lu, fresh).  An all-stick Jacobian is K + reg*I plus k_p on the
-    diagonal of its active nodes' dofs, so (k_p, active node ids in piece
+    diagonal of its active nodes' dofs, so (k_p, active node ids in record
     order) fixes it bit for bit.  The model keeps the LUs of its last
     STICK_LUS such Jacobians; a hit hands one back (fresh False), and its
     solve is bit-identical to refactorizing.  A Jacobian with slip blocks is
@@ -691,9 +692,9 @@ def _factorize(model, pieces, kp: float):
     STICK_LUS held evicts the least recently used LU before splu runs, so at
     most STICK_LUS + 1 factors are alive at once.
     """
-    stick = all(p["stick"].all() for p in pieces)
+    stick = contacts.stick.all()
     if stick:
-        key = (kp, b"".join(p["nodes"].tobytes() for p in pieces))
+        key = (kp, contacts.nodes.tobytes())
         lu = model.stick_lus.pop(key, None)
         if lu is not None:
             model.stick_lus[key] = lu
@@ -701,7 +702,7 @@ def _factorize(model, pieces, kp: float):
         while len(model.stick_lus) >= STICK_LUS:
             del model.stick_lus[next(iter(model.stick_lus))]
     j = model.regularized
-    rows, cols, vals = _contact_blocks(pieces, kp, model.mat.friction_mu)
+    rows, cols, vals = _contact_blocks(contacts, kp, model.mat.friction_mu)
     if vals.size:
         j = j + sp.csc_matrix((vals, (rows, cols)), shape=j.shape)
     lu = spla.splu(j)
@@ -710,29 +711,17 @@ def _factorize(model, pieces, kp: float):
     return lu, True
 
 
-def _build_report(model, u, pieces, res_norm, iterations, factorizations) -> StepReport:
-    contacts = []
-    fn_a = 0.0
-    fn_b = 0.0
-    platform_force = np.zeros(3)
-    x_all = model.mesh.nodes + u.reshape(-1, 3)
-    for piece in pieces:
-        normal = piece["normal"]
-        if piece["kind"] == PAD_A:
-            fn_a += float(piece["fn"].sum())
-        elif piece["kind"] == PAD_B:
-            fn_b += float(piece["fn"].sum())
-        else:
-            platform_force += piece["forces"].sum(axis=0)
-        if piece["kind"] != PLATFORM:
-            for node, force in zip(piece["nodes"], piece["forces"]):
-                contacts.append(
-                    ContactPoint(position=x_all[node], normal=normal, force=force)
-                )
+def _build_report(model, u, contacts: _Contacts, res_norm, iterations, factorizations) -> StepReport:
+    on_pad = contacts.kind != PLATFORM
+    nodes = contacts.nodes[on_pad]
+    x = model.mesh.nodes[nodes] + u.reshape(-1, 3)[nodes]
     return StepReport(
-        contacts=tuple(contacts),
-        finger_normal_forces=(fn_a, fn_b),
-        platform_force=platform_force,
+        contacts=tuple(
+            ContactPoint(position=p, normal=n, force=f)
+            for p, n, f in zip(x, contacts.normal[on_pad], contacts.force[on_pad])
+        ),
+        finger_normal_forces=tuple(float(contacts.fn[contacts.kind == k].sum()) for k in (PAD_A, PAD_B)),
+        platform_force=contacts.force[contacts.kind == PLATFORM].sum(axis=0),
         residual=res_norm,
         iterations=iterations,
         factorizations=factorizations,

@@ -182,40 +182,94 @@ def sequential_dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: floa
     return rows[:, :-1], rows[:, -1]
 
 
-def loop_contact_blocks(pieces, kp: float, mu: float):
+def loop_contact_state(model, pads, gap, u, u_step_start, cfg):
+    """Penalty contact law evaluated surface by surface.
+
+    The form fem._contact_state had before its contact record: a
+    penetration query per surface (pad A, pad B, platform) and, for each
+    surface that touches, its forces, stick flags and slip directions as
+    one dict.  Returns (f_ext, pieces); fem._contact_state must give the
+    same f_ext and, row for row, the pieces' values in its _Contacts.
+    """
+    surf = model.mesh.surface_nodes
+    x = model.mesh.nodes[surf] + u.reshape(-1, 3)[surf]
+    kp = cfg.penalty_stiffness
+    mu = model.mat.friction_mu
+    s = (x - pads.center) @ pads.axis
+    lat1 = np.abs((x - pads.center) @ pads.t1) <= pads.halfwidth
+    lat2 = np.abs((x - pads.center) @ pads.t2) <= pads.halfwidth
+    in_pad = lat1 & lat2
+    half = gap / 2.0
+    surfaces = (
+        (0, in_pad, -half - s, pads.axis),
+        (1, in_pad, s - half, -pads.axis),
+        (2, np.ones_like(in_pad), pads.platform_height - x[:, 2], np.array([0.0, 0.0, 1.0])),
+    )
+    f_ext = np.zeros(3 * model.mesh.num_nodes)
+    pieces = []
+    for kind, inside, depth, normal in surfaces:
+        rows = np.nonzero(inside & (depth > 0.0))[0]
+        if not rows.size:
+            continue
+        depths = depth[rows]
+        nodes_g = surf[rows]
+        fn = kp * depths
+        slip = (u - u_step_start).reshape(-1, 3)[nodes_g]
+        slip_t = slip - np.outer(slip @ normal, normal)
+        ft = -kp * slip_t
+        ft_norm = np.linalg.norm(ft, axis=1)
+        cap = mu * fn
+        slipping = ft_norm > cap
+        scale = np.ones_like(ft_norm)
+        nz = ft_norm > 0.0
+        scale[nz & slipping] = cap[nz & slipping] / ft_norm[nz & slipping]
+        ft = ft * scale[:, None]
+        forces = np.outer(fn, normal) + ft
+        np.add.at(f_ext.reshape(-1, 3), nodes_g, forces)
+        sdir = np.zeros_like(slip_t)
+        if np.any(slipping):
+            sdir[slipping] = slip_t[slipping] * (kp / ft_norm[slipping])[:, None]
+        pieces.append({
+            "kind": kind, "nodes": nodes_g, "normal": normal, "depth": depths, "fn": fn,
+            "force": forces, "stick": ~slipping, "sdir": sdir, "snorm": ft_norm / kp,
+        })
+    return f_ext, pieces
+
+
+def loop_contact_blocks(contacts, kp: float, mu: float):
     """Penalty contact triplets built node by node and entry by entry.
 
     The per-node loop the Newton Jacobian was first assembled with: a k_p I
     block for a sticking node, the cap-plus-rotation slip block otherwise,
-    each block scanned row-major with exact zeros dropped.  This is the
-    reference the vectorized fem._contact_blocks must reproduce entry for
-    entry, in the same order.
+    each block scanned row-major with exact zeros dropped.  contacts is a
+    fem._Contacts record (only its nodes, normal, depth, stick, sdir and
+    snorm are read).  This is the reference the vectorized
+    fem._contact_blocks must reproduce entry for entry, in the same order.
     """
     eye = np.eye(3)
+    iso = kp * eye
     rows, cols, vals = [], [], []
-    for piece in pieces:
-        normal = piece["normal"]
-        nn = np.outer(normal, normal)
-        iso = kp * eye
-        for idx, (node, stick) in enumerate(zip(piece["nodes"], piece["stick"])):
-            if stick:
-                block = iso
-            else:
-                sdir = piece["sdir"][idx]
-                ratio = piece["depths"][idx] / max(piece["snorm"][idx], 1e-12)
-                block = kp * (
-                    nn
-                    - mu * np.outer(sdir, normal)
-                    + mu * ratio * (eye - nn - np.outer(sdir, sdir))
-                )
-            base = 3 * node
-            for r in range(3):
-                for c in range(3):
-                    v = block[r, c]
-                    if v != 0.0:
-                        rows.append(base + r)
-                        cols.append(base + c)
-                        vals.append(v)
+    for idx, (node, stick) in enumerate(zip(contacts.nodes, contacts.stick)):
+        if stick:
+            block = iso
+        else:
+            normal = contacts.normal[idx]
+            nn = np.outer(normal, normal)
+            sdir = contacts.sdir[idx]
+            ratio = contacts.depth[idx] / max(contacts.snorm[idx], 1e-12)
+            block = kp * (
+                nn
+                - mu * np.outer(sdir, normal)
+                + mu * ratio * (eye - nn - np.outer(sdir, sdir))
+            )
+        base = 3 * node
+        for r in range(3):
+            for c in range(3):
+                v = block[r, c]
+                if v != 0.0:
+                    rows.append(base + r)
+                    cols.append(base + c)
+                    vals.append(v)
     return (
         np.array(rows, dtype=np.int64),
         np.array(cols, dtype=np.int64),
@@ -276,20 +330,15 @@ def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
 
     frames is the squeeze run on to the grasp's own max_force.  The score is
     taken at the first frame that reaches rc.desired_force, else at the last
-    frame, and frames counts every frame emitted.  This is the reference
-    that cli._run_candidate, which stops the squeeze at the scored frame,
-    must reproduce in every field but frames.
+    frame.  This is the reference that cli._run_candidate, which stops the
+    squeeze at the scored frame, must reproduce.
     """
     from softgrasp.cli import GraspEvaluation
     from softgrasp.contact import contact_centroid
     from softgrasp.metrics import desired_force_index, fibonacci_sphere, frame_quality
 
     if not frames:
-        return GraspEvaluation(
-            index=index, status="empty", frames=0, reached=False, eval_force=0.0,
-            epsilon=0.0, volume=0.0, gravity=0.0, proxy=0.0,
-            message="no contact frames",
-        )
+        return GraspEvaluation(index=index, status="empty", message="no contact frames")
     rho = rc.resolve_rho(mesh_nodes, contact_centroid(frames[0]))
     idx = desired_force_index(frames, rc.desired_force)
     frame = frames[idx] if idx is not None else frames[-1]
@@ -300,7 +349,6 @@ def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
     return GraspEvaluation(
         index=index,
         status="ok",
-        frames=len(frames),
         reached=idx is not None,
         eval_force=frame.squeeze_force,
         **q.values,

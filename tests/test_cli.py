@@ -597,9 +597,7 @@ def fake_evaluations(monkeypatch, statuses, values):
             if status == "ok":
                 k = next(ok)
                 scores = {name: float(series[k]) for name, series in values.items()}
-            evals.append(GraspEvaluation(
-                index=index, status=status, frames=0, reached=False, eval_force=0.0, **scores
-            ))
+            evals.append(GraspEvaluation(index=index, status=status, **scores))
         return evals
 
     monkeypatch.setattr(cli, "_map_jobs", fake_map)
@@ -671,25 +669,46 @@ def full_squeeze(mesh, cand, rc):
     return run_squeeze(mesh, rc.material, cand, rc.sim)
 
 
+def step_index(frame, rc):
+    """The squeeze step a frame was emitted at."""
+    return round(frame.time / rc.sim.dt)
+
+
+def counted_run_candidate(payload, monkeypatch):
+    """_run_candidate's result and the quasi_static_step calls it made."""
+    calls = []
+    real_step = fem.quasi_static_step
+
+    def step(*args):
+        calls.append(1)
+        return real_step(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(fem, "quasi_static_step", step)
+        return _run_candidate(payload), len(calls)
+
+
 class TestScoredFrameStop:
     @pytest.mark.parametrize("name", ["box", "slab", "cylinder"])
-    def test_equals_full_squeeze_evaluation(self, name):
+    def test_equals_full_squeeze_evaluation(self, name, monkeypatch):
         mesh, cands = bench_candidates(name, 2)
         for i, cand in enumerate(cands):
             frames = full_squeeze(mesh, cand, MIDAIR)
             want = oracles.full_squeeze_evaluation(frames, mesh.nodes, MIDAIR, i)
-            got = _run_candidate((i, mesh, cand, MIDAIR))
+            got, steps = counted_run_candidate((i, mesh, cand, MIDAIR), monkeypatch)
             assert want.status == "ok" and want.reached
-            assert dataclasses.replace(got, frames=want.frames) == want
-            assert got.frames == desired_force_index(frames, MIDAIR.desired_force) + 1 < len(frames)
+            assert got == want
+            # the squeeze stops at the scored frame, short of the full one
+            scored = frames[desired_force_index(frames, MIDAIR.desired_force)]
+            assert steps == step_index(scored, MIDAIR) < step_index(frames[-1], MIDAIR)
 
-    def test_max_force_below_desired_scores_last_frame(self):
+    def test_max_force_below_desired_scores_last_frame(self, monkeypatch):
         mesh, cands = bench_candidates("box", 1)
         short = dataclasses.replace(cands[0], max_force=0.6 * MIDAIR.desired_force)
         frames = full_squeeze(mesh, short, MIDAIR)
-        got = _run_candidate((0, mesh, short, MIDAIR))
+        got, steps = counted_run_candidate((0, mesh, short, MIDAIR), monkeypatch)
         assert got == oracles.full_squeeze_evaluation(frames, mesh.nodes, MIDAIR, 0)
-        assert got.status == "ok" and not got.reached and got.frames == len(frames)
+        assert got.status == "ok" and not got.reached and steps == step_index(frames[-1], MIDAIR)
 
     def test_model_freed_before_scoring(self, workspace, monkeypatch):
         # the model holds the last LU; keeping it alive while the hull is
@@ -735,7 +754,7 @@ class TestScoredFrameStop:
 
         monkeypatch.setattr(fem, "quasi_static_step", step)
         got = _run_candidate((0, mesh, cand, rc))
-        assert dataclasses.replace(got, frames=want.frames) == want
+        assert got == want
 
         reached.clear()
         grasps = tmp_path / "one.jsonl"

@@ -408,6 +408,18 @@ class TestQuasiStaticStep:
             quasi_static_step(box_model, box_grasp(), 0.058, u0, cfg)
         assert exc.value.residual > 0.0
 
+    def test_solver_error_carries_step_counts(self, box_model, monkeypatch):
+        # a deep first step on a fresh model, cut off after three passes
+        splu_calls = []
+        original_splu = fem.spla.splu
+        monkeypatch.setattr(fem.spla, "splu", lambda a: splu_calls.append(1) or original_splu(a))
+        model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
+        u0 = np.zeros(3 * model.mesh.num_nodes)
+        with pytest.raises(SolverError) as exc:
+            quasi_static_step(model, SLIP_GRASP, 0.058, u0, pinch_config(max_fixedpoint_iters=3))
+        assert exc.value.iterations == 3
+        assert exc.value.factorizations == len(splu_calls) > 0
+
     def test_coulomb_cap_per_contact(self, box_model):
         cfg = pinch_config()
         mu = box_model.mat.friction_mu
@@ -574,12 +586,12 @@ def record_factorize(monkeypatch, clear_cache=False):
     stats = {"solves": 0, "fresh": 0, "slip_solves": 0}
     original = fem._factorize
 
-    def wrapped(model, pieces, kp):
+    def wrapped(model, contacts, kp):
         if clear_cache:
             model.stick_lus.clear()
         stats["solves"] += 1
-        stats["slip_solves"] += any(not p["stick"].all() for p in pieces)
-        lu, fresh = original(model, pieces, kp)
+        stats["slip_solves"] += not contacts.stick.all()
+        lu, fresh = original(model, contacts, kp)
         stats["fresh"] += fresh
         return lu, fresh
 
@@ -646,10 +658,10 @@ class TestFactorReuse:
         slip_lus = []
         stick_calls = []
 
-        def checked(model, pieces, kp):
-            lu, fresh = original(model, pieces, kp)
+        def checked(model, contacts, kp):
+            lu, fresh = original(model, contacts, kp)
             held = list(model.stick_lus.values())
-            if all(p["stick"].all() for p in pieces):
+            if contacts.stick.all():
                 stick_calls.append(len(held))
                 assert any(h is lu for h in held)
             else:
@@ -669,10 +681,9 @@ class TestFactorReuse:
         keys = []
         original = fem._factorize
 
-        def recorded(model, pieces, kp):
-            stick = all(p["stick"].all() for p in pieces)
-            keys.append((kp, tuple(n for p in pieces for n in p["nodes"])) if stick else None)
-            return original(model, pieces, kp)
+        def recorded(model, contacts, kp):
+            keys.append((kp, tuple(contacts.nodes)) if contacts.stick.all() else None)
+            return original(model, contacts, kp)
 
         reports = []
         original_step = fem.quasi_static_step
@@ -696,12 +707,13 @@ class TestFactorReuse:
         mesh = generate_primitive_mesh("box", (0.06, 0.06, 0.06), 2)
         model = assemble_model(mesh, MaterialParams())
         nodes = mesh.surface_nodes[:5]
-        pieces = [{"kind": fem.PAD_A, "nodes": nodes, "normal": np.array([1.0, 0.0, 0.0]),
-                   "depths": np.full(5, 1e-4), "stick": np.ones(5, dtype=bool),
-                   "sdir": np.zeros((5, 3)), "snorm": np.zeros(5)}]
-        lu_a, fresh_a = fem._factorize(model, pieces, 1e6)
-        lu_again, fresh_again = fem._factorize(model, pieces, 1e6)
-        lu_b, fresh_b = fem._factorize(model, pieces, 4e6)
+        contacts = contact_record(
+            [fem.PAD_A] * 5, nodes, [[1.0, 0.0, 0.0]] * 5, np.full(5, 1e-4), np.ones(5, dtype=bool),
+            np.zeros((5, 3)), np.zeros(5),
+        )
+        lu_a, fresh_a = fem._factorize(model, contacts, 1e6)
+        lu_again, fresh_again = fem._factorize(model, contacts, 1e6)
+        lu_b, fresh_b = fem._factorize(model, contacts, 4e6)
         assert (fresh_a, fresh_again, fresh_b) == (True, False, True)
         assert lu_again is lu_a and lu_b is not lu_a
         dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
@@ -718,8 +730,8 @@ class TestFactorReuse:
         original_blocks = fem._contact_blocks
         original_splu = fem.spla.splu
 
-        def blocks(pieces, kp, mu):
-            triplets.append(original_blocks(pieces, kp, mu))
+        def blocks(contacts, kp, mu):
+            triplets.append(original_blocks(contacts, kp, mu))
             return triplets[-1]
 
         def splu(j):
@@ -741,12 +753,23 @@ class TestFactorReuse:
         assert len(checked) > 10
 
 
-def random_pieces(rng, snorm_scale):
-    """Contact pieces mixing stick and slip nodes, some with axis normals."""
-    pieces = []
+def contact_record(kind, nodes, normal, depth, stick, sdir, snorm):
+    """A fem._Contacts with the given rows; fn and force, which the Jacobian
+    does not read, are zero."""
+    m = len(nodes)
+    return fem._Contacts(
+        kind=np.asarray(kind, dtype=np.int64), nodes=np.asarray(nodes, dtype=np.int64),
+        normal=np.asarray(normal, dtype=float).reshape(m, 3), depth=depth, fn=np.zeros(m),
+        force=np.zeros((m, 3)), stick=stick, sdir=sdir, snorm=snorm,
+    )
+
+
+def random_contacts(rng, snorm_scale):
+    """A contact record on all three surfaces mixing stick and slip nodes,
+    two of the surfaces with axis normals."""
     nodes = rng.permutation(200)
-    start = 0
-    for normal in (np.array([1.0, 0.0, 0.0]), rng.normal(size=3), np.array([0.0, 0.0, 1.0])):
+    parts = []
+    for kind, normal in enumerate((np.array([1.0, 0.0, 0.0]), rng.normal(size=3), np.array([0.0, 0.0, 1.0]))):
         normal = normal / np.linalg.norm(normal)
         k = int(rng.integers(5, 15))
         stick = rng.random(k) < 0.5
@@ -754,18 +777,10 @@ def random_pieces(rng, snorm_scale):
         sdir -= np.outer(sdir @ normal, normal)
         sdir /= np.linalg.norm(sdir, axis=1)[:, None]
         sdir[stick] = 0.0
-        pieces.append(
-            {
-                "nodes": nodes[start:start + k],
-                "normal": normal,
-                "depths": rng.uniform(1e-6, 1e-3, k),
-                "stick": stick,
-                "sdir": sdir,
-                "snorm": snorm_scale * rng.random(k),
-            }
-        )
-        start += k
-    return pieces
+        parts.append((np.full(k, kind), np.tile(normal, (k, 1)), rng.uniform(1e-6, 1e-3, k), stick, sdir,
+                      snorm_scale * rng.random(k)))
+    kind, normal, depth, stick, sdir, snorm = (np.concatenate(f) for f in zip(*parts))
+    return contact_record(kind, nodes[:kind.size], normal, depth, stick, sdir, snorm)
 
 
 class TestContactBlocksOracle:
@@ -774,9 +789,9 @@ class TestContactBlocksOracle:
         rng = np.random.default_rng(7)
         kp, mu = 1e6, 0.3
         for _ in range(5):
-            pieces = random_pieces(rng, snorm_scale)
-            got = fem._contact_blocks(pieces, kp, mu)
-            want = oracles.loop_contact_blocks(pieces, kp, mu)
+            contacts = random_contacts(rng, snorm_scale)
+            got = fem._contact_blocks(contacts, kp, mu)
+            want = oracles.loop_contact_blocks(contacts, kp, mu)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
@@ -785,11 +800,11 @@ class TestContactBlocksOracle:
         checked = []
         original = fem._contact_blocks
 
-        def checked_blocks(pieces, kp, mu):
-            got = original(pieces, kp, mu)
-            want = oracles.loop_contact_blocks(pieces, kp, mu)
+        def checked_blocks(contacts, kp, mu):
+            got = original(contacts, kp, mu)
+            want = oracles.loop_contact_blocks(contacts, kp, mu)
             checked.append(
-                (len(pieces), any(not p["stick"].all() for p in pieces),
+                (np.unique(contacts.kind).size, not contacts.stick.all(),
                  all(g.tobytes() == w.tobytes() for g, w in zip(got, want)))
             )
             return got
@@ -800,6 +815,79 @@ class TestContactBlocksOracle:
         assert any(slip for _, slip, _ in checked)
         assert any(n >= 2 for n, _, _ in checked)
 
-    def test_no_pieces_gives_empty_triplets(self):
-        rows, cols, vals = fem._contact_blocks([], 1e6, 0.8)
+    def test_no_contacts_gives_empty_triplets(self):
+        empty = contact_record([], [], np.empty((0, 3)), np.empty(0), np.empty(0, dtype=bool),
+                               np.empty((0, 3)), np.empty(0))
+        rows, cols, vals = fem._contact_blocks(empty, 1e6, 0.8)
         assert rows.size == cols.size == vals.size == 0
+
+
+RECORD_FIELDS = ("kind", "nodes", "normal", "depth", "fn", "force", "stick", "sdir", "snorm")
+
+
+def assert_state_matches_surface_loop(state, *args):
+    """state, fem._contact_state's result on args, bit for bit against
+    oracles.loop_contact_state's: f_ext, and each record field against the
+    pieces' values, surface after surface."""
+    f_ext, contacts = state
+    want_f, pieces = oracles.loop_contact_state(*args)
+    assert f_ext.tobytes() == want_f.tobytes()
+    for name in RECORD_FIELDS:
+        got = getattr(contacts, name)
+        want = [np.broadcast_to(p[name], p["nodes"].shape + got.shape[1:]) for p in pieces]
+        want = np.concatenate(want) if want else np.empty_like(got)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestContactStateOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_states_match_surface_loop(self, seed):
+        # a box seated just into the platform, pinched by tilted pads that
+        # press into both faces; random displacements and step starts mix
+        # stick and slip on every surface
+        rng = np.random.default_rng([11, seed])
+        mesh = generate_primitive_mesh("box", (0.06, 0.06, 0.06), 3).translated((0.0, 0.0, 0.03))
+        model = assemble_model(mesh, MaterialParams(friction_mu=rng.uniform(0.2, 1.0)))
+        axis = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.1, 0.1, 3)
+        grasp = GraspCandidate((0.0, rng.uniform(-0.01, 0.01), 0.03), axis / np.linalg.norm(axis), 0.05, 10.0)
+        cfg = SimConfig(platform_height=1e-4)
+        pads = fem._PadGeometry(grasp, cfg.platform_height)
+        u = rng.normal(0.0, 2e-5, 3 * mesh.num_nodes)
+        # slips from far inside to far outside the friction cones
+        slip = rng.normal(size=(mesh.num_nodes, 3)) * 10.0 ** rng.uniform(-7.0, -2.0, (mesh.num_nodes, 1))
+        u_start = u - slip.ravel()
+        args = (model, pads, 0.0598, u, u_start, cfg)
+        _, contacts = state = fem._contact_state(*args)
+        assert_state_matches_surface_loop(state, *args)
+        assert set(contacts.kind) == {fem.PAD_A, fem.PAD_B, fem.PLATFORM}
+        for kind in (fem.PAD_A, fem.PAD_B, fem.PLATFORM):
+            stick = contacts.stick[contacts.kind == kind]
+            assert stick.any() and not stick.all()
+
+    def test_no_contact_matches_surface_loop(self, box_model):
+        cfg = pinch_config()
+        pads = fem._PadGeometry(box_grasp(), cfg.platform_height)
+        u = np.zeros(3 * box_model.mesh.num_nodes)
+        args = (box_model, pads, 0.2, u, u, cfg)
+        _, contacts = state = fem._contact_state(*args)
+        assert_state_matches_surface_loop(state, *args)
+        assert contacts.nodes.size == 0
+
+    def test_every_state_of_a_platform_squeeze_matches_surface_loop(self, box_model, monkeypatch):
+        # the tilted pinch of a box on the platform from the LU replay test
+        kinds = []
+        original = fem._contact_state
+
+        def checked(*args):
+            state = original(*args)
+            assert_state_matches_surface_loop(state, *args)
+            kinds.append(set(state[1].kind))
+            return state
+
+        monkeypatch.setattr(fem, "_contact_state", checked)
+        grasp = GraspCandidate((0.0, 0.01, 0.035), np.array([1.0, 0.2, 0.0]) / np.hypot(1.0, 0.2), 0.05, 4.0)
+        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, grasp,
+                             SimConfig(platform_height=0.0))
+        assert len(frames) >= 3
+        assert {fem.PAD_A, fem.PAD_B, fem.PLATFORM} in kinds
