@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     EmptyFrameError,
+    HullError,
     InvalidInputError,
     MeshError,
     ParseError,

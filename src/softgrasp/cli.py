@@ -2,8 +2,12 @@
 
 Data tables go to stdout (tab-separated, '#' for summary lines); diagnostics
 go to stderr.  Exit codes: 0 success, 1 partial per-item failure, 2 config
-or I/O error.  All sampling is seeded, so equal inputs and seeds produce
-byte-identical outputs, regardless of --jobs.
+or I/O error.  A rank or bench candidate whose squeeze or wrench hull fails
+(SolverError, HullError) is a failed row.  When qhull cannot build a
+frame's wrench hull even from joggled input, metric and hull-info print
+"error: ..." to stderr, nothing to stdout, and exit 1.  All sampling is
+seeded, so equal inputs and seeds produce byte-identical outputs,
+regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import fileio
 from .contact import WrenchSpaceConfig, contact_centroid, default_torque_scale, orthonormal_tangents
-from .errors import ConfigError, InvalidInputError, ParseError, SolverError
+from .errors import ConfigError, HullError, InvalidInputError, ParseError, SolverError
 from .fem import (
     GraspCandidate,
     MaterialParams,
@@ -218,7 +222,10 @@ def _run_candidate(payload) -> GraspEvaluation:
         return GraspEvaluation(index, "empty", message="no contact frames")
     frame = step_frame(model, rc.sim, *last)
     del model
-    return evaluate_frames(first, frame, mesh.nodes, rc, index)
+    try:
+        return evaluate_frames(first, frame, mesh.nodes, rc, index)
+    except HullError as exc:
+        return GraspEvaluation(index, "failed", message=str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +669,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except HullError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

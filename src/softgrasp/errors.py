@@ -38,6 +38,10 @@ class SolverError(SoftGraspError):
         self.factorizations = factorizations
 
 
+class HullError(SoftGraspError):
+    """qhull could not build a full-dimensional hull, even on joggled input."""
+
+
 class ParseError(SoftGraspError, ValueError):
     """A file could not be parsed.  ``line`` is 1-based when known."""
 

@@ -163,6 +163,8 @@ def _parse_header(obj: dict, lineno: int) -> TrajectoryHeader:
     except ValueError as exc:
         raise ParseError(f"bad material: {exc}", line=lineno) from None
     mass = _get_num(obj, "mass", lineno)
+    if mass <= 0.0:
+        raise ParseError("mass must be > 0", line=lineno)
     rho = _get_num(obj, "torque_scale_rho", lineno)
     if rho <= 0.0:
         raise ParseError("torque_scale_rho must be > 0", line=lineno)

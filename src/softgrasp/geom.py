@@ -2,9 +2,10 @@
 
 Everything here works for 2 <= d <= 6 and treats flat (degenerate) point sets
 as first-class values: a polytope that does not span the full space has an
-affine_rank below dim, carries no facets, and all ball-radius quantities on it
-are zero.  Facet halfspaces use the convention normal . x <= offset with unit
-normals, so offsets are geometric distances from the origin.
+affine_rank below dim, carries no vertices or facets, and all ball-radius
+quantities on it are zero.  Facet halfspaces use the convention
+normal . x <= offset with unit normals, so offsets are geometric distances
+from the origin.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, HullError, InvalidInputError
 
 logger = logging.getLogger(__name__)
 
 # Rank cutoff: singular values above this fraction of the largest count.
 RANK_REL_TOL = 1e-9
-# Facet planes agreeing componentwise within this are merged.
-FACET_MERGE_TOL = 1e-9
 # Facet normals closer to perpendicular than this to a ray direction are
 # treated as not bounding the ray.
 _RAY_DOT_MIN = 1e-12
@@ -31,12 +30,13 @@ _RAY_DOT_MIN = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Convex body with vertex and (when full-dimensional) facet data.
+    """Convex body as qhull builds it, or the affine rank of a flat one.
 
-    vertices holds the extreme points only.  facet_normals / facet_offsets
-    are deduplicated geometric facets; facet_simplices triangulates the
-    boundary with rows of indices into vertices (it drives the fan volume).
-    Flat polytopes carry no facets, simplices or interior point.
+    vertices holds qhull's extreme points.  facet_normals / facet_offsets
+    are qhull's distinct facet planes with unit normals; facet_simplices
+    triangulates the boundary with rows of indices into vertices (it drives
+    the fan volume).  Flat polytopes carry no vertices, facets, simplices or
+    interior point.
     """
 
     dim: int
@@ -64,88 +64,47 @@ def affine_rank_of(points: np.ndarray) -> int:
     return int(np.count_nonzero(svals > RANK_REL_TOL * svals[0]))
 
 
-def _dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: float = FACET_MERGE_TOL):
-    """Merge near-identical facet planes (triangulated hulls repeat them).
+def _distinct_planes(equations: np.ndarray):
+    """qhull's facet planes as unit normals and offsets, each plane once.
 
-    Rows (normal, offset) are taken in sorted order, and a row is dropped
-    when it is within tol componentwise of the last row kept before it.
-    nxt[k] is the first row after k that is not within tol of row k, which
-    is the next row kept whenever k is kept; the kept rows are the path
-    0 -> nxt[0] -> ..., marked by pointer doubling.
+    Qt triangulation repeats the plane of every merged facet; the rows are
+    sorted lexicographically (column 0 first) and exact repeats dropped.
     """
-    rows = np.column_stack([normals, offsets])
-    # lexicographic order, column 0 first; exact repeats are dropped up front
+    lens = np.linalg.norm(equations[:, :-1], axis=1)
+    rows = np.column_stack([equations[:, :-1], -equations[:, -1]]) / lens[:, None]
     rows = rows[np.lexsort(rows.T[::-1])]
     fresh = np.ones(rows.shape[0], dtype=bool)
     fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     rows = rows[fresh]
-    n = rows.shape[0]
-    nxt = np.full(n, n)
-    pending = np.arange(n - 1)
-    step = 1
-    while pending.size:
-        cand = pending + step
-        inside = cand < n
-        pending, cand = pending[inside], cand[inside]
-        far = np.max(np.abs(rows[cand] - rows[pending]), axis=1) > tol
-        nxt[pending[far]] = cand[far]
-        pending = pending[~far]
-        step += 1
-    # after round r, keep marks every row reached from row 0 in < 2**(r+1) steps
-    jump = np.append(nxt, n)
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[0] = True
-    for _ in range(n.bit_length()):
-        keep[jump[keep]] = True
-        jump = jump[jump]
-    rows = rows[keep[:n]]
     return rows[:, :-1], rows[:, -1]
 
 
-def _log_joggle(pts: np.ndarray) -> None:
-    logger.info(
-        "qhull failed on %d points in %dD; retrying with joggled input (QJ)",
-        pts.shape[0], pts.shape[1],
-    )
+def _qhull(pts: np.ndarray):
+    """qhull's hull of pts, retried on joggled input when qhull fails.
 
-
-def _degenerate_hull(pts: np.ndarray, d: int, rank: int) -> Polytope:
-    """Extreme points of a flat point set, found inside its affine span."""
-    if rank == 0:
-        vertices = pts[:1].copy()
-    else:
-        mean = pts.mean(axis=0)
-        centered = pts - mean
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        proj = centered @ vt[:rank].T
-        if rank == 1:
-            idx = np.unique([int(np.argmin(proj[:, 0])), int(np.argmax(proj[:, 0]))])
-        else:
-            try:
-                idx = ConvexHull(proj).vertices
-            except QhullError:
-                _log_joggle(proj)
-                try:
-                    idx = ConvexHull(proj, qhull_options="QJ").vertices
-                except QhullError:
-                    idx = np.arange(pts.shape[0])
-        vertices = pts[np.sort(np.asarray(idx, dtype=int))]
-    return Polytope(
-        dim=d,
-        vertices=vertices,
-        facet_normals=np.zeros((0, d)),
-        facet_offsets=np.zeros(0),
-        affine_rank=rank,
-        interior_point=None,
-        facet_simplices=None,
-    )
+    The options tried, in order: none, then "QJ Qx" in 5-6D or "QJ" below,
+    then "QJ" in 5-6D.  Raises HullError when every attempt fails.
+    """
+    n, d = pts.shape
+    attempts = (None, "QJ Qx", "QJ") if d > 4 else (None, "QJ")
+    for i, opts in enumerate(attempts):
+        try:
+            return ConvexHull(pts, qhull_options=opts)
+        except QhullError as exc:
+            if i + 1 == len(attempts):
+                reason = str(exc).strip().split("\n", 1)[0]
+                raise HullError(f"qhull failed on {n} points in {d}D: {reason}") from exc
+        logger.info("qhull failed on %d points in %dD; retrying with joggled input (%s)",
+                    n, d, attempts[i + 1])
 
 
 def convex_hull(points, dim: int | None = None) -> Polytope:
-    """Convex hull of a point set in R^d, 2 <= d <= 6.
+    """qhull's convex hull of a point set in R^d, 2 <= d <= 6.
 
-    Full-rank inputs get facets and an interior point (the vertex centroid);
-    flat inputs come back degenerate with extreme points only.
+    Full-rank inputs get qhull's vertices, its distinct facet planes and an
+    interior point (the vertex centroid); a joggled retry returns the hull
+    of the joggled input.  Flat inputs get their affine rank only: no
+    vertices, facets or interior point, and no qhull call.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -160,26 +119,15 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
 
     rank = affine_rank_of(pts)
     if rank < d:
-        return _degenerate_hull(pts, d, rank)
+        return Polytope(dim=d, vertices=np.zeros((0, d)), facet_normals=np.zeros((0, d)),
+                        facet_offsets=np.zeros(0), affine_rank=rank)
 
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        _log_joggle(pts)
-        opts = "QJ Qx" if d > 4 else "QJ"
-        hull = ConvexHull(pts, qhull_options=opts)
-
+    hull = _qhull(pts)
     vidx = np.asarray(hull.vertices, dtype=int)
     vertices = pts[vidx]
     remap = np.full(pts.shape[0], -1, dtype=int)
     remap[vidx] = np.arange(vidx.size)
-    simplices = remap[hull.simplices]
-
-    raw_normals = hull.equations[:, :-1]
-    raw_offsets = -hull.equations[:, -1]
-    lens = np.linalg.norm(raw_normals, axis=1)
-    normals, offsets = _dedupe_facets(raw_normals / lens[:, None], raw_offsets / lens)
-
+    normals, offsets = _distinct_planes(hull.equations)
     return Polytope(
         dim=d,
         vertices=vertices,
@@ -187,7 +135,7 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
         facet_offsets=offsets,
         affine_rank=d,
         interior_point=vertices.mean(axis=0),
-        facet_simplices=simplices,
+        facet_simplices=remap[hull.simplices],
     )
 
 

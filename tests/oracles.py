@@ -160,28 +160,6 @@ def subspace_gravity_quality(
     return float(quality)
 
 
-def sequential_dedupe_facets(normals: np.ndarray, offsets: np.ndarray, tol: float = 1e-9):
-    """Facet merge as one greedy pass over the sorted (normal, offset) rows.
-
-    A row is dropped when it is within tol componentwise of the last row
-    kept before it.  This is the reference the vectorized merge in
-    geom._dedupe_facets must reproduce row for row.
-    """
-    rows = np.column_stack([normals, offsets])
-    rows = np.unique(rows, axis=0)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    keep = np.ones(rows.shape[0], dtype=bool)
-    last = 0
-    for i in range(1, rows.shape[0]):
-        if np.max(np.abs(rows[i] - rows[last])) <= tol:
-            keep[i] = False
-        else:
-            last = i
-    rows = rows[keep]
-    return rows[:, :-1], rows[:, -1]
-
-
 def loop_contact_state(model, pads, gap, u, u_step_start, cfg):
     """Penalty contact law evaluated surface by surface.
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 import oracles
 import softgrasp
@@ -19,6 +20,7 @@ from softgrasp import (
     desired_force_index,
     fem,
     generate_primitive_mesh,
+    geom,
     load_grasp_candidates,
     load_tet_mesh,
     load_trajectory,
@@ -415,6 +417,42 @@ class TestMetricAndHullInfoOutputs:
         with pytest.raises(RuntimeError, match="frame 2"):
             main([command, "--trajectory", str(FIXTURE_TRAJECTORY)])
         assert capsys.readouterr().out == ""
+
+
+def failing_qhull(monkeypatch):
+    def qhull(points, qhull_options=None):
+        raise QhullError("QH6271 forced failure")
+
+    monkeypatch.setattr(geom, "ConvexHull", qhull)
+
+
+class TestHullFailure:
+    def test_rank_reports_failed_candidates(self, workspace, capsys, caplog, monkeypatch):
+        failing_qhull(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "rank",
+            "--node", str(workspace / "box.node"),
+            "--ele", str(workspace / "box.ele"),
+            "--grasps", str(workspace / "good.jsonl"),
+            "--config", str(workspace / "run.cfg"),
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        header = lines[0].split("\t")
+        rows = [dict(zip(header, ln.split("\t"))) for ln in lines[1:]]
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert all(float(r[m]) == 0.0 for r in rows for m in ("epsilon", "volume", "gravity"))
+        assert "candidate 0: failed (qhull failed on " in caplog.text
+        assert "6D: QH6271 forced failure)" in caplog.text
+
+    @pytest.mark.parametrize("command", ["metric", "hull-info"])
+    def test_scoring_commands_print_error_exit_1(self, command, capsys, monkeypatch):
+        failing_qhull(monkeypatch)
+        code, out, err = run_cli(capsys, command, "--trajectory", str(FIXTURE_TRAJECTORY))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: qhull failed on ")
+        assert err.rstrip().endswith("6D: QH6271 forced failure")
 
 
 class TestExitCodes:

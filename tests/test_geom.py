@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import antipodal_patch_frame, dyadic_frame, random_frame, random_hu
 from softgrasp import geom
 from softgrasp import (
     DegenerateInputError,
+    HullError,
     InvalidInputError,
     Polytope,
     affine_rank_of,
@@ -20,7 +22,8 @@ from softgrasp import (
     WrenchSpaceConfig,
     frame_wrenches,
 )
-from softgrasp.geom import FACET_MERGE_TOL, _dedupe_facets
+
+DATA = Path(__file__).parent / "data"
 
 
 def cube_points(d):
@@ -36,6 +39,21 @@ def cross_points(d):
 def unit_dirs(rng, n, d):
     v = rng.normal(size=(n, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def recording_qhull(monkeypatch, failures=0):
+    """Patch geom.ConvexHull to record the options of every call and to
+    raise on the first failures calls; returns the list of options."""
+    options = []
+
+    def qhull(points, qhull_options=None):
+        options.append(qhull_options)
+        if len(options) <= failures:
+            raise QhullError("QH6271 forced failure\nmore detail")
+        return ConvexHull(points, qhull_options=qhull_options)
+
+    monkeypatch.setattr(geom, "ConvexHull", qhull)
+    return options
 
 
 class TestConvexHull:
@@ -93,22 +111,18 @@ class TestConvexHull:
         norms = np.linalg.norm(np.asarray(p.facet_normals), axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
-    def test_degenerate_inputs(self, rng):
-        # planar points in 3D: rank 2, flagged degenerate, no facets
+    def test_degenerate_inputs(self, rng, monkeypatch):
+        # flat sets get their affine rank only, without a qhull call
+        monkeypatch.setattr(geom, "ConvexHull", None)
         planar = np.hstack([rng.normal(size=(10, 2)), np.zeros((10, 1))])
-        p = convex_hull(planar, 3)
-        assert p.affine_rank == 2
-        assert not p.is_full_dimensional
-        assert len(p.facet_normals) == 0
-        # single point
-        p1 = convex_hull(np.array([[1.0, 2.0, 3.0]]), 3)
-        assert p1.affine_rank == 0
-        assert len(p1.vertices) == 1
-        # collinear points keep the two extremes
         line = np.outer(np.linspace(-2, 2, 9), np.array([1.0, 1.0, 0.0]))
-        pl = convex_hull(line, 3)
-        assert pl.affine_rank == 1
-        assert len(pl.vertices) == 2
+        for pts, rank in ((planar, 2), (np.array([[1.0, 2.0, 3.0]]), 0), (line, 1)):
+            p = convex_hull(pts, 3)
+            assert p.affine_rank == rank
+            assert not p.is_full_dimensional
+            assert p.vertices.shape == p.facet_normals.shape == (0, 3)
+            assert p.facet_offsets.shape == (0,)
+            assert p.interior_point is None and p.facet_simplices is None
 
     def test_errors(self):
         with pytest.raises(InvalidInputError):
@@ -128,15 +142,7 @@ class TestConvexHull:
 
 
     def test_joggle_retry_logged(self, rng, monkeypatch, caplog):
-        options = []
-
-        def failing_once(points, qhull_options=None):
-            options.append(qhull_options)
-            if len(options) == 1:
-                raise QhullError("forced failure")
-            return ConvexHull(points, qhull_options=qhull_options)
-
-        monkeypatch.setattr(geom, "ConvexHull", failing_once)
+        options = recording_qhull(monkeypatch, failures=1)
         pts = random_hull_points(rng, 6, 40)
         with caplog.at_level(logging.INFO, logger="softgrasp.geom"):
             poly = convex_hull(pts)
@@ -320,72 +326,49 @@ class TestVolume:
         assert polytope_volume(convex_hull(pts @ q.T, 4)) == pytest.approx(ref, rel=1e-9)
 
 
-def planted_facet_rows(rng, tol):
-    """Random facet rows plus clusters of near-duplicates around some of them.
-
-    Chains step 0.7*tol per row along a fixed direction, so neighbours are
-    within tol while the ends are not; scatter clusters put rows within
-    +-0.9*tol of a centre, so a row can be within tol of the kept row but
-    not of its predecessor; tight clusters differ only by rounding noise.
-    """
-    base = rng.normal(size=(40, 7))
-    base[:, :6] /= np.linalg.norm(base[:, :6], axis=1, keepdims=True)
-    rows = [base]
-    for centre in base[rng.choice(40, size=15, replace=False)]:
-        size = int(rng.integers(2, 9))
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            step = rng.uniform(-1.0, 1.0, size=7)
-            step *= 0.7 * tol / np.max(np.abs(step))
-            rows.append(centre + np.arange(1, size + 1)[:, None] * step)
-        elif kind == 1:
-            rows.append(centre + rng.uniform(-0.9, 0.9, size=(size, 7)) * tol)
-        else:
-            rows.append(centre + rng.uniform(-1.0, 1.0, size=(size, 7)) * 1e-15)
-    rows = np.vstack(rows)
-    return rows[rng.permutation(rows.shape[0])]
+def qhull_distinct_rows(hull):
+    """qhull's normalized (normal, offset) rows with exact repeats removed."""
+    lens = np.linalg.norm(hull.equations[:, :-1], axis=1)
+    rows = np.column_stack([hull.equations[:, :-1], -hull.equations[:, -1]]) / lens[:, None]
+    return np.unique(rows, axis=0)
 
 
-class TestDedupeFacets:
-    def assert_same_as_oracle(self, normals, offsets):
-        got_n, got_b = _dedupe_facets(normals, offsets)
-        want_n, want_b = oracles.sequential_dedupe_facets(normals, offsets, FACET_MERGE_TOL)
-        assert np.array_equal(got_n, want_n)
-        assert np.array_equal(got_b, want_b)
-
-    def test_planted_near_duplicate_chains(self, rng):
-        tol = FACET_MERGE_TOL
-        naive_differs = 0
-        for _ in range(60):
-            rows = planted_facet_rows(rng, tol)
-            self.assert_same_as_oracle(rows[:, :6], rows[:, 6])
-            # merging by consecutive differences alone is not the greedy rule
-            uniq = np.unique(rows, axis=0)
-            naive = uniq[np.r_[True, np.max(np.abs(np.diff(uniq, axis=0)), axis=1) > tol]]
-            want_n, _ = oracles.sequential_dedupe_facets(rows[:, :6], rows[:, 6], tol)
-            naive_differs += not np.array_equal(naive[:, :6], want_n)
-        assert naive_differs > 0
-
-    def test_small_inputs(self):
-        one = np.array([[1.0, 0.0, 0.0]])
-        self.assert_same_as_oracle(one, np.array([0.5]))
-        twice = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]])
-        self.assert_same_as_oracle(twice, np.array([0.5, 0.5]))
-        got_n, _ = _dedupe_facets(twice, np.array([0.5, 0.5]))
-        assert got_n.shape == (1, 3)
-        # exact repeats, equal up to the sign of zero
-        repeats = np.array([[1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [1.0, -0.0, 0.0], [0.0, 1.0, 0.0]])
-        self.assert_same_as_oracle(repeats, np.array([0.5, 0.0, 0.5, -0.0]))
-        got_n, _ = _dedupe_facets(repeats, np.array([0.5, 0.0, 0.5, -0.0]))
-        assert got_n.shape == (2, 3)
-
-    def test_real_wrench_hulls(self, rng):
+class TestQhullFacets:
+    def test_real_wrench_hulls_are_qhulls_distinct_planes(self, rng):
         cfg = WrenchSpaceConfig()
         frames = [antipodal_patch_frame(), dyadic_frame(rng, 4), dyadic_frame(rng, 8)]
         frames += [random_frame(rng, n) for n in (3, 4, 6, 8)]
         for frame in frames:
-            hull = ConvexHull(frame_wrenches(frame, cfg))
-            lens = np.linalg.norm(hull.equations[:, :-1], axis=1)
-            self.assert_same_as_oracle(
-                hull.equations[:, :-1] / lens[:, None], -hull.equations[:, -1] / lens
-            )
+            pts = frame_wrenches(frame, cfg)
+            p = convex_hull(pts, 6)
+            want = qhull_distinct_rows(ConvexHull(pts))
+            assert np.array_equal(np.column_stack([p.facet_normals, p.facet_offsets]), want)
+
+    def test_joggled_epsilon_is_qhulls_min_offset(self, monkeypatch):
+        # a joggled hull's planes are qhull's own: epsilon is their minimum
+        # offset, not that of a looser near-coplanar plane
+        pts = np.loadtxt(DATA / "joggled_hull_wrenches.txt")
+        options = recording_qhull(monkeypatch)
+        got = min_facet_distance(convex_hull(pts, 6))
+        assert options == [None, "QJ Qx"]
+        hull = ConvexHull(pts, qhull_options="QJ Qx")
+        offsets = -hull.equations[:, -1] / np.linalg.norm(hull.equations[:, :-1], axis=1)
+        assert got == max(0.0, float(offsets.min()))
+
+    def test_third_attempt_builds_hull(self, monkeypatch):
+        pts = np.loadtxt(DATA / "qhull_retry_wrenches.txt")
+        assert pts.shape == (329, 6)
+        options = recording_qhull(monkeypatch)
+        p = convex_hull(pts, 6)
+        assert options == [None, "QJ Qx", "QJ"]
+        assert p.is_full_dimensional
+        # qhull's own hulls of these points differ by about 1e-6 relative
+        assert polytope_volume(p) == pytest.approx(oracles.delaunay_volume(pts), rel=1e-5)
+
+    @pytest.mark.parametrize("dim, tried", [(3, [None, "QJ"]), (6, [None, "QJ Qx", "QJ"])])
+    def test_every_attempt_failing_raises_hull_error(self, dim, tried, rng, monkeypatch):
+        options = recording_qhull(monkeypatch, failures=3)
+        pts = random_hull_points(rng, dim, 8 * dim)
+        with pytest.raises(HullError, match=f"{8 * dim} points in {dim}D: QH6271 forced failure$"):
+            convex_hull(pts, dim)
+        assert options == tried

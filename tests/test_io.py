@@ -88,6 +88,17 @@ class TestTrajectoryErrors:
         with pytest.raises(UnsupportedVersionError, match="99"):
             read_trajectory(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("mass", -1.0), ("mass", 0.0), ("torque_scale_rho", -0.05), ("torque_scale_rho", 0.0),
+    ])
+    def test_header_value_not_positive(self, key, value, rng):
+        lines = self.valid_text(rng).splitlines()
+        head = json.loads(lines[0])
+        head[key] = value
+        with pytest.raises(ParseError, match=f"{key} must be > 0") as exc:
+            read_trajectory("\n".join([json.dumps(head)] + lines[1:]))
+        assert exc.value.line == 1
+
     def test_truncated_last_line_reports_progress(self, rng):
         text = self.valid_text(rng, count=4)
         bad = text.rstrip("\n")[:-20]
