@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .contact import WrenchSpaceConfig, contact_centroid, default_torque_scale, orthonormal_tangents
+from .contact import WrenchSpaceConfig, _integer, contact_centroid, default_torque_scale, orthonormal_tangents
 from .errors import ConfigError, HullError, InvalidInputError, ParseError, SolverError
 from .fem import (
     GraspCandidate,
@@ -80,14 +80,13 @@ class RunConfig:
     def __post_init__(self):
         try:
             self.wrench_config(1.0 if self.torque_scale_rho is None else self.torque_scale_rho)
+            proxy = _integer(self.proxy_directions, "proxy_directions", 1)
+            object.__setattr__(self, "proxy_directions", proxy)
+            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
         if not (np.isfinite(self.desired_force) and self.desired_force > 0.0):
             raise ConfigError("desired_force must be > 0")
-        if int(self.proxy_directions) < 1:
-            raise ConfigError("proxy_directions must be >= 1")
-        if int(self.seed) < 0:
-            raise ConfigError("seed must be >= 0")
 
     def wrench_config(self, rho: float) -> WrenchSpaceConfig:
         return WrenchSpaceConfig(
@@ -185,8 +184,8 @@ def evaluate_frames(first, frame, mesh_nodes, rc: RunConfig, index: int) -> Gras
 
     The squeeze stops at the first frame that reaches the desired force, so
     that frame is the one scored; a squeeze that stops short of it is scored
-    at its last frame and marked not reached.  first carries the contacts of
-    the first frame, which fix the torque scale.
+    at its last frame and marked not reached.  first is the squeeze's first
+    frame, whose contact centroid fixes the torque scale.
     """
     rho = rc.resolve_rho(mesh_nodes, contact_centroid(first))
     q = frame_quality(
@@ -205,9 +204,9 @@ def _run_candidate(payload) -> GraspEvaluation:
     """Squeeze a rank or bench candidate up to the frame they score, and score it.
 
     That is the first frame to reach desired_force, so the squeeze stops
-    there.  Only the first step's report (for its contacts) and the latest
-    step are kept, and only the scored frame gets a center of mass.  The
-    model and its LUs are freed before the frame's hull is built.
+    there.  Only the first frame (for the torque scale) and the latest step
+    are kept; frames are built for those two alone.  The model and its LUs
+    are freed before the frame's hull is built.
     """
     index, mesh, cand, rc = payload
     model = assemble_model(mesh, rc.material)
@@ -215,7 +214,7 @@ def _run_candidate(payload) -> GraspEvaluation:
     first = last = None
     try:
         for last in squeeze_steps(model, grasp, rc.sim):
-            first = first or last[2]
+            first = first or step_frame(model, rc.sim, *last)
     except SolverError as exc:
         return GraspEvaluation(index, "failed", message=str(exc))
     if last is None:

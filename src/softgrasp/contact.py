@@ -27,6 +27,23 @@ def _vec3(value, name: str) -> np.ndarray:
     return v
 
 
+def _integer(value, name: str, least: int) -> int:
+    """value as an int, when it is a whole number >= least.
+
+    An integral float such as 8.0 passes; 3.9 raises InvalidInputError
+    instead of being truncated.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise InvalidInputError(f"{name} must be >= {least}")
+    return n
+
+
 @dataclass(frozen=True)
 class ContactPoint:
     """One contact: deformed location, pushing direction, total force.
@@ -89,9 +106,7 @@ class WrenchSpaceConfig:
     def __post_init__(self):
         if not (np.isfinite(self.friction_mu) and self.friction_mu >= 0.0):
             raise InvalidInputError("friction_mu must be >= 0")
-        if int(self.cone_edges) < 3:
-            raise InvalidInputError("cone_edges must be >= 3")
-        object.__setattr__(self, "cone_edges", int(self.cone_edges))
+        object.__setattr__(self, "cone_edges", _integer(self.cone_edges, "cone_edges", 3))
         if not (np.isfinite(self.torque_scale_rho) and self.torque_scale_rho > 0.0):
             raise InvalidInputError("torque_scale_rho must be > 0")
         if self.force_normalization not in FORCE_MODES:

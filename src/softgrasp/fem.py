@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import ContactPoint, TrajectoryFrame, _vec3, orthonormal_tangents
+from .contact import ContactPoint, TrajectoryFrame, _integer, _vec3, orthonormal_tangents
 from .errors import InvalidInputError, MeshError, SolverError
 
 logger = logging.getLogger(__name__)
@@ -193,13 +193,14 @@ class SimConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        for name in ("penalty_stiffness", "max_fixedpoint_iters", "displacement_increment", "convergence_tol", "dt"):
+        for name in ("penalty_stiffness", "displacement_increment", "convergence_tol", "dt"):
             v = float(getattr(self, name))
             if not (np.isfinite(v) and v > 0.0):
                 raise InvalidInputError(f"{name} must be > 0")
         if not np.isfinite(self.platform_height):
             raise InvalidInputError("platform_height must be finite")
-        object.__setattr__(self, "max_fixedpoint_iters", int(self.max_fixedpoint_iters))
+        iters = _integer(self.max_fixedpoint_iters, "max_fixedpoint_iters", 1)
+        object.__setattr__(self, "max_fixedpoint_iters", iters)
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +222,22 @@ def _box_mesh(dims, resolution: int) -> TetMesh:
     zs = np.linspace(-lz / 2.0, lz / 2.0, n + 1)
     gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    # cells in (i, j, k) order, six tets each in _KUHN_ORDERS order; a tet's
+    # corners walk from the cell's low corner one axis step at a time
+    cells = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    steps = np.cumsum(np.eye(3, dtype=int)[list(_KUHN_ORDERS)], axis=1)
+    walks = np.concatenate([np.zeros((len(_KUHN_ORDERS), 1, 3), dtype=int), steps], axis=1)
+    i, j, k = np.moveaxis(cells + walks, -1, 0)
+    tets = ((i * (n + 1) + j) * (n + 1) + k).reshape(-1, 4)
+    return TetMesh(nodes=nodes, tets=_positive_tets(nodes, tets))
 
-    def nid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
 
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for order in _KUHN_ORDERS:
-                    corners = [base.copy()]
-                    cur = base.copy()
-                    for axis in order:
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        corners.append(cur)
-                    idx = [nid(*c) for c in corners]
-                    tets.append(idx)
-    tets = np.array(tets, dtype=int)
-    vols = tet_volumes(nodes, tets)
-    flip = vols < 0.0
+def _positive_tets(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """tets, each one of negative signed volume flipped by swapping its last
+    two corners (in place)."""
+    flip = tet_volumes(nodes, tets) < 0.0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    return TetMesh(nodes=nodes, tets=tets)
+    return tets
 
 
 def _split_prism(v) -> list[tuple[int, int, int, int]]:
@@ -313,10 +307,7 @@ def _cylinder_mesh(radius: float, height: float, resolution: int) -> TetMesh:
             prism = [lo + a, lo + b, lo + c, hi + a, hi + b, hi + c]
             tets.extend(_split_prism(prism))
     tets = np.array(tets, dtype=int)
-    vols = tet_volumes(nodes, tets)
-    flip = vols < 0.0
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    return TetMesh(nodes=nodes, tets=tets)
+    return TetMesh(nodes=nodes, tets=_positive_tets(nodes, tets))
 
 
 def _sphereish_mesh(radius: float, resolution: int) -> TetMesh:
@@ -469,24 +460,6 @@ def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
 PAD_A, PAD_B, PLATFORM = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """Converged-step summary: contacts, per-surface force sums, solver stats.
-
-    iterations counts Newton loop passes, i.e. solves + 1 on a step that
-    converged before the iteration cap.  factorizations counts the fresh LU
-    factorizations among those solves; the rest reused an all-stick LU the
-    model kept (see _factorize).
-    """
-
-    contacts: tuple[ContactPoint, ...]
-    finger_normal_forces: tuple[float, float]
-    platform_force: np.ndarray
-    residual: float
-    iterations: int
-    factorizations: int
-
-
 class _PadGeometry:
     """Cached pad frame: axis, tangents, the surfaces' normals, and the
     lateral bound test."""
@@ -535,6 +508,27 @@ class _Contacts:
     stick: np.ndarray
     sdir: np.ndarray
     snorm: np.ndarray
+
+
+@dataclass(frozen=True)
+class StepReport:
+    """A converged step: its contact record and its solver counts.
+
+    iterations counts Newton loop passes, i.e. solves + 1 on a step that
+    converged before the iteration cap.  factorizations counts the fresh LU
+    factorizations among those solves; the rest reused an all-stick LU the
+    model kept (see _factorize).
+    """
+
+    contacts: _Contacts
+    residual: float
+    iterations: int
+    factorizations: int
+
+    @property
+    def squeeze_force(self) -> float:
+        """Pad A's normal force sum."""
+        return float(self.contacts.fn[self.contacts.kind == PAD_A].sum())
 
 
 def _contact_state(model, pads, gap, u, u_step_start, cfg):
@@ -591,7 +585,7 @@ def quasi_static_step(
 
     u_start is the converged flat displacement vector (3n,) of the previous
     increment; the finger gap is the new, smaller opening.  Returns the new
-    displacement vector and a contact report.  Raises SolverError when the
+    displacement vector and the step's report.  Raises SolverError when the
     residual fails to reach convergence_tol.
     """
     if gap <= 0.0:
@@ -641,7 +635,7 @@ def quasi_static_step(
     # the loop stops at the first converged state, so only the current one
     # can be converged; least is the smallest residual seen, for the error
     if res_norm < cfg.convergence_tol:
-        return u, _build_report(model, u, contacts, res_norm, iterations, factorizations)
+        return u, StepReport(contacts, res_norm, iterations, factorizations)
     raise SolverError(
         f"no convergence after {cfg.max_fixedpoint_iters} iterations "
         f"(residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
@@ -711,23 +705,6 @@ def _factorize(model, contacts: _Contacts, kp: float):
     return lu, True
 
 
-def _build_report(model, u, contacts: _Contacts, res_norm, iterations, factorizations) -> StepReport:
-    on_pad = contacts.kind != PLATFORM
-    nodes = contacts.nodes[on_pad]
-    x = model.mesh.nodes[nodes] + u.reshape(-1, 3)[nodes]
-    return StepReport(
-        contacts=tuple(
-            ContactPoint(position=p, normal=n, force=f)
-            for p, n, f in zip(x, contacts.normal[on_pad], contacts.force[on_pad])
-        ),
-        finger_normal_forces=tuple(float(contacts.fn[contacts.kind == k].sum()) for k in (PAD_A, PAD_B)),
-        platform_force=contacts.force[contacts.kind == PLATFORM].sum(axis=0),
-        residual=res_norm,
-        iterations=iterations,
-        factorizations=factorizations,
-    )
-
-
 def run_squeeze(
     mesh: TetMesh,
     mat: MaterialParams,
@@ -767,11 +744,11 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
         step_idx += 1
         gap = gap0 - step_idx * cfg.displacement_increment
         u, report = quasi_static_step(model, grasp, gap, u, cfg)
-        if not report.contacts:
+        if np.all(report.contacts.kind == PLATFORM):
             continue
         touched = True
         yield step_idx, u, report
-        if report.finger_normal_forces[0] >= grasp.max_force:
+        if report.squeeze_force >= grasp.max_force:
             return
     if not touched:
         logger.warning(
@@ -782,12 +759,18 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
 
 
 def step_frame(model: AssembledModel, cfg: SimConfig, step_idx: int, u, report) -> TrajectoryFrame:
-    """The frame of one squeeze_steps increment, with its deformed center of mass."""
+    """The frame of one squeeze_steps increment: its pad contacts at their
+    deformed positions, and its deformed center of mass."""
     deformed = model.mesh.nodes + u.reshape(-1, 3)
+    c = report.contacts
+    on_pad = c.kind != PLATFORM
     return TrajectoryFrame(
         time=step_idx * cfg.dt,
-        contacts=report.contacts,
-        squeeze_force=report.finger_normal_forces[0],
+        contacts=tuple(
+            ContactPoint(position=p, normal=n, force=f)
+            for p, n, f in zip(deformed[c.nodes[on_pad]], c.normal[on_pad], c.force[on_pad])
+        ),
+        squeeze_force=report.squeeze_force,
         com=mesh_center_of_mass(deformed, model.mesh.tets),
         mass=model.mass,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import TrajectoryFrame, WrenchSpaceConfig, build_gws, contact_centroid
+from .contact import TrajectoryFrame, WrenchSpaceConfig, _integer, build_gws, contact_centroid
 from .errors import InvalidInputError, UndefinedCorrelationWarning
 from .geom import Polytope, _unit_rows, min_facet_distance, polytope_volume, ray_exit_distances
 
@@ -58,9 +58,7 @@ class GravityConfig:
             dirs = _unit_rows(self.custom_directions, 3, "custom_directions")
             object.__setattr__(self, "custom_directions", dirs)
             object.__setattr__(self, "num_directions", dirs.shape[0])
-        if int(self.num_directions) < 4:
-            raise InvalidInputError("need at least 4 gravity directions")
-        object.__setattr__(self, "num_directions", int(self.num_directions))
+        object.__setattr__(self, "num_directions", _integer(self.num_directions, "num_directions", 4))
 
 
 def gravity_directions(gcfg: GravityConfig) -> np.ndarray:

@@ -154,6 +154,22 @@ seed = 9
 """
 
 
+class TestIntegerSettings:
+    @pytest.mark.parametrize("cls, name, value, error", [
+        (fem.SimConfig, "max_fixedpoint_iters", 0.5, softgrasp.InvalidInputError),
+        (WrenchSpaceConfig, "cone_edges", 3.9, softgrasp.InvalidInputError),
+        (metrics.GravityConfig, "num_directions", 4.9, softgrasp.InvalidInputError),
+        (RunConfig, "proxy_directions", 2.5, ConfigError),
+        (RunConfig, "seed", -0.5, ConfigError),
+    ])
+    def test_fraction_rejected_integral_float_stored_as_int(self, cls, name, value, error):
+        # a fraction is rejected, not truncated past the minimum check
+        with pytest.raises(error, match=f"{name} must be an integer"):
+            cls(**{name: value})
+        stored = getattr(cls(**{name: 8.0}), name)
+        assert type(stored) is int and stored == 8
+
+
 def docs_config_table() -> dict:
     """docs/formats.md's run-configuration table: key -> {column: cell}."""
     section = DOCS.read_text(encoding="utf-8").split("## Run configuration", 1)[1].split("\n## ", 1)[0]
@@ -770,6 +786,34 @@ class TestScoredFrameStop:
         cand = load_grasp_candidates(workspace / "good.jsonl")[0]
         assert _run_candidate((0, mesh, cand, rc)).status == "ok"
 
+    def test_contact_points_built_for_kept_frames_only(self, monkeypatch):
+        # each step carries its contact record; ContactPoints are made for
+        # the first frame (the torque scale) and the scored frame alone
+        built, kept, touched = [], [], []
+        real_evaluate, real_steps = cli.evaluate_frames, cli.squeeze_steps
+
+        class CountedContactPoint(fem.ContactPoint):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        def evaluate(first, frame, *args):
+            kept.append(len(first.contacts) + len(frame.contacts))
+            return real_evaluate(first, frame, *args)
+
+        def squeeze_steps(*args):
+            for step in real_steps(*args):
+                touched.append(step[0])
+                yield step
+
+        monkeypatch.setattr(fem, "ContactPoint", CountedContactPoint)
+        monkeypatch.setattr(cli, "evaluate_frames", evaluate)
+        monkeypatch.setattr(cli, "squeeze_steps", squeeze_steps)
+        mesh, cands = bench_candidates("box", 1)
+        assert _run_candidate((0, mesh, cands[0], MIDAIR)).status == "ok"
+        assert len(touched) > 2
+        assert len(built) == kept[0] > 0
+
     def test_failure_past_scored_frame_is_not_squeezed(self, workspace, capsys, monkeypatch, tmp_path):
         rc = load_run_config(workspace / "run.cfg")
         mesh = load_tet_mesh(workspace / "box.node", workspace / "box.ele")
@@ -786,7 +830,7 @@ class TestScoredFrameStop:
             if reached:
                 raise SolverError("injected failure past the desired force")
             u, report = real_step(*args)
-            if report.finger_normal_forces[0] >= rc.desired_force:
+            if report.squeeze_force >= rc.desired_force:
                 reached.append(True)
             return u, report
 

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +27,20 @@ from softgrasp import (
 )
 
 NO_PLATFORM = -10.0  # platform far below every test object
+
+# SHA-256 of each bench mesh's nodes (float64) and tets (int64).  Every
+# squeeze output depends on node order and tet orientation, so mesh
+# generation must stay bit for bit (the sphere is a mapped box grid).
+BENCH_MESH_SHA256 = {
+    "box": ("039a33affcc83f7e3c5ba72f0274b900e7a4dfc5324991268894bac798594a28",
+            "f528f13f0f7a6426ee709d7aa9f61736c0b0f454bbc92978e8c35eec5d9ebe32"),
+    "slab": ("f58928fd4959a0da09b40d5c339c748a561d8dcdd4a9108c4200e5224b34652e",
+             "8aa959e8b4da15e42bcb74a6e5653af7bd7fa0f1f7456db2062df34e07e7f932"),
+    "cylinder": ("05cc26bb60dbb49ebbc0f90d205b719b085d6ed5206a1d763f9d66031e020cc2",
+                 "7e9c06f7b2ce6f2c72e7843b9c21d4d07c19b29a06df345c7ff46cc80f319e26"),
+    "sphere": ("32685c988e7e9bdefcaa06ccf6b11a90fafce637436ccd95156e82a5c83252d6",
+               "8aa959e8b4da15e42bcb74a6e5653af7bd7fa0f1f7456db2062df34e07e7f932"),
+}
 
 
 def surface_edge_counts(faces):
@@ -110,6 +127,13 @@ class TestMeshGeneration:
         shifted = m.translated(t)
         assert np.allclose(shifted.nodes, m.nodes + t)
         assert shifted.volume() == pytest.approx(m.volume(), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_MESH_SHA256))
+    def test_bench_meshes_golden(self, name):
+        mesh = cli.bench_mesh(name)
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=dt).tobytes()).hexdigest()
+                        for a, dt in ((mesh.nodes, np.float64), (mesh.tets, np.int64)))
+        assert digests == BENCH_MESH_SHA256[name]
 
     def test_generation_errors(self):
         with pytest.raises(InvalidInputError):
@@ -353,14 +377,32 @@ def pinch_config(**overrides):
     return SimConfig(**kw)
 
 
+def on_pads(contacts):
+    """Row mask of a contact record's finger-pad contacts."""
+    return contacts.kind != fem.PLATFORM
+
+
+def pad_normal_forces(contacts):
+    """Pad A's and pad B's normal force sums of a contact record."""
+    return tuple(float(contacts.fn[contacts.kind == k].sum()) for k in (fem.PAD_A, fem.PAD_B))
+
+
 class TestQuasiStaticStep:
     def test_gap_wider_than_object(self, box_model):
         cfg = pinch_config()
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
         u, report = quasi_static_step(box_model, box_grasp(), 0.2, u0, cfg)
         assert np.all(u == 0.0)
-        assert report.contacts == ()
-        assert report.finger_normal_forces == (0.0, 0.0)
+        assert not np.any(on_pads(report.contacts))
+        assert pad_normal_forces(report.contacts) == (0.0, 0.0)
+
+    def test_report_is_the_contact_record_and_solver_counts(self, box_model):
+        assert [f.name for f in dataclasses.fields(fem.StepReport)] == [
+            "contacts", "residual", "iterations", "factorizations"]
+        u0 = np.zeros(3 * box_model.mesh.num_nodes)
+        _, report = quasi_static_step(box_model, box_grasp(), 0.0599, u0, pinch_config())
+        assert isinstance(report.contacts, fem._Contacts)
+        assert report.squeeze_force == pad_normal_forces(report.contacts)[0] > 0.0
 
     def test_nonpositive_gap_rejected(self, box_model):
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
@@ -372,17 +414,17 @@ class TestQuasiStaticStep:
         grasp = GraspCandidate((0.0, 0.2, 0.0), (1.0, 0, 0), 0.01, 10.0)
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
         u, report = quasi_static_step(box_model, grasp, 0.03, u0, pinch_config())
-        assert report.contacts == ()
+        assert not np.any(on_pads(report.contacts))
 
     def test_symmetric_step_balance(self, box_model):
         cfg = pinch_config()
         u = np.zeros(3 * box_model.mesh.num_nodes)
         for gap in (0.0601, 0.0599, 0.0597):
             u, report = quasi_static_step(box_model, box_grasp(), gap, u, cfg)
-        assert len(report.contacts) > 0
-        total = sum(c.force for c in report.contacts) + report.platform_force
+        assert np.any(on_pads(report.contacts))
+        total = report.contacts.force.sum(axis=0)
         assert np.linalg.norm(total) <= 10.0 * cfg.convergence_tol
-        fa, fb = report.finger_normal_forces
+        fa, fb = pad_normal_forces(report.contacts)
         assert abs(fa - fb) <= 0.01 * max(fa, fb)
         assert report.residual < cfg.convergence_tol
 
@@ -397,8 +439,9 @@ class TestQuasiStaticStep:
         u = np.zeros(3 * mesh.num_nodes)
         for gap in (0.0598, 0.0594, 0.0590):
             u, report = quasi_static_step(model, box_grasp(), gap, u, cfg)
-        assert report.platform_force[2] > 0.0
-        total = sum(c.force for c in report.contacts) + report.platform_force
+        contacts = report.contacts
+        assert contacts.force[contacts.kind == fem.PLATFORM].sum(axis=0)[2] > 0.0
+        total = contacts.force.sum(axis=0)
         assert np.linalg.norm(total) <= 10.0 * cfg.convergence_tol
 
     def test_solver_error_carries_residual(self, box_model):
@@ -427,10 +470,11 @@ class TestQuasiStaticStep:
         grasp = GraspCandidate((0.0, 0.01, 0.005), (1.0, 0, 0), 0.05, 50.0)
         for gap in (0.0601, 0.0597, 0.0593):
             u, report = quasi_static_step(box_model, grasp, gap, u, cfg)
-        assert len(report.contacts) > 0
-        for c in report.contacts:
-            fn = float(c.force @ c.normal)
-            ft = float(np.linalg.norm(c.force - fn * c.normal))
+        pads = on_pads(report.contacts)
+        assert np.any(pads)
+        for force, normal in zip(report.contacts.force[pads], report.contacts.normal[pads]):
+            fn = float(force @ normal)
+            ft = float(np.linalg.norm(force - fn * normal))
             assert ft <= mu * fn + 1e-9
 
 
@@ -501,10 +545,10 @@ class TestRunSqueeze:
         for step in range(1, 13):
             gap = gap0 - step * cfg.displacement_increment
             u, report = quasi_static_step(box_model, grasp, gap, u, cfg)
-            if len(report.contacts) == 0:
+            if not np.any(on_pads(report.contacts)):
                 continue
             energies.append(0.5 * float(u @ (box_model.stiffness @ u)))
-            total = sum(c.force for c in report.contacts) + report.platform_force
+            total = report.contacts.force.sum(axis=0)
             assert np.linalg.norm(total) <= 10.0 * cfg.convergence_tol
         assert len(energies) >= 6
         e = np.array(energies)
