@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .contact import WrenchSpaceConfig, _integer, contact_centroid, default_torque_scale, orthonormal_tangents
-from .errors import ConfigError, HullError, InvalidInputError, ParseError, SolverError
+from .contact import WrenchSpaceConfig, contact_centroid, default_torque_scale, orthonormal_tangents
+from .errors import ConfigError, HullError, InvalidInputError, ParseError, SolverError, check_fields, finite, integer
 from .fem import (
     GraspCandidate,
     MaterialParams,
@@ -79,14 +79,17 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            self.wrench_config(1.0 if self.torque_scale_rho is None else self.torque_scale_rho)
-            proxy = _integer(self.proxy_directions, "proxy_directions", 1)
-            object.__setattr__(self, "proxy_directions", proxy)
-            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+            # the wrench-space fields are checked, and stored converted, by
+            # the WrenchSpaceConfig they build
+            wcfg = self.wrench_config(1.0 if self.torque_scale_rho is None else self.torque_scale_rho)
+            object.__setattr__(self, "cone_edges", wcfg.cone_edges)
+            if self.torque_scale_rho is not None:
+                object.__setattr__(self, "torque_scale_rho", wcfg.torque_scale_rho)
+            check_fields(self, integer, "proxy_directions", least=1)
+            check_fields(self, integer, "seed", least=0)
+            check_fields(self, finite, "desired_force", above=0.0)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None
-        if not (np.isfinite(self.desired_force) and self.desired_force > 0.0):
-            raise ConfigError("desired_force must be > 0")
 
     def wrench_config(self, rho: float) -> WrenchSpaceConfig:
         return WrenchSpaceConfig(
@@ -553,12 +556,8 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
             (name, len(evals), failed, empty, scores["epsilon"], scores["volume"], scores["gravity"])
         )
         logger.info("bench %s: %s", name, scores)
-    ordered = sum(
-        1
-        for (*_, eps, vol, grav) in rows
-        if np.isfinite(eps) and np.isfinite(vol) and np.isfinite(grav)
-        and grav >= vol >= eps
-    )
+    # a NaN correlation compares false, so its object is not ordered
+    ordered = sum(1 for (*_, eps, vol, grav) in rows if grav >= vol >= eps)
     return rows, ordered
 
 

@@ -12,36 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFrameError, InvalidInputError
+from .errors import EmptyFrameError, InvalidInputError, check_fields, finite, integer, vec3
 from .geom import Polytope, convex_hull
 
 FORCE_MODES = ("unit-edge", "reported-force")
-
-
-def _vec3(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise InvalidInputError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} has non-finite components")
-    return v
-
-
-def _integer(value, name: str, least: int) -> int:
-    """value as an int, when it is a whole number >= least.
-
-    An integral float such as 8.0 passes; 3.9 raises InvalidInputError
-    instead of being truncated.
-    """
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if n < least:
-        raise InvalidInputError(f"{name} must be >= {least}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -59,12 +33,8 @@ class ContactPoint:
     force: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position, "position"))
-        object.__setattr__(self, "force", _vec3(self.force, "force"))
-        n = _vec3(self.normal, "normal")
-        if abs(float(np.linalg.norm(n)) - 1.0) > 1e-6:
-            raise InvalidInputError("contact normal must be unit length (1e-6)")
-        object.__setattr__(self, "normal", n)
+        check_fields(self, vec3, "position", "force")
+        check_fields(self, vec3, "normal", unit=True)
 
 
 @dataclass(frozen=True)
@@ -79,19 +49,9 @@ class TrajectoryFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "contacts", tuple(self.contacts))
-        object.__setattr__(self, "com", _vec3(self.com, "com"))
-        t = float(self.time)
-        if not (np.isfinite(t) and t >= 0.0):
-            raise InvalidInputError("time must be finite and nonnegative")
-        object.__setattr__(self, "time", t)
-        m = float(self.mass)
-        if not (np.isfinite(m) and m > 0.0):
-            raise InvalidInputError("mass must be positive")
-        object.__setattr__(self, "mass", m)
-        s = float(self.squeeze_force)
-        if not (np.isfinite(s) and s >= 0.0):
-            raise InvalidInputError("squeeze_force must be nonnegative")
-        object.__setattr__(self, "squeeze_force", s)
+        check_fields(self, vec3, "com")
+        check_fields(self, finite, "time", "squeeze_force", least=0.0)
+        check_fields(self, finite, "mass", above=0.0)
 
 
 @dataclass(frozen=True)
@@ -104,11 +64,9 @@ class WrenchSpaceConfig:
     force_normalization: str = "unit-edge"
 
     def __post_init__(self):
-        if not (np.isfinite(self.friction_mu) and self.friction_mu >= 0.0):
-            raise InvalidInputError("friction_mu must be >= 0")
-        object.__setattr__(self, "cone_edges", _integer(self.cone_edges, "cone_edges", 3))
-        if not (np.isfinite(self.torque_scale_rho) and self.torque_scale_rho > 0.0):
-            raise InvalidInputError("torque_scale_rho must be > 0")
+        check_fields(self, finite, "friction_mu", least=0.0)
+        check_fields(self, integer, "cone_edges", least=3)
+        check_fields(self, finite, "torque_scale_rho", above=0.0)
         if self.force_normalization not in FORCE_MODES:
             raise InvalidInputError(
                 f"force_normalization must be one of {FORCE_MODES}, got {self.force_normalization!r}"
@@ -128,7 +86,7 @@ def orthonormal_tangents(normal) -> tuple[np.ndarray, np.ndarray]:
     Seeds t1 from the coordinate axis least aligned with the normal, so the
     basis is reproducible across runs and never degenerate.
     """
-    n = _vec3(normal, "normal")
+    n = vec3(normal, "normal")
     a = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[a] = 1.0
@@ -143,17 +101,15 @@ def friction_pyramid(normal, mu: float, m: int) -> np.ndarray:
 
     edge_j = normalize(n + mu * (cos(2*pi*j/m) t1 + sin(2*pi*j/m) t2)).
     """
-    n = _vec3(normal, "normal")
+    n = vec3(normal, "normal")
     length = float(np.linalg.norm(n))
     if length < 1e-12:
         raise InvalidInputError("zero contact normal")
-    if int(m) < 3:
-        raise InvalidInputError("need at least 3 pyramid edges")
-    if not (np.isfinite(mu) and mu >= 0.0):
-        raise InvalidInputError("mu must be >= 0")
+    m = integer(m, "m", 3)
+    mu = finite(mu, "mu", least=0.0)
     n = n / length
     t1, t2 = orthonormal_tangents(n)
-    theta = 2.0 * np.pi * np.arange(int(m)) / int(m)
+    theta = 2.0 * np.pi * np.arange(m) / m
     edges = n[None, :] + mu * (np.cos(theta)[:, None] * t1 + np.sin(theta)[:, None] * t2)
     return edges / np.linalg.norm(edges, axis=1)[:, None]
 
@@ -189,6 +145,6 @@ def default_torque_scale(mesh_nodes, centroid) -> float:
     all-coincident cloud.
     """
     nodes = np.asarray(mesh_nodes, dtype=float)
-    c = _vec3(centroid, "centroid")
+    c = vec3(centroid, "centroid")
     r = float(np.max(np.linalg.norm(nodes - c, axis=1)))
     return r if r > 0.0 else 1.0

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import ContactPoint, TrajectoryFrame, _integer, _vec3, orthonormal_tangents
-from .errors import InvalidInputError, MeshError, SolverError
+from .contact import ContactPoint, TrajectoryFrame, orthonormal_tangents
+from .errors import InvalidInputError, MeshError, SolverError, check_fields, finite, integer, vec3
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ class TetMesh:
         return float(tet_volumes(self.nodes, self.tets).sum())
 
     def translated(self, offset) -> "TetMesh":
-        return TetMesh(nodes=self.nodes + _vec3(offset, "offset"), tets=self.tets)
+        return TetMesh(nodes=self.nodes + vec3(offset, "offset"), tets=self.tets)
 
 
 def tet_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -139,14 +139,9 @@ class MaterialParams:
     density: float = 500.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.youngs_modulus) and self.youngs_modulus > 0.0):
-            raise InvalidInputError("youngs_modulus must be > 0")
-        if not (0.0 < self.poisson_ratio < 0.5):
-            raise InvalidInputError("poisson_ratio must lie in (0, 0.5)")
-        if not (np.isfinite(self.friction_mu) and self.friction_mu >= 0.0):
-            raise InvalidInputError("friction_mu must be >= 0")
-        if not (np.isfinite(self.density) and self.density > 0.0):
-            raise InvalidInputError("density must be > 0")
+        check_fields(self, finite, "youngs_modulus", "density", above=0.0)
+        check_fields(self, finite, "poisson_ratio", above=0.0, below=0.5)
+        check_fields(self, finite, "friction_mu", least=0.0)
 
     def lame(self) -> tuple[float, float]:
         e, nu = self.youngs_modulus, self.poisson_ratio
@@ -165,15 +160,9 @@ class GraspCandidate:
     max_force: float
 
     def __post_init__(self):
-        object.__setattr__(self, "grasp_center", _vec3(self.grasp_center, "grasp_center"))
-        axis = _vec3(self.approach_axis, "approach_axis")
-        if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-6:
-            raise InvalidInputError("approach_axis must be unit length")
-        object.__setattr__(self, "approach_axis", axis)
-        if not (np.isfinite(self.finger_halfwidth) and self.finger_halfwidth > 0.0):
-            raise InvalidInputError("finger_halfwidth must be > 0")
-        if not (np.isfinite(self.max_force) and self.max_force > 0.0):
-            raise InvalidInputError("max_force must be > 0")
+        check_fields(self, vec3, "grasp_center")
+        check_fields(self, vec3, "approach_axis", unit=True)
+        check_fields(self, finite, "finger_halfwidth", "max_force", above=0.0)
 
 
 @dataclass(frozen=True)
@@ -193,14 +182,10 @@ class SimConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        for name in ("penalty_stiffness", "displacement_increment", "convergence_tol", "dt"):
-            v = float(getattr(self, name))
-            if not (np.isfinite(v) and v > 0.0):
-                raise InvalidInputError(f"{name} must be > 0")
-        if not np.isfinite(self.platform_height):
-            raise InvalidInputError("platform_height must be finite")
-        iters = _integer(self.max_fixedpoint_iters, "max_fixedpoint_iters", 1)
-        object.__setattr__(self, "max_fixedpoint_iters", iters)
+        check_fields(self, finite, "penalty_stiffness", "displacement_increment", "convergence_tol",
+                     "dt", above=0.0)
+        check_fields(self, finite, "platform_height")
+        check_fields(self, integer, "max_fixedpoint_iters", least=1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +199,8 @@ _KUHN_ORDERS = (
 )
 
 
-def _box_mesh(dims, resolution: int) -> TetMesh:
+def _box_mesh(dims, n: int) -> TetMesh:
     lx, ly, lz = dims
-    n = int(resolution)
     xs = np.linspace(-lx / 2.0, lx / 2.0, n + 1)
     ys = np.linspace(-ly / 2.0, ly / 2.0, n + 1)
     zs = np.linspace(-lz / 2.0, lz / 2.0, n + 1)
@@ -292,9 +276,8 @@ def _disk_points_and_tris(radius: float, rings: int, ntheta: int):
 
 
 def _cylinder_mesh(radius: float, height: float, resolution: int) -> TetMesh:
-    rings = max(1, int(resolution))
-    ntheta = max(16, 8 * int(resolution))
-    layers = max(1, int(resolution))
+    rings = layers = resolution
+    ntheta = max(16, 8 * resolution)
     pts2d, tris = _disk_points_and_tris(radius, rings, ntheta)
     npl = pts2d.shape[0]
     zs = np.linspace(-height / 2.0, height / 2.0, layers + 1)
@@ -330,35 +313,36 @@ def _sphereish_mesh(radius: float, resolution: int) -> TetMesh:
     return TetMesh(nodes=nodes, tets=box.tets)
 
 
+# Each primitive kind's dims, in order, and its least resolution.
+_PRIMITIVES = {
+    "box": (("lx", "ly", "lz"), 1),
+    "cylinder": (("radius", "height"), 1),
+    "sphere-ish": (("radius",), 2),
+}
+
+
 def generate_primitive_mesh(kind: str, dims, resolution: int = 6) -> TetMesh:
     """Structured tet mesh of a primitive solid.
 
     kind "box": dims (lx, ly, lz), resolution cells per edge.
     kind "cylinder": dims (radius, height).
-    kind "sphere-ish": dims (radius,) or scalar.
+    kind "sphere-ish": dims (radius,) or scalar; resolution >= 2.
+    Every dim must be a positive length and resolution a whole number.
     All meshes are centered at the origin.
     """
-    if int(resolution) < 1:
-        raise InvalidInputError("resolution must be >= 1")
-    resolution = int(resolution)
+    if kind not in _PRIMITIVES:
+        raise InvalidInputError(f"unknown primitive kind {kind!r}")
+    names, least = _PRIMITIVES[kind]
+    d = np.asarray(dims, dtype=float).reshape(-1)
+    if d.size != len(names):
+        raise InvalidInputError(f"{kind} dims must be ({', '.join(names)})")
+    lengths = [finite(v, f"{kind} {name}", above=0.0) for name, v in zip(names, d)]
+    resolution = integer(resolution, "resolution", least)
     if kind == "box":
-        d = np.asarray(dims, dtype=float).reshape(-1)
-        if d.size != 3 or np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise InvalidInputError("box dims must be three positive lengths")
-        return _box_mesh(d, resolution)
+        return _box_mesh(lengths, resolution)
     if kind == "cylinder":
-        d = np.asarray(dims, dtype=float).reshape(-1)
-        if d.size != 2 or np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise InvalidInputError("cylinder dims must be (radius, height)")
-        return _cylinder_mesh(float(d[0]), float(d[1]), resolution)
-    if kind == "sphere-ish":
-        d = np.asarray(dims, dtype=float).reshape(-1)
-        if d.size != 1 or d[0] <= 0.0 or not np.isfinite(d[0]):
-            raise InvalidInputError("sphere-ish dims must be (radius,)")
-        if resolution < 2:
-            raise InvalidInputError("sphere-ish needs resolution >= 2")
-        return _sphereish_mesh(float(d[0]), resolution)
-    raise InvalidInputError(f"unknown primitive kind {kind!r}")
+        return _cylinder_mesh(*lengths, resolution)
+    return _sphereish_mesh(*lengths, resolution)
 
 
 # ---------------------------------------------------------------------------

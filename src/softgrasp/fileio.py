@@ -1,14 +1,18 @@
-"""File formats: trajectory streams, Tetgen meshes, grasp candidate lists.
+"""File formats: trajectories, Tetgen meshes, grasp candidate lists.
 
-Trajectories and grasp lists are line-delimited JSON (one record per line)
-so large traces stream without loading whole files; floats round-trip
-losslessly through Python's shortest-repr JSON encoding.  Meshes use the
-Tetgen ASCII .node/.ele convention.  The exact schemas live in
-docs/formats.md.
+Trajectories and grasp lists are line-delimited JSON (one record per line,
+so an error names its line); each is read and written as a whole text.
+Floats round-trip losslessly through Python's shortest-repr JSON encoding.
+The JSON readers check record shape and JSON types; the values are checked
+by the type each record builds (TrajectoryHeader, TrajectoryFrame,
+ContactPoint, GraspCandidate), whose error is reported with the line.
+Meshes use the Tetgen ASCII .node/.ele convention.  The exact schemas live
+in docs/formats.md.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactPoint, TrajectoryFrame
-from .errors import MeshError, ParseError, UnsupportedVersionError
+from .errors import InvalidInputError, MeshError, ParseError, UnsupportedVersionError, check_fields, finite, vec3
 from .fem import GraspCandidate, MaterialParams, TetMesh, tet_volumes
 
 TRAJECTORY_FORMAT = "softgrasp-trajectory"
@@ -31,6 +35,9 @@ class TrajectoryHeader:
     mass: float
     material: MaterialParams
     torque_scale_rho: float
+
+    def __post_init__(self):
+        check_fields(self, finite, "mass", "torque_scale_rho", above=0.0)
 
 
 @dataclass(frozen=True)
@@ -72,27 +79,23 @@ def _get(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
-def _get_vec3(obj: dict, key: str, lineno: int) -> np.ndarray:
-    raw = _get(obj, key, lineno)
-    if not (isinstance(raw, list) and len(raw) == 3):
-        raise ParseError(f"field {key!r} must be a 3-element list", line=lineno)
-    try:
-        vec = np.array([float(v) for v in raw])
-    except (TypeError, ValueError):
-        raise ParseError(f"field {key!r} has a non-numeric entry", line=lineno) from None
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"field {key!r} has a non-finite entry", line=lineno)
-    return vec
+def _is_number(value) -> bool:
+    """A JSON number: int or float, and not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get_num(obj: dict, key: str, lineno: int) -> float:
+def _get_vec3(obj: dict, key: str, lineno: int) -> list:
     raw = _get(obj, key, lineno)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if not (isinstance(raw, list) and len(raw) == 3 and all(_is_number(v) for v in raw)):
+        raise ParseError(f"field {key!r} must be a list of 3 numbers", line=lineno)
+    return raw
+
+
+def _get_num(obj: dict, key: str, lineno: int):
+    raw = _get(obj, key, lineno)
+    if not _is_number(raw):
         raise ParseError(f"field {key!r} must be a number", line=lineno)
-    val = float(raw)
-    if not np.isfinite(val):
-        raise ParseError(f"field {key!r} must be finite", line=lineno)
-    return val
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +104,13 @@ def _get_num(obj: dict, key: str, lineno: int) -> float:
 
 def write_trajectory(frames, header: TrajectoryHeader) -> str:
     """Serialize a header plus frames to line-delimited JSON text."""
-    mat = header.material
     head = {
         "format": TRAJECTORY_FORMAT,
         "version": TRAJECTORY_VERSION,
         "object": str(header.object_name),
         "mass": float(header.mass),
-        "material": {
-            "youngs_modulus": float(mat.youngs_modulus),
-            "poisson_ratio": float(mat.poisson_ratio),
-            "friction_mu": float(mat.friction_mu),
-            "density": float(mat.density),
-        },
+        "material": {f.name: float(getattr(header.material, f.name))
+                     for f in dataclasses.fields(MaterialParams)},
         "torque_scale_rho": float(header.torque_scale_rho),
     }
     lines = [json.dumps(head, allow_nan=False)]
@@ -153,22 +151,14 @@ def _parse_header(obj: dict, lineno: int) -> TrajectoryHeader:
     mat_raw = _get(obj, "material", lineno)
     if not isinstance(mat_raw, dict):
         raise ParseError("material must be an object", line=lineno)
-    try:
-        material = MaterialParams(
-            youngs_modulus=_get_num(mat_raw, "youngs_modulus", lineno),
-            poisson_ratio=_get_num(mat_raw, "poisson_ratio", lineno),
-            friction_mu=_get_num(mat_raw, "friction_mu", lineno),
-            density=_get_num(mat_raw, "density", lineno),
-        )
-    except ValueError as exc:
-        raise ParseError(f"bad material: {exc}", line=lineno) from None
+    material = {f.name: _get_num(mat_raw, f.name, lineno) for f in dataclasses.fields(MaterialParams)}
     mass = _get_num(obj, "mass", lineno)
-    if mass <= 0.0:
-        raise ParseError("mass must be > 0", line=lineno)
     rho = _get_num(obj, "torque_scale_rho", lineno)
-    if rho <= 0.0:
-        raise ParseError("torque_scale_rho must be > 0", line=lineno)
-    return TrajectoryHeader(object_name=name, mass=mass, material=material, torque_scale_rho=rho)
+    try:
+        return TrajectoryHeader(object_name=name, mass=mass, material=MaterialParams(**material),
+                                torque_scale_rho=rho)
+    except InvalidInputError as exc:
+        raise ParseError(f"bad header: {exc}", line=lineno) from None
 
 
 def _parse_frame(obj: dict, lineno: int) -> TrajectoryFrame:
@@ -179,25 +169,17 @@ def _parse_frame(obj: dict, lineno: int) -> TrajectoryFrame:
     for c in raw_contacts:
         if not isinstance(c, dict):
             raise ParseError("each contact must be an object", line=lineno)
+        x, n, f = (_get_vec3(c, key, lineno) for key in ("x", "n", "f"))
         try:
-            contacts.append(
-                ContactPoint(
-                    position=_get_vec3(c, "x", lineno),
-                    normal=_get_vec3(c, "n", lineno),
-                    force=_get_vec3(c, "f", lineno),
-                )
-            )
-        except ValueError as exc:
+            contacts.append(ContactPoint(position=x, normal=n, force=f))
+        except InvalidInputError as exc:
             raise ParseError(f"bad contact: {exc}", line=lineno) from None
+    time, squeeze_force, mass = (_get_num(obj, key, lineno) for key in ("t", "squeeze_force", "mass"))
+    com = _get_vec3(obj, "com", lineno)
     try:
-        return TrajectoryFrame(
-            time=_get_num(obj, "t", lineno),
-            contacts=tuple(contacts),
-            squeeze_force=_get_num(obj, "squeeze_force", lineno),
-            com=_get_vec3(obj, "com", lineno),
-            mass=_get_num(obj, "mass", lineno),
-        )
-    except ValueError as exc:
+        return TrajectoryFrame(time=time, contacts=tuple(contacts), squeeze_force=squeeze_force,
+                               com=com, mass=mass)
+    except InvalidInputError as exc:
         raise ParseError(f"bad frame: {exc}", line=lineno) from None
 
 
@@ -382,26 +364,22 @@ def parse_grasp_candidates(text: str) -> list[GraspCandidate]:
             continue
         lineno = lineno_raw + 1
         obj = _json_line(raw, lineno)
-        axis = _get_vec3(obj, "axis", lineno)
-        norm = float(np.linalg.norm(axis))
-        if abs(norm - 1.0) > 1e-3:
-            raise ParseError(f"axis norm {norm:.6f} too far from 1", line=lineno)
-        if abs(norm - 1.0) > 1e-9:
-            warnings.warn(
-                f"grasp line {lineno}: axis normalized (norm was {norm:.6f})",
-                stacklevel=2,
-            )
-        axis = axis / norm
+        center, axis = (_get_vec3(obj, key, lineno) for key in ("center", "axis"))
+        halfwidth, max_force = (_get_num(obj, key, lineno) for key in ("halfwidth", "max_force"))
         try:
-            cand = GraspCandidate(
-                grasp_center=_get_vec3(obj, "center", lineno),
-                approach_axis=axis,
-                finger_halfwidth=_get_num(obj, "halfwidth", lineno),
-                max_force=_get_num(obj, "max_force", lineno),
-            )
-        except ValueError as exc:
+            axis = vec3(axis, "axis")
+            norm = float(np.linalg.norm(axis))
+            if abs(norm - 1.0) > 1e-3:
+                raise ParseError(f"axis norm {norm:.6f} too far from 1", line=lineno)
+            if abs(norm - 1.0) > 1e-9:
+                warnings.warn(
+                    f"grasp line {lineno}: axis normalized (norm was {norm:.6f})",
+                    stacklevel=2,
+                )
+            out.append(GraspCandidate(grasp_center=center, approach_axis=axis / norm,
+                                      finger_halfwidth=halfwidth, max_force=max_force))
+        except InvalidInputError as exc:
             raise ParseError(f"bad grasp candidate: {exc}", line=lineno) from None
-        out.append(cand)
     if not out:
         raise ParseError("no grasp candidates in file", line=1)
     return out

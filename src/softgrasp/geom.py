@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInputError, HullError, InvalidInputError
+from .errors import DegenerateInputError, HullError, InvalidInputError, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -139,18 +139,6 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     )
 
 
-def _unit_rows(arr, dim: int, name: str) -> np.ndarray:
-    """arr as a nonempty (k, dim) float array of finite unit rows (1e-6)."""
-    a = np.atleast_2d(np.asarray(arr, dtype=float))
-    if a.ndim != 2 or a.shape[1] != dim or a.shape[0] == 0:
-        raise InvalidInputError(f"{name} must be a nonempty (k, {dim}) array")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > 1e-6):
-        raise InvalidInputError(f"{name} rows must be unit vectors")
-    return a
-
-
 def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
     """Distance from the origin to the boundary of poly along each unit ray.
 
@@ -162,7 +150,7 @@ def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
         raise DegenerateInputError("ray exit undefined for a flat polytope")
     if poly.facet_offsets.shape[0] == 0:
         raise InvalidInputError("polytope has no facets")
-    dirs = _unit_rows(directions, poly.dim, "directions")
+    dirs = unit_rows(directions, "directions", poly.dim)
     offs = poly.facet_offsets
     scale = max(1.0, float(np.max(np.abs(offs))))
     if float(offs.min()) < -1e-9 * scale:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import TrajectoryFrame, WrenchSpaceConfig, _integer, build_gws, contact_centroid
-from .errors import InvalidInputError, UndefinedCorrelationWarning
-from .geom import Polytope, _unit_rows, min_facet_distance, polytope_volume, ray_exit_distances
+from .contact import TrajectoryFrame, WrenchSpaceConfig, build_gws, contact_centroid
+from .errors import InvalidInputError, UndefinedCorrelationWarning, check_fields, finite, integer, unit_rows
+from .geom import Polytope, min_facet_distance, polytope_volume, ray_exit_distances
 
 METRIC_NAMES = ("epsilon", "volume", "gravity")
 TRACE_METRICS = METRIC_NAMES + ("proxy",)
@@ -52,13 +52,11 @@ class GravityConfig:
     custom_directions: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.gravity_accel) and self.gravity_accel > 0.0):
-            raise InvalidInputError("gravity_accel must be > 0")
+        check_fields(self, finite, "gravity_accel", above=0.0)
         if self.custom_directions is not None:
-            dirs = _unit_rows(self.custom_directions, 3, "custom_directions")
-            object.__setattr__(self, "custom_directions", dirs)
-            object.__setattr__(self, "num_directions", dirs.shape[0])
-        object.__setattr__(self, "num_directions", _integer(self.num_directions, "num_directions", 4))
+            check_fields(self, unit_rows, "custom_directions", dim=3)
+            object.__setattr__(self, "num_directions", self.custom_directions.shape[0])
+        check_fields(self, integer, "num_directions", least=4)
 
 
 def gravity_directions(gcfg: GravityConfig) -> np.ndarray:
@@ -109,7 +107,7 @@ def frame_quality(
         raise InvalidInputError(f"unknown metric {unknown[0]!r}, expected one of {TRACE_METRICS}")
     inertial = "gravity" in names or "proxy" in names
     if "proxy" in names:
-        dirs = gravity_directions(gcfg) if proxy_dirs is None else _unit_rows(proxy_dirs, 3, "proxy_dirs")
+        dirs = gravity_directions(gcfg) if proxy_dirs is None else unit_rows(proxy_dirs, "proxy_dirs", 3)
 
     if len(frame.contacts) == 0:
         return FrameQuality({m: 0.0 for m in names}, vertices=0, facets=0, affine_rank=0)

@@ -90,6 +90,12 @@ class TestRunConfigParsing:
         with pytest.raises(ConfigError):
             parse_run_config("seed=-2\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(cli._KEYS))
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config(f"{key} = {value}\n")
+
     def test_docs_table_matches_parser(self):
         rows = docs_config_table()
         assert set(rows) == set(cli._KEYS)
@@ -158,6 +164,7 @@ class TestIntegerSettings:
     @pytest.mark.parametrize("cls, name, value, error", [
         (fem.SimConfig, "max_fixedpoint_iters", 0.5, softgrasp.InvalidInputError),
         (WrenchSpaceConfig, "cone_edges", 3.9, softgrasp.InvalidInputError),
+        (RunConfig, "cone_edges", 3.9, ConfigError),
         (metrics.GravityConfig, "num_directions", 4.9, softgrasp.InvalidInputError),
         (RunConfig, "proxy_directions", 2.5, ConfigError),
         (RunConfig, "seed", -0.5, ConfigError),

@@ -147,6 +147,15 @@ class TestMeshGeneration:
         with pytest.raises(InvalidInputError):
             generate_primitive_mesh("box", (1.0, 1.0, 1.0), 0)
 
+    @pytest.mark.parametrize("kind, dims", [("box", (1.0, 1.0, 1.0)), ("cylinder", (0.5, 1.0)),
+                                            ("sphere-ish", (1.0,))])
+    def test_fractional_resolution_rejected(self, kind, dims):
+        # 2.7 used to be truncated to 2; an integral float still passes
+        with pytest.raises(InvalidInputError, match="resolution must be an integer"):
+            generate_primitive_mesh(kind, dims, 2.7)
+        whole = generate_primitive_mesh(kind, dims, 2.0)
+        assert np.array_equal(whole.tets, generate_primitive_mesh(kind, dims, 2).tets)
+
 
 class TestTetMeshValidation:
     def unit_tet(self):

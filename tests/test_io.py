@@ -14,6 +14,7 @@ from helpers import (
 from softgrasp import (
     ContactPoint,
     GraspCandidate,
+    InvalidInputError,
     MaterialParams,
     ParseError,
     TrajectoryFrame,
@@ -59,6 +60,21 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(TypeError):
             make_header(version=2)
         assert '"version": 1,' in write_trajectory([], make_header())
+
+    @pytest.mark.parametrize("key, value", [
+        ("mass", 0.0), ("mass", -1.0), ("mass", np.inf), ("mass", np.nan),
+        ("torque_scale_rho", -1.0), ("torque_scale_rho", 0.0), ("torque_scale_rho", np.inf),
+    ])
+    def test_header_bounds(self, key, value):
+        # the header refuses what read_trajectory refuses, so no file is
+        # written that cannot be read back
+        with pytest.raises(InvalidInputError, match=f"{key} must be > 0"):
+            make_header(**{key: value})
+
+    def test_valid_header_round_trips_unchanged(self):
+        header = make_header(mass=2, torque_scale_rho=0.5)
+        assert (type(header.mass), type(header.torque_scale_rho)) == (float, float)
+        assert read_trajectory(write_trajectory([], header)).header == header
 
     def test_file_round_trip(self, tmp_path, rng):
         path = tmp_path / "traj.jsonl"
@@ -139,6 +155,33 @@ class TestTrajectoryErrors:
         lines[1] = json.dumps(rec)
         with pytest.raises(ParseError, match="bad contact"):
             read_trajectory("\n".join(lines))
+
+    @pytest.mark.parametrize("bad", [["1", 0, 0], [True, False, False]])
+    @pytest.mark.parametrize("field", ["com", "x", "n", "f"])
+    def test_vector_field_rejects_strings_and_booleans(self, field, bad, rng):
+        # JSON strings and booleans are not numbers, even where they would
+        # convert to a valid vector
+        lines = self.valid_text(rng, count=2).splitlines()
+        rec = json.loads(lines[2])
+        (rec if field == "com" else rec["contacts"][0])[field] = bad
+        lines[2] = json.dumps(rec)
+        with pytest.raises(ParseError, match=f"^line 3: field '{field}' must be a list of 3 numbers") as exc:
+            read_trajectory("\n".join(lines))
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("field", ["t", "mass", "x", "com"])
+    def test_number_too_large_for_a_float(self, field, rng):
+        lines = self.valid_text(rng, count=1).splitlines()
+        rec = json.loads(lines[1])
+        huge = 10 ** 400
+        if field in ("t", "mass"):
+            rec[field] = huge
+        else:
+            (rec if field == "com" else rec["contacts"][0])[field] = [huge, 0, 0]
+        lines[1] = json.dumps(rec)
+        with pytest.raises(ParseError, match="^line 2: bad (frame|contact)") as exc:
+            read_trajectory("\n".join(lines))
+        assert exc.value.line == 2
 
     def test_record_not_object(self, rng):
         text = self.valid_text(rng, count=1) + "[1, 2, 3]\n"
@@ -296,6 +339,22 @@ class TestGraspCandidates:
         )
         with pytest.raises(ParseError, match="bad grasp candidate"):
             parse_grasp_candidates(line + "\n")
+
+    @pytest.mark.parametrize("bad", [["1", 0, 0], [True, False, False]])
+    @pytest.mark.parametrize("field", ["center", "axis"])
+    def test_vector_field_rejects_strings_and_booleans(self, field, bad):
+        rec = {"center": [0, 0, 0], "axis": [1.0, 0, 0], "halfwidth": 0.02, "max_force": 5.0}
+        rec[field] = bad
+        text = write_grasp_candidates(self.candidates()) + json.dumps(rec) + "\n"
+        with pytest.raises(ParseError, match=f"^line 3: field '{field}' must be a list of 3 numbers"):
+            parse_grasp_candidates(text)
+
+    @pytest.mark.parametrize("field", ["center", "axis", "halfwidth"])
+    def test_number_too_large_for_a_float(self, field):
+        rec = {"center": [0, 0, 0], "axis": [1.0, 0, 0], "halfwidth": 0.02, "max_force": 5.0}
+        rec[field] = 10 ** 400 if field == "halfwidth" else [10 ** 400, 0, 0]
+        with pytest.raises(ParseError, match="^line 1: bad grasp candidate"):
+            parse_grasp_candidates(json.dumps(rec) + "\n")
 
     def test_old_force_steps_key_ignored(self):
         # files written before the unused force schedule was dropped still load
