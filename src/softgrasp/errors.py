@@ -37,11 +37,12 @@ class MeshError(SoftGraspError, ValueError):
 
 
 class SolverError(SoftGraspError):
-    """The quasi-static solver failed to converge.
+    """The quasi-static solver failed to converge, or met a singular
+    Newton system.
 
     Carries the smallest residual norm the failed step reached, so callers
     can decide whether the result is still usable for diagnostics, and the
-    step's Newton loop passes and fresh LU factorizations, counted as in
+    step's Newton loop passes and sparse factorizations, counted as in
     fem.StepReport.
     """
 

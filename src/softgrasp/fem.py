@@ -26,10 +26,11 @@ logger = logging.getLogger(__name__)
 # relative to the mean stiffness diagonal.
 RIGID_REG_REL = 1e-9
 
-# LUs of all-stick Newton Jacobians a model keeps for reuse.  A squeeze
-# alternates between a few all-stick contact sets; a Jacobian with a slipping
-# node depends on u and, in practice, never repeats.
-STICK_LUS = 2
+# Iterative refinement passes of each Newton solve against the exact sparse
+# Jacobian.  With the rigid modes held only by RIGID_REG_REL, a bare Woodbury
+# solve leaves a relative Jacobian residual near 1e-7; two passes bring it to
+# a direct LU's (about 1e-16).
+REFINE_PASSES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +414,13 @@ def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
 class AssembledModel:
     """Mesh plus its factor-ready stiffness and the rigid-mode regularizer.
 
-    regularized is K + reg*I in CSC, the contact-free part of every Newton
-    Jacobian.  mass is the rest mesh's mass, stamped on every frame.
-    stick_lus holds the LUs of the last STICK_LUS all-stick Jacobians,
-    least recently used first; see _factorize.
+    regularized is A = K + reg*I in CSC, the contact-free part of every
+    Newton Jacobian.  mass is the rest mesh's mass, stamped on every frame.
+    lu is A's LU, made on the model's first Newton solve and kept for every
+    later one.  compliance holds the rows (A^-1 E_i)^T for the three dofs
+    of each node i that has been in contact, E_i selecting them, three rows
+    per node at 3 * compliance_slot[i] (-1: none yet); see
+    _compliance_rows.
     """
 
     mesh: TetMesh
@@ -425,7 +429,13 @@ class AssembledModel:
     reg: float
     regularized: sp.csc_matrix
     mass: float
-    stick_lus: dict = field(default_factory=dict, init=False, repr=False)
+    lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
+    compliance: np.ndarray = field(init=False, repr=False)
+    compliance_slot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.compliance = np.empty((0, 3 * self.mesh.num_nodes))
+        self.compliance_slot = np.full(self.mesh.num_nodes, -1)
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
@@ -499,9 +509,9 @@ class StepReport:
     """A converged step: its contact record and its solver counts.
 
     iterations counts Newton loop passes, i.e. solves + 1 on a step that
-    converged before the iteration cap.  factorizations counts the fresh LU
-    factorizations among those solves; the rest reused an all-stick LU the
-    model kept (see _factorize).
+    converged before the iteration cap.  factorizations counts the sparse
+    LU factorizations the step made: 1 when its solves made the model's one
+    factor of K + reg*I, else 0 (see _newton_direction).
     """
 
     contacts: _Contacts
@@ -570,7 +580,7 @@ def quasi_static_step(
     u_start is the converged flat displacement vector (3n,) of the previous
     increment; the finger gap is the new, smaller opening.  Returns the new
     displacement vector and the step's report.  Raises SolverError when the
-    residual fails to reach convergence_tol.
+    residual fails to reach convergence_tol or a Newton system is singular.
     """
     if gap <= 0.0:
         raise InvalidInputError("finger gap must be > 0")
@@ -591,12 +601,15 @@ def quasi_static_step(
     for iterations in range(1, cfg.max_fixedpoint_iters + 1):
         if res_norm < cfg.convergence_tol:
             break
-        lu, fresh = _factorize(model, contacts, kp)
-        factorizations += fresh
-        du = lu.solve(residual)
-        # only model.stick_lus may keep an LU: a slip LU is freed here, and
-        # an evicted stick LU in the next _factorize, before splu runs
-        del lu
+        factorizations += int(model.lu is None)
+        try:
+            du = _newton_direction(model, contacts, kp, residual)
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            # RuntimeError is SuperLU's singular factor
+            raise SolverError(
+                f"singular Newton system ({exc}; residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
+                residual=least, iterations=iterations, factorizations=factorizations,
+            ) from exc
         step = float(np.max(np.abs(du)))
         if step > clamp:
             du *= clamp / step
@@ -627,16 +640,16 @@ def quasi_static_step(
     )
 
 
-def _contact_blocks(contacts: _Contacts, kp: float, mu: float):
-    """Penalty contact blocks of the Newton Jacobian as (rows, cols, vals).
+def _contact_blocks(contacts: _Contacts, kp: float, mu: float) -> np.ndarray:
+    """Penalty contact blocks of the Newton Jacobian, (k, 3, 3), one per
+    row of the record.
 
     A sticking node adds an isotropic k_p block (normal and tangential hold).
     A slipping node's tangential force sits on the cone boundary,
     -mu*k_p*depth * s(u), so its derivative has a cap part (-mu s n^T, the
     cone shrinking with depth) and a rotation part ((mu depth/||slip||)
     (I - n n^T - s s^T), the slip direction turning with u).  The slip block
-    is nonsymmetric, hence the LU solve.  Entries come row by row of the
-    record, each block row-major, exact zeros dropped.
+    is nonsymmetric and singular along the slip direction.
     """
     eye = np.eye(3)
     slip = ~contacts.stick
@@ -651,42 +664,71 @@ def _contact_blocks(contacts: _Contacts, kp: float, mu: float):
             - mu * (sdir[:, :, None] * normal)
             + (mu * ratio)[:, None, None] * (eye - nn - sdir[:, :, None] * sdir[:, None, :])
         )
-    base = 3 * contacts.nodes[:, None, None]
-    r = np.broadcast_to(base + np.arange(3)[None, :, None], blocks.shape)
-    c = np.broadcast_to(base + np.arange(3)[None, None, :], blocks.shape)
-    keep = blocks != 0.0
-    return r[keep], c[keep], blocks[keep]
+    return blocks
 
 
-def _factorize(model, contacts: _Contacts, kp: float):
-    """LU of elastic stiffness + rigid-mode regularizer + contact blocks.
+def _node_dofs(nodes: np.ndarray) -> np.ndarray:
+    """The flat dofs 3*node + (0, 1, 2) of each node, node by node."""
+    return (3 * nodes[:, None] + np.arange(3)).ravel()
 
-    Returns (lu, fresh).  An all-stick Jacobian is K + reg*I plus k_p on the
-    diagonal of its active nodes' dofs, so (k_p, active node ids in record
-    order) fixes it bit for bit.  The model keeps the LUs of its last
-    STICK_LUS such Jacobians; a hit hands one back (fresh False), and its
-    solve is bit-identical to refactorizing.  A Jacobian with slip blocks is
-    factorized for its one solve and never kept.  A stick miss with
-    STICK_LUS held evicts the least recently used LU before splu runs, so at
-    most STICK_LUS + 1 factors are alive at once.
+
+def _compliance_rows(model: AssembledModel, nodes: np.ndarray) -> np.ndarray:
+    """Rows (A^-1 H^T)^T, (3k, 3n), for the k nodes (repeats allowed), H
+    selecting their dofs and A = K + reg*I.
+
+    A node's rows are solved for the first time it is asked for; every node
+    new to the model in this call is solved for in one multi-right-hand-side
+    solve with A's LU.
     """
-    stick = contacts.stick.all()
-    if stick:
-        key = (kp, contacts.nodes.tobytes())
-        lu = model.stick_lus.pop(key, None)
-        if lu is not None:
-            model.stick_lus[key] = lu
-            return lu, False
-        while len(model.stick_lus) >= STICK_LUS:
-            del model.stick_lus[next(iter(model.stick_lus))]
-    j = model.regularized
-    rows, cols, vals = _contact_blocks(contacts, kp, model.mat.friction_mu)
-    if vals.size:
-        j = j + sp.csc_matrix((vals, (rows, cols)), shape=j.shape)
-    lu = spla.splu(j)
-    if stick:
-        model.stick_lus[key] = lu
-    return lu, True
+    slot = model.compliance_slot
+    new = np.unique(nodes[slot[nodes] < 0])
+    if new.size:
+        unit = np.zeros((model.compliance.shape[1], 3 * new.size))
+        unit[_node_dofs(new), np.arange(3 * new.size)] = 1.0
+        slot[new] = model.compliance.shape[0] // 3 + np.arange(new.size)
+        model.compliance = np.concatenate([model.compliance, model.lu.solve(unit).T])
+    return model.compliance[_node_dofs(slot[nodes])]
+
+
+def _newton_direction(model: AssembledModel, contacts: _Contacts, kp: float, r: np.ndarray) -> np.ndarray:
+    """Solve J du = r for the Newton Jacobian J = A + H^T B H.
+
+    A = K + reg*I is factored once per model; H selects the dofs of the
+    record's rows and B is block-diagonal with their _contact_blocks (a node
+    on two surfaces has two rows).  By the Woodbury identity,
+    du = y - Z (I + B W)^-1 B H y with y = A^-1 r, Z = A^-1 H^T and
+    W = H Z; this form needs no B^-1, which a slip block lacks.  The
+    near-singular rigid modes of A make that solve lose about 1e-7 of
+    relative accuracy, so REFINE_PASSES passes of iterative refinement
+    against J's exact sparse product follow.  Raises np.linalg.LinAlgError
+    for a singular I + B W, and SuperLU's RuntimeError for a singular A.
+    """
+    if model.lu is None:
+        model.lu = spla.splu(model.regularized)
+    nodes = contacts.nodes
+    if not nodes.size:
+        return model.lu.solve(r)
+    blocks = _contact_blocks(contacts, kp, model.mat.friction_mu)
+    dofs = _node_dofs(nodes)
+    z_rows = _compliance_rows(model, nodes)
+    w = z_rows[:, dofs].T
+    k = nodes.size
+    capacitance = np.eye(3 * k) + np.matmul(blocks, w.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k)
+
+    def solve(v):
+        y = model.lu.solve(v)
+        by = np.matmul(blocks, y[dofs].reshape(k, 3, 1)).ravel()
+        return y - z_rows.T @ np.linalg.solve(capacitance, by)
+
+    def jacobian_product(v):
+        jv = model.stiffness @ v + model.reg * v
+        np.add.at(jv.reshape(-1, 3), nodes, np.matmul(blocks, v[dofs].reshape(k, 3, 1))[:, :, 0])
+        return jv
+
+    du = solve(r)
+    for _ in range(REFINE_PASSES):
+        du += solve(r - jacobian_product(du))
+    return du
 
 
 def run_squeeze(

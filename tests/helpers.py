@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse.linalg
 
 from softgrasp import ContactPoint, GravityConfig, TrajectoryFrame, frame_quality
 
@@ -250,3 +251,18 @@ def mutate_text(rng, text):
         lines.insert(int(i), junk)
         return "\n".join(lines)
     return text[::-1]
+
+
+def make_newton_solve_singular(monkeypatch, part: str) -> None:
+    """Make every Newton solve hit a singular matrix: the base factor of
+    K + reg*I (part "base": SuperLU's RuntimeError) or the Woodbury
+    capacitance matrix (part "capacitance": numpy's LinAlgError)."""
+    def singular(*args):
+        if part == "base":
+            raise RuntimeError("Factor is exactly singular")
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    if part == "base":
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    else:
+        monkeypatch.setattr(np.linalg, "solve", singular)

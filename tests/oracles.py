@@ -3,16 +3,21 @@
 Everything here is deliberately slow and simple: linear programs over the
 raw point sets, bisection on convex membership, and alternative volume
 decompositions.  Nothing imports the geometry code under test beyond plain
-data containers.  The one exception is full_squeeze_evaluation, which
+data containers.  There are two exceptions.  full_squeeze_evaluation
 checks the rank/bench squeeze's stopping rule, not its physics or metrics,
-and so scores with the library's own metrics.
+and so scores with the library's own metrics.  direct_lu_squeeze checks
+the Newton step's linear solve alone, and so runs the library's own
+Newton loop and contact law around a direct sparse LU.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, Delaunay
 
@@ -215,44 +220,70 @@ def loop_contact_state(model, pads, gap, u, u_step_start, cfg):
 
 
 def loop_contact_blocks(contacts, kp: float, mu: float):
-    """Penalty contact triplets built node by node and entry by entry.
+    """Penalty contact blocks built node by node, (k, 3, 3).
 
     The per-node loop the Newton Jacobian was first assembled with: a k_p I
-    block for a sticking node, the cap-plus-rotation slip block otherwise,
-    each block scanned row-major with exact zeros dropped.  contacts is a
-    fem._Contacts record (only its nodes, normal, depth, stick, sdir and
-    snorm are read).  This is the reference the vectorized
-    fem._contact_blocks must reproduce entry for entry, in the same order.
+    block for a sticking node, the cap-plus-rotation slip block otherwise.
+    contacts is a fem._Contacts record (only its nodes, normal, depth,
+    stick, sdir and snorm are read).  This is the reference the vectorized
+    fem._contact_blocks must reproduce bit for bit, row for row.
     """
     eye = np.eye(3)
-    iso = kp * eye
-    rows, cols, vals = [], [], []
-    for idx, (node, stick) in enumerate(zip(contacts.nodes, contacts.stick)):
+    blocks = np.empty((contacts.nodes.size, 3, 3))
+    for idx, stick in enumerate(contacts.stick):
         if stick:
-            block = iso
-        else:
-            normal = contacts.normal[idx]
-            nn = np.outer(normal, normal)
-            sdir = contacts.sdir[idx]
-            ratio = contacts.depth[idx] / max(contacts.snorm[idx], 1e-12)
-            block = kp * (
-                nn
-                - mu * np.outer(sdir, normal)
-                + mu * ratio * (eye - nn - np.outer(sdir, sdir))
-            )
-        base = 3 * node
+            blocks[idx] = kp * eye
+            continue
+        normal = contacts.normal[idx]
+        nn = np.outer(normal, normal)
+        sdir = contacts.sdir[idx]
+        ratio = contacts.depth[idx] / max(contacts.snorm[idx], 1e-12)
+        blocks[idx] = kp * (
+            nn
+            - mu * np.outer(sdir, normal)
+            + mu * ratio * (eye - nn - np.outer(sdir, sdir))
+        )
+    return blocks
+
+
+def direct_jacobian(model, contacts, kp: float):
+    """The Newton Jacobian K + reg*I plus each record row's
+    loop_contact_blocks block on its node's dofs, assembled as one sparse
+    matrix (CSC)."""
+    n3 = model.regularized.shape[0]
+    rows, cols, vals = [], [], []
+    for node, block in zip(contacts.nodes, loop_contact_blocks(contacts, kp, model.mat.friction_mu)):
         for r in range(3):
             for c in range(3):
-                v = block[r, c]
-                if v != 0.0:
-                    rows.append(base + r)
-                    cols.append(base + c)
-                    vals.append(v)
-    return (
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=float),
-    )
+                rows.append(3 * node + r)
+                cols.append(3 * node + c)
+                vals.append(block[r, c])
+    extra = sp.csc_matrix((vals, (rows, cols)), shape=(n3, n3))
+    return (model.stiffness + model.reg * sp.identity(n3) + extra).tocsc()
+
+
+def direct_newton_direction(model, contacts, kp: float, r):
+    """A Newton step solved by a fresh sparse LU of direct_jacobian.
+
+    The solve fem._newton_direction replaces (one splu per Newton step),
+    with the same inputs and result.
+    """
+    return spla.splu(direct_jacobian(model, contacts, kp)).solve(r)
+
+
+def direct_lu_squeeze(mesh, mat, grasp, cfg):
+    """(status, frames) of fem.run_squeeze with every Newton step solved by
+    direct_newton_direction: "ok" with its frames, "empty" without frames,
+    or "failed" with none when a step raises SolverError."""
+    from softgrasp import fem
+    from softgrasp.errors import SolverError
+
+    with mock.patch.object(fem, "_newton_direction", direct_newton_direction):
+        try:
+            frames = fem.run_squeeze(mesh, mat, grasp, cfg)
+        except SolverError:
+            return "failed", []
+    return ("ok" if frames else "empty"), frames
 
 
 def loop_extract_surface(tets: np.ndarray) -> np.ndarray:
@@ -281,26 +312,6 @@ def loop_extract_surface(tets: np.ndarray) -> np.ndarray:
     if not boundary:
         raise MeshError("mesh has no boundary faces")
     return np.array(boundary, dtype=int)
-
-
-def lru_factorizations(keys, size: int) -> int:
-    """Fresh factorizations of a Jacobian key sequence under an LRU of size.
-
-    A key of None is a Jacobian that is never kept (one with slip blocks);
-    any other key is looked up, and on a miss stored, evicting the least
-    recently used key once size are held.
-    """
-    held = []
-    fresh = 0
-    for key in keys:
-        if key is not None and key in held:
-            held.remove(key)
-            held.append(key)
-            continue
-        fresh += 1
-        if key is not None:
-            held = (held + [key])[-size:]
-    return fresh
 
 
 def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):

@@ -12,7 +12,7 @@ from scipy.spatial import QhullError
 
 import oracles
 import softgrasp
-from helpers import tetgen_text
+from helpers import make_newton_solve_singular, tetgen_text
 from softgrasp import (
     ConfigError,
     SolverError,
@@ -476,6 +476,25 @@ class TestHullFailure:
         assert out == ""
         assert err.startswith("error: qhull failed on ")
         assert err.rstrip().endswith("6D: QH6271 forced failure")
+
+
+class TestSingularSolve:
+    @pytest.mark.parametrize("part", ["base", "capacitance"])
+    def test_rank_reports_failed_candidates(self, part, workspace, capsys, caplog, monkeypatch):
+        make_newton_solve_singular(monkeypatch, part)
+        code, out, _ = run_cli(
+            capsys, "rank",
+            "--node", str(workspace / "box.node"),
+            "--ele", str(workspace / "box.ele"),
+            "--grasps", str(workspace / "good.jsonl"),
+            "--config", str(workspace / "run.cfg"),
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        header = lines[0].split("\t")
+        rows = [dict(zip(header, ln.split("\t"))) for ln in lines[1:]]
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert "candidate 0: failed (singular Newton system (" in caplog.text
 
 
 class TestExitCodes:

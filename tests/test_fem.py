@@ -3,10 +3,10 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
+from helpers import make_newton_solve_singular
 from softgrasp import cli, fem
 from softgrasp import (
     GraspCandidate,
@@ -462,15 +462,23 @@ class TestQuasiStaticStep:
 
     def test_solver_error_carries_step_counts(self, box_model, monkeypatch):
         # a deep first step on a fresh model, cut off after three passes
-        splu_calls = []
-        original_splu = fem.spla.splu
-        monkeypatch.setattr(fem.spla, "splu", lambda a: splu_calls.append(1) or original_splu(a))
+        splu_calls = count_splu(monkeypatch)
         model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
         u0 = np.zeros(3 * model.mesh.num_nodes)
         with pytest.raises(SolverError) as exc:
             quasi_static_step(model, SLIP_GRASP, 0.058, u0, pinch_config(max_fixedpoint_iters=3))
         assert exc.value.iterations == 3
         assert exc.value.factorizations == len(splu_calls) > 0
+
+    @pytest.mark.parametrize("part", ["base", "capacitance"])
+    def test_singular_solve_raises_solver_error_with_counts(self, box_model, part, monkeypatch):
+        make_newton_solve_singular(monkeypatch, part)
+        model = assemble_model(box_model.mesh, box_model.mat)
+        u0 = np.zeros(3 * model.mesh.num_nodes)
+        with pytest.raises(SolverError, match="singular Newton system") as exc:
+            quasi_static_step(model, box_grasp(), 0.058, u0, pinch_config())
+        assert exc.value.residual > pinch_config().convergence_tol
+        assert (exc.value.iterations, exc.value.factorizations) == (1, 1)
 
     def test_coulomb_cap_per_contact(self, box_model):
         cfg = pinch_config()
@@ -617,16 +625,6 @@ class TestFrameCenterOfMass:
             assert frame.com.tobytes() == com.tobytes()
 
 
-def frame_bytes(frames):
-    """Every number of a frame list, as raw bytes, for bit-for-bit comparison."""
-    parts = []
-    for f in frames:
-        parts.append(np.array([f.time, f.squeeze_force, f.mass]).tobytes() + f.com.tobytes())
-        for c in f.contacts:
-            parts.append(c.position.tobytes() + c.normal.tobytes() + c.force.tobytes())
-    return b"".join(parts)
-
-
 # tilted pads on a low-friction box: the contact patch slides
 SLIP_MU = 0.1
 SLIP_GRASP = GraspCandidate(
@@ -634,176 +632,124 @@ SLIP_GRASP = GraspCandidate(
 )
 
 
-def record_factorize(monkeypatch, clear_cache=False):
-    """Wrap fem._factorize; count solves, fresh LUs and solves with slip blocks."""
-    stats = {"solves": 0, "fresh": 0, "slip_solves": 0}
-    original = fem._factorize
-
-    def wrapped(model, contacts, kp):
-        if clear_cache:
-            model.stick_lus.clear()
-        stats["solves"] += 1
-        stats["slip_solves"] += not contacts.stick.all()
-        lu, fresh = original(model, contacts, kp)
-        stats["fresh"] += fresh
-        return lu, fresh
-
-    monkeypatch.setattr(fem, "_factorize", wrapped)
-    return stats
+# a tilted pinch of a box on the platform: stick and slip on all three
+# surfaces, with the box's bottom edge nodes on a pad and the platform at once
+PLATFORM_GRASP = GraspCandidate(
+    (0.0, 0.01, 0.035), np.array([1.0, 0.2, 0.0]) / np.hypot(1.0, 0.2), 0.05, 4.0
+)
 
 
-class TestFactorReuse:
+def count_splu(monkeypatch):
+    """Wrap fem.spla.splu; the list fills with one entry per factorization."""
+    calls = []
+    original_splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda a: calls.append(1) or original_splu(a))
+    return calls
+
+
+class TestWoodburySolve:
     @pytest.mark.parametrize(
-        "mu,grasp,slips",
-        [(0.8, box_grasp(max_force=6.0), False), (SLIP_MU, SLIP_GRASP, True)],
-        ids=["box_pinch", "low_mu_slip"],
+        "mu,grasp,lift,platform",
+        [(0.8, box_grasp(max_force=6.0), 0.0, NO_PLATFORM), (SLIP_MU, SLIP_GRASP, 0.0, NO_PLATFORM),
+         (0.8, PLATFORM_GRASP, 0.03, 0.0)],
+        ids=["stick_pinch", "low_mu_slip", "platform_repeated_nodes"],
     )
-    def test_reuse_bit_identical_to_refactorizing(self, box_model, mu, grasp, slips, monkeypatch):
-        mat = MaterialParams(friction_mu=mu)
-        cfg = pinch_config()
-        with monkeypatch.context() as m:
-            reused = record_factorize(m)
-            frames = run_squeeze(box_model.mesh, mat, grasp, cfg)
-        with monkeypatch.context() as m:
-            fresh = record_factorize(m, clear_cache=True)
-            reference = run_squeeze(box_model.mesh, mat, grasp, cfg)
-        assert len(frames) >= 3
-        assert frame_bytes(frames) == frame_bytes(reference)
-        assert reused["fresh"] < reused["solves"] == fresh["fresh"] == fresh["solves"]
-        assert (reused["slip_solves"] > 0) == slips
+    def test_jacobian_residual_within_10x_of_direct_lu(self, box_model, mu, grasp, lift, platform, monkeypatch):
+        # every Newton step of the squeeze, solved both ways; a relative
+        # residual under 8 eps is roundoff for either solve
+        floor = 8.0 * np.finfo(float).eps
+        seen = {"solves": 0, "slip": 0, "repeated": 0}
+        original = fem._newton_direction
 
-    def test_no_stale_slot_across_grasps(self, box_model):
-        cfg = pinch_config()
-        grasp_a = box_grasp(max_force=6.0)
-        grasp_b = GraspCandidate((0.0, 0.01, 0.005), (0.0, 1.0, 0.0), 0.04, 4.0)
-        model = assemble_model(box_model.mesh, box_model.mat)
-        for _ in fem.squeeze_steps(model, grasp_a, cfg):
+        def checked(model, contacts, kp, r):
+            du = original(model, contacts, kp, r)
+            j = oracles.direct_jacobian(model, contacts, kp)
+            direct = spla.splu(j).solve(r)
+            norm = np.linalg.norm(r)
+            woodbury_res = np.linalg.norm(j @ du - r) / norm
+            direct_res = np.linalg.norm(j @ direct - r) / norm
+            assert woodbury_res <= 10.0 * max(direct_res, floor)
+            seen["solves"] += 1
+            seen["slip"] += not contacts.stick.all()
+            seen["repeated"] += np.unique(contacts.nodes).size < contacts.nodes.size
+            return du
+
+        monkeypatch.setattr(fem, "_newton_direction", checked)
+        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, lift)), MaterialParams(friction_mu=mu), grasp,
+                             SimConfig(platform_height=platform))
+        assert len(frames) >= 3 and seen["solves"] >= 3
+        assert (seen["slip"] > 0) == (mu == SLIP_MU or platform == 0.0)
+        assert (seen["repeated"] > 0) == (platform == 0.0)
+
+    def test_one_splu_per_squeeze(self, box_model, monkeypatch):
+        splu_calls = count_splu(monkeypatch)
+        reports = []
+        original_step = fem.quasi_static_step
+
+        def step(*args):
+            u, report = original_step(*args)
+            reports.append(report)
+            return u, report
+
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        frames = run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
+        assert len(frames) >= 3
+        assert len(splu_calls) == sum(r.factorizations for r in reports) == 1
+        # the first step that solves makes the factor
+        solving = [r for r in reports if r.iterations > 1]
+        assert solving[0].factorizations == 1
+        assert sum(r.iterations - 1 for r in reports) > len(reports)
+
+    def test_compliance_rows_solved_once_per_contact_node(self, box_model, monkeypatch):
+        asked = []
+        original = fem._compliance_rows
+
+        def recorded(model, nodes):
+            before = model.compliance.shape[0]
+            rows = original(model, nodes)
+            new = np.setdiff1d(nodes, np.concatenate(asked) if asked else [])
+            assert model.compliance.shape[0] == before + 3 * new.size
+            asked.append(nodes)
+            return rows
+
+        monkeypatch.setattr(fem, "_compliance_rows", recorded)
+        model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
+        for _ in fem.squeeze_steps(model, PLATFORM_GRASP, SimConfig(platform_height=0.0)):
             pass
-        assert model.stick_lus
-        frames_b = [fem.step_frame(model, cfg, *step) for step in fem.squeeze_steps(model, grasp_b, cfg)]
-        fresh_b = run_squeeze(box_model.mesh, box_model.mat, grasp_b, cfg)
-        assert len(frames_b) >= 3
-        assert frame_bytes(frames_b) == frame_bytes(fresh_b)
+        touched = np.unique(np.concatenate(asked))
+        assert np.array_equal(np.flatnonzero(model.compliance_slot >= 0), touched)
+        dofs = fem._node_dofs(touched)
+        unit = np.zeros((3 * model.mesh.num_nodes, dofs.size))
+        unit[dofs, np.arange(dofs.size)] = 1.0
+        want = spla.splu(model.regularized).solve(unit).T
+        got = model.compliance[fem._node_dofs(model.compliance_slot[touched])]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
-    def test_splu_calls_match_reported_factorizations(self, box_model, monkeypatch):
-        splu_calls = []
-        original_splu = fem.spla.splu
-        monkeypatch.setattr(fem.spla, "splu", lambda a: splu_calls.append(1) or original_splu(a))
-        reports = []
-        original_step = fem.quasi_static_step
-
-        def step(*args):
-            u, report = original_step(*args)
-            reports.append(report)
-            return u, report
-
-        monkeypatch.setattr(fem, "quasi_static_step", step)
-        stats = record_factorize(monkeypatch)
-        frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=6.0), pinch_config())
-        assert len(frames) >= 3
-        assert len(splu_calls) == sum(r.factorizations for r in reports) == stats["fresh"]
-        assert 0 < len(splu_calls) < stats["solves"]
-        # every pass but the converged one solves
-        assert stats["solves"] == sum(r.iterations - 1 for r in reports)
-
-    def test_only_stick_lus_are_kept(self, box_model, monkeypatch):
-        original = fem._factorize
-        slip_lus = []
-        stick_calls = []
-
-        def checked(model, contacts, kp):
-            lu, fresh = original(model, contacts, kp)
-            held = list(model.stick_lus.values())
-            if contacts.stick.all():
-                stick_calls.append(len(held))
-                assert any(h is lu for h in held)
+    @pytest.mark.parametrize(
+        "name,stream", [(name, i) for i, name in enumerate(cli.BENCH_OBJECTS)] + [("slab", 0)],
+        ids=list(cli.BENCH_OBJECTS) + ["slab_box_stream"],
+    )
+    def test_bench_candidates_match_direct_lu_squeeze(self, name, stream):
+        # the object's candidates of a seed-0 `bench --grasps-per-object 3`
+        # (stream is the object's index in the default order), squeezed
+        # mid-air to the bench's desired force.  The slab drawn with the
+        # box's stream adds a candidate that fails at the direct LU, and one
+        # that a Woodbury solve without refinement ends 10 frames early.
+        rc = cli.RunConfig()
+        cfg = dataclasses.replace(rc.sim, platform_height=-1.0)
+        mesh = cli.bench_mesh(name)
+        for cand in cli.sample_grasps(mesh, 3, np.random.default_rng([0, stream]), rc):
+            grasp = dataclasses.replace(cand, max_force=rc.desired_force)
+            want_status, want = oracles.direct_lu_squeeze(mesh, rc.material, grasp, cfg)
+            try:
+                frames = run_squeeze(mesh, rc.material, grasp, cfg)
+            except SolverError:
+                status, frames = "failed", []
             else:
-                slip_lus.append(lu)
-            assert len(held) <= fem.STICK_LUS == 2
-            assert not any(h is s for h in held for s in slip_lus)
-            return lu, fresh
-
-        monkeypatch.setattr(fem, "_factorize", checked)
-        run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
-        assert slip_lus
-        assert max(stick_calls) == 2
-
-    def test_factorizations_match_stick_lru_replay(self, box_model, monkeypatch):
-        # a tilted pinch of a box on the platform: stick sets recur between
-        # slip solves, and a second LU pays
-        keys = []
-        original = fem._factorize
-
-        def recorded(model, contacts, kp):
-            keys.append((kp, tuple(contacts.nodes)) if contacts.stick.all() else None)
-            return original(model, contacts, kp)
-
-        reports = []
-        original_step = fem.quasi_static_step
-
-        def step(*args):
-            u, report = original_step(*args)
-            reports.append(report)
-            return u, report
-
-        monkeypatch.setattr(fem, "_factorize", recorded)
-        monkeypatch.setattr(fem, "quasi_static_step", step)
-        grasp = GraspCandidate((0.0, 0.01, 0.035), np.array([1.0, 0.2, 0.0]) / np.hypot(1.0, 0.2), 0.05, 4.0)
-        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, grasp,
-                             SimConfig(platform_height=0.0))
-        assert len(frames) >= 3
-        assert None in keys
-        total = sum(r.factorizations for r in reports)
-        assert total == oracles.lru_factorizations(keys, 2) < oracles.lru_factorizations(keys, 1)
-
-    def test_penalty_stiffness_change_forces_fresh_lu(self):
-        mesh = generate_primitive_mesh("box", (0.06, 0.06, 0.06), 2)
-        model = assemble_model(mesh, MaterialParams())
-        nodes = mesh.surface_nodes[:5]
-        contacts = contact_record(
-            [fem.PAD_A] * 5, nodes, [[1.0, 0.0, 0.0]] * 5, np.full(5, 1e-4), np.ones(5, dtype=bool),
-            np.zeros((5, 3)), np.zeros(5),
-        )
-        lu_a, fresh_a = fem._factorize(model, contacts, 1e6)
-        lu_again, fresh_again = fem._factorize(model, contacts, 1e6)
-        lu_b, fresh_b = fem._factorize(model, contacts, 4e6)
-        assert (fresh_a, fresh_again, fresh_b) == (True, False, True)
-        assert lu_again is lu_a and lu_b is not lu_a
-        dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
-        j = model.regularized.tolil()
-        j[dofs, dofs] = j[dofs, dofs].toarray().ravel() + 4e6
-        rhs = np.random.default_rng(5).normal(size=3 * mesh.num_nodes)
-        assert lu_b.solve(rhs).tobytes() == spla.splu(j.tocsc()).solve(rhs).tobytes()
-
-    def test_jacobian_csc_matches_csr_route(self, box_model, monkeypatch):
-        # the Jacobian is built in CSC directly; its arrays must equal the
-        # coo -> csr, csr + csr, tocsc route's
-        triplets = []
-        checked = []
-        original_blocks = fem._contact_blocks
-        original_splu = fem.spla.splu
-
-        def blocks(contacts, kp, mu):
-            triplets.append(original_blocks(contacts, kp, mu))
-            return triplets[-1]
-
-        def splu(j):
-            rows, cols, vals = triplets[-1]
-            n3 = 3 * box_model.mesh.num_nodes
-            want = box_model.stiffness + box_model.reg * sp.identity(n3, format="csr")
-            if vals.size:
-                want = want + sp.coo_matrix((vals, (rows, cols)), shape=want.shape).tocsr()
-            want = want.tocsc()
-            checked.append(vals.size)
-            for name in ("data", "indices", "indptr"):
-                got_a, want_a = getattr(j, name), getattr(want, name)
-                assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes()
-            return original_splu(j)
-
-        monkeypatch.setattr(fem, "_contact_blocks", blocks)
-        monkeypatch.setattr(fem.spla, "splu", splu)
-        run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
-        assert len(checked) > 10
+                status = "ok" if frames else "empty"
+            assert (status, len(frames)) == (want_status, len(want))
+            for got_frame, want_frame in zip(frames, want):
+                assert abs(got_frame.squeeze_force - want_frame.squeeze_force) <= cfg.convergence_tol
 
 
 def contact_record(kind, nodes, normal, depth, stick, sdir, snorm):
@@ -845,9 +791,8 @@ class TestContactBlocksOracle:
             contacts = random_contacts(rng, snorm_scale)
             got = fem._contact_blocks(contacts, kp, mu)
             want = oracles.loop_contact_blocks(contacts, kp, mu)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype
-                assert g.tobytes() == w.tobytes()
+            assert got.dtype == want.dtype and got.shape == want.shape == (contacts.nodes.size, 3, 3)
+            assert got.tobytes() == want.tobytes()
 
     def test_matches_per_node_loop_on_a_sliding_squeeze(self, box_model, monkeypatch):
         checked = []
@@ -858,7 +803,7 @@ class TestContactBlocksOracle:
             want = oracles.loop_contact_blocks(contacts, kp, mu)
             checked.append(
                 (np.unique(contacts.kind).size, not contacts.stick.all(),
-                 all(g.tobytes() == w.tobytes() for g, w in zip(got, want)))
+                 got.shape == want.shape and got.tobytes() == want.tobytes())
             )
             return got
 
@@ -868,11 +813,10 @@ class TestContactBlocksOracle:
         assert any(slip for _, slip, _ in checked)
         assert any(n >= 2 for n, _, _ in checked)
 
-    def test_no_contacts_gives_empty_triplets(self):
+    def test_no_contacts_gives_no_blocks(self):
         empty = contact_record([], [], np.empty((0, 3)), np.empty(0), np.empty(0, dtype=bool),
                                np.empty((0, 3)), np.empty(0))
-        rows, cols, vals = fem._contact_blocks(empty, 1e6, 0.8)
-        assert rows.size == cols.size == vals.size == 0
+        assert fem._contact_blocks(empty, 1e6, 0.8).shape == (0, 3, 3)
 
 
 RECORD_FIELDS = ("kind", "nodes", "normal", "depth", "fn", "force", "stick", "sdir", "snorm")
@@ -928,7 +872,7 @@ class TestContactStateOracle:
         assert contacts.nodes.size == 0
 
     def test_every_state_of_a_platform_squeeze_matches_surface_loop(self, box_model, monkeypatch):
-        # the tilted pinch of a box on the platform from the LU replay test
+        # the tilted pinch of a box on the platform
         kinds = []
         original = fem._contact_state
 
@@ -939,8 +883,7 @@ class TestContactStateOracle:
             return state
 
         monkeypatch.setattr(fem, "_contact_state", checked)
-        grasp = GraspCandidate((0.0, 0.01, 0.035), np.array([1.0, 0.2, 0.0]) / np.hypot(1.0, 0.2), 0.05, 4.0)
-        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, grasp,
+        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, PLATFORM_GRASP,
                              SimConfig(platform_height=0.0))
         assert len(frames) >= 3
         assert {fem.PAD_A, fem.PAD_B, fem.PLATFORM} in kinds
