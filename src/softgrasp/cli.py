@@ -209,9 +209,9 @@ def _run_candidate(payload) -> GraspEvaluation:
     That is the first frame to reach desired_force, so the squeeze stops
     there.  Only the first frame (for the torque scale) and the latest step
     are kept; frames are built for those two alone.  The model, with its
-    factor and compliance columns, is freed before the frame's hull is
-    built.  A SolverError (no convergence, or a singular Newton system) or
-    a HullError makes a failed candidate.
+    sparse factor and its dense compliance columns, is freed before the
+    frame's hull is built.  A SolverError (no convergence, or a singular
+    Newton system) or a HullError makes a failed candidate.
     """
     index, mesh, cand, rc = payload
     model = assemble_model(mesh, rc.material)

@@ -26,12 +26,6 @@ logger = logging.getLogger(__name__)
 # relative to the mean stiffness diagonal.
 RIGID_REG_REL = 1e-9
 
-# Iterative refinement passes of each Newton solve against the exact sparse
-# Jacobian.  With the rigid modes held only by RIGID_REG_REL, a bare Woodbury
-# solve leaves a relative Jacobian residual near 1e-7; two passes bring it to
-# a direct LU's (about 1e-16).
-REFINE_PASSES = 2
-
 
 # ---------------------------------------------------------------------------
 # Mesh and material types.
@@ -412,40 +406,54 @@ def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
 
 @dataclass(eq=False)
 class AssembledModel:
-    """Mesh plus its factor-ready stiffness and the rigid-mode regularizer.
+    """Mesh plus its stiffness, the rigid-mode anchor and the cached compliance.
 
-    regularized is A = K + reg*I in CSC, the contact-free part of every
-    Newton Jacobian.  mass is the rest mesh's mass, stamped on every frame.
-    lu is A's LU, made on the model's first Newton solve and kept for every
-    later one.  compliance holds the rows (A^-1 E_i)^T for the three dofs
-    of each node i that has been in contact, E_i selecting them, three rows
-    per node at 3 * compliance_slot[i] (-1: none yet); see
-    _compliance_rows.
+    The elastic operator is A = K + reg*I; reg anchors the six rigid modes,
+    rigid (3n, 6) their orthonormal basis R.  mass is the rest mesh's mass,
+    stamped on every frame.  lu is A's LU, made the first time a node
+    touches and kept for every later solve.  compliance holds the deflated
+    rows (A^-1 P E_i)^T, P = I - R R^T, for the three dofs of each node i
+    that has been in contact, E_i selecting them (see _add_compliance):
+    three rows per node, at 3 * compliance_slot[i] (-1: none yet), the
+    nodes in slot order being compliance_nodes.  A^-1 E_i itself is that
+    row plus R R^T E_i / reg.
     """
 
     mesh: TetMesh
     mat: MaterialParams
     stiffness: sp.csr_matrix
     reg: float
-    regularized: sp.csc_matrix
+    rigid: np.ndarray
     mass: float
     lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
     compliance: np.ndarray = field(init=False, repr=False)
     compliance_slot: np.ndarray = field(init=False, repr=False)
+    compliance_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.compliance = np.empty((0, 3 * self.mesh.num_nodes))
         self.compliance_slot = np.full(self.mesh.num_nodes, -1)
+        self.compliance_nodes = np.empty(0, dtype=int)
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
     k = assemble_stiffness(mesh, mat)
     reg = RIGID_REG_REL * float(k.diagonal().mean())
-    regularized = (k + reg * sp.identity(3 * mesh.num_nodes, format="csr")).tocsc()
     return AssembledModel(
-        mesh=mesh, mat=mat, stiffness=k, reg=reg, regularized=regularized,
+        mesh=mesh, mat=mat, stiffness=k, reg=reg, rigid=_rigid_modes(mesh.nodes),
         mass=mat.density * mesh.volume(),
     )
+
+
+def _rigid_modes(nodes: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (3n, 6) of the rigid motions of the nodes: three
+    translations and three small rotations about their centroid."""
+    rel = nodes - nodes.mean(axis=0)
+    modes = np.zeros((nodes.shape[0], 3, 6))
+    modes[:, :, :3] = np.eye(3)
+    for a, axis in enumerate(np.eye(3)):
+        modes[:, :, 3 + a] = np.cross(axis, rel)
+    return np.linalg.qr(modes.reshape(-1, 6))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +472,8 @@ class _PadGeometry:
         self.halfwidth = grasp.finger_halfwidth
         self.t1, self.t2 = orthonormal_tangents(self.axis)
         self.platform_height = platform_height
-        # indexed by PAD_A, PAD_B, PLATFORM
-        self.normals = (self.axis, -self.axis, np.array([0.0, 0.0, 1.0]))
+        # rows indexed by PAD_A, PAD_B, PLATFORM
+        self.normals = np.array([self.axis, -self.axis, (0.0, 0.0, 1.0)])
 
     def contact_candidates(self, x: np.ndarray, gap: float):
         """Penetrating nodes of deformed node positions x, surface by surface.
@@ -510,8 +518,8 @@ class StepReport:
 
     iterations counts Newton loop passes, i.e. solves + 1 on a step that
     converged before the iteration cap.  factorizations counts the sparse
-    LU factorizations the step made: 1 when its solves made the model's one
-    factor of K + reg*I, else 0 (see _newton_direction).
+    LU factorizations the step made: 1 when it made the model's one LU
+    (see _add_compliance), else 0.
     """
 
     contacts: _Contacts
@@ -525,12 +533,11 @@ class StepReport:
         return float(self.contacts.fn[self.contacts.kind == PAD_A].sum())
 
 
-def _contact_state(model, pads, gap, u, u_step_start, cfg):
-    """Evaluate penalty contact forces at displacement u.
+def _contact_state(model, pads, gap, u, u_step_start, cfg) -> _Contacts:
+    """Penalty contact state at displacement u.
 
-    Returns (f_ext flat array, _Contacts).  Tangential forces oppose the
-    slip accumulated since the step start and are capped by the Coulomb
-    cone.
+    Tangential forces oppose the slip accumulated since the step start and
+    are capped by the Coulomb cone.
     """
     surf = model.mesh.surface_nodes
     x = model.mesh.nodes[surf] + u.reshape(-1, 3)[surf]
@@ -538,13 +545,13 @@ def _contact_state(model, pads, gap, u, u_step_start, cfg):
     mu = model.mat.friction_mu
     kind, rows, depth = pads.contact_candidates(x, gap)
     nodes = surf[rows]
-    normal = np.array(pads.normals)[kind]
+    normal = pads.normals[kind]
     fn = kp * depth
-    du = (u - u_step_start).reshape(-1, 3)
+    du = u.reshape(-1, 3)[nodes] - u_step_start.reshape(-1, 3)[nodes]
     # A matvec's bits depend on its rows (BLAS blocks them), so each surface's
     # normal slip is the matvec of that surface's rows alone, as a fresh array.
-    along = np.concatenate([du[nodes[kind == k]] @ n for k, n in enumerate(pads.normals)])
-    slip_t = du[nodes] - along[:, None] * normal
+    along = np.concatenate([du[kind == k] @ n for k, n in enumerate(pads.normals)])
+    slip_t = du - along[:, None] * normal
     ft = -kp * slip_t
     ft_norm = np.linalg.norm(ft, axis=1)
     cap = mu * fn
@@ -554,18 +561,30 @@ def _contact_state(model, pads, gap, u, u_step_start, cfg):
     scale[nz & slipping] = cap[nz & slipping] / ft_norm[nz & slipping]
     ft = ft * scale[:, None]
     force = fn[:, None] * normal + ft
-    f_ext = np.zeros(3 * model.mesh.num_nodes)
-    np.add.at(f_ext.reshape(-1, 3), nodes, force)
     # unit slip directions and magnitudes for the capped nodes
     # (ft_norm = kp * ||slip_t|| before capping)
     sdir = np.zeros_like(slip_t)
     if np.any(slipping):
         sdir[slipping] = slip_t[slipping] * (kp / ft_norm[slipping])[:, None]
-    contacts = _Contacts(
+    return _Contacts(
         kind=kind, nodes=nodes, normal=normal, depth=depth, fn=fn, force=force,
         stick=~slipping, sdir=sdir, snorm=ft_norm / kp,
     )
-    return f_ext, contacts
+
+
+def _force_residual(model: AssembledModel, contacts: _Contacts, g: np.ndarray):
+    """Contact force minus the carried force g, per compliance slot, and the
+    squared norm of the force on contact nodes that have no slot yet."""
+    slot = model.compliance_slot[contacts.nodes]
+    held = slot >= 0
+    r = -g
+    np.add.at(r.reshape(-1, 3), slot[held], contacts.force[held])
+    if held.all():
+        return r, 0.0
+    _, node = np.unique(contacts.nodes[~held], return_inverse=True)
+    loose = np.zeros((node.size, 3))
+    np.add.at(loose, node, contacts.force[~held])
+    return r, float(np.sum(loose * loose))
 
 
 def quasi_static_step(
@@ -578,22 +597,37 @@ def quasi_static_step(
     """Solve one closing increment to equilibrium.
 
     u_start is the converged flat displacement vector (3n,) of the previous
-    increment; the finger gap is the new, smaller opening.  Returns the new
-    displacement vector and the step's report.  Raises SolverError when the
-    residual fails to reach convergence_tol or a Newton system is singular.
+    increment on this model (zero before the first); the finger gap is the
+    new, smaller opening.  Returns the new displacement vector and the
+    step's report.  Raises SolverError when the residual fails to reach
+    convergence_tol or a Newton system is singular.
+
+    The loads act on contact nodes only, so every iterate is
+    u = u_start + A^-1 E (g - g_start), E selecting the dofs of the nodes
+    that have been in contact and g the elastic force A u on them: after
+    one product A u_start, the Newton loop runs on g and those nodes'
+    compliance columns, with no sparse solve or product.  Its residual is
+    the contact force minus g, the full residual f_ext(u) - A u but for
+    the roundoff that A u_start leaves on the other nodes (counted in the
+    norm).  u is updated alongside g, so the rigid-mode amplitudes
+    R^T u = R^T g / reg are never formed by dividing by reg.
     """
     if gap <= 0.0:
         raise InvalidInputError("finger gap must be > 0")
     pads = _PadGeometry(grasp, cfg.platform_height)
     kp = cfg.penalty_stiffness
+    force = model.stiffness @ u_start + model.reg * u_start
+    g = force[_node_dofs(model.compliance_nodes)]
+    # A u_start off the slotted nodes: roundoff when a step made u_start
+    off = float(np.sum(force.reshape(-1, 3)[model.compliance_slot < 0] ** 2))
 
-    def state_at(u):
-        f_ext, contacts = _contact_state(model, pads, gap, u, u_start, cfg)
-        r = f_ext - model.stiffness @ u - model.reg * u
-        return r, float(np.linalg.norm(r)), contacts
+    def state_at(u, g):
+        contacts = _contact_state(model, pads, gap, u, u_start, cfg)
+        r, loose = _force_residual(model, contacts, g)
+        return r, float(np.sqrt(r @ r + loose + off)), contacts
 
     u = u_start.copy()
-    residual, res_norm, contacts = state_at(u)
+    residual, res_norm, contacts = state_at(u, g)
     least = res_norm
     clamp = 20.0 * cfg.displacement_increment
     iterations = 0
@@ -601,9 +635,15 @@ def quasi_static_step(
     for iterations in range(1, cfg.max_fixedpoint_iters + 1):
         if res_norm < cfg.convergence_tol:
             break
-        factorizations += int(model.lu is None)
         try:
-            du = _newton_direction(model, contacts, kp, residual)
+            new = np.unique(contacts.nodes[model.compliance_slot[contacts.nodes] < 0])
+            if new.size:
+                factorizations += int(model.lu is None)
+                _add_compliance(model, new)
+                # their share of A u_start is roundoff, counted in off
+                g = np.concatenate([g, np.zeros(3 * new.size)])
+                residual = _force_residual(model, contacts, g)[0]
+            dg, du = _newton_direction(model, contacts, kp, residual)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             # RuntimeError is SuperLU's singular factor
             raise SolverError(
@@ -612,6 +652,7 @@ def quasi_static_step(
             ) from exc
         step = float(np.max(np.abs(du)))
         if step > clamp:
+            dg *= clamp / step
             du *= clamp / step
         # The force law is affine while the active/stick sets hold, so the
         # full step lands exactly on the current sets' equilibrium; smaller
@@ -619,15 +660,15 @@ def quasi_static_step(
         # residual, else average toward the full step to break set cycling.
         trial = None
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            u_try = u + scale * du
-            r_try, rn_try, c_try = state_at(u_try)
-            if trial is None or rn_try < trial[2]:
-                trial = (u_try, r_try, rn_try, c_try)
+            u_try, g_try = u + scale * du, g + scale * dg
+            r_try, rn_try, c_try = state_at(u_try, g_try)
+            if trial is None or rn_try < trial[3]:
+                trial = (u_try, g_try, r_try, rn_try, c_try)
             if rn_try < cfg.convergence_tol:
                 break
         # accept the least-bad trial even without strict descent; the next
         # linearization starts from its (possibly different) contact sets
-        u, residual, res_norm, contacts = trial
+        u, g, residual, res_norm, contacts = trial
         least = min(least, res_norm)
     # the loop stops at the first converged state, so only the current one
     # can be converged; least is the smallest residual seen, for the error
@@ -672,63 +713,74 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
-def _compliance_rows(model: AssembledModel, nodes: np.ndarray) -> np.ndarray:
-    """Rows (A^-1 H^T)^T, (3k, 3n), for the k nodes (repeats allowed), H
-    selecting their dofs and A = K + reg*I.
+def _add_compliance(model: AssembledModel, nodes: np.ndarray) -> None:
+    """Solve the deflated compliance rows of nodes (unique, without a slot
+    yet) in one multi-right-hand-side solve, and give them the next slots.
+    Makes the model's LU of A on its first call.
 
-    A node's rows are solved for the first time it is asked for; every node
-    new to the model in this call is solved for in one multi-right-hand-side
-    solve with A's LU.
+    A row v = A^-1 P e, P = I - R R^T, is the first block of the bordered
+    system [[A, R], [R^T, 0]] [v; l] = [P e; 0], whose six extra unknowns
+    hold v orthogonal to the rigid modes.  It is solved with A's LU as
+    P A^-1 P e: A's six near-zero eigenvalues (reg) amplify the solve's
+    roundoff along the rigid modes only, where the outer P removes it.  On
+    the bench meshes this form matches a twice-refined LU of the bordered
+    matrix to 1e-15 relative, where P A^-1 e is off by 4e-9 to 2e-8; and
+    that LU, slowed by the border's dense rows, takes 1.2 to 4 times as
+    long as A's.
     """
-    slot = model.compliance_slot
-    new = np.unique(nodes[slot[nodes] < 0])
-    if new.size:
-        unit = np.zeros((model.compliance.shape[1], 3 * new.size))
-        unit[_node_dofs(new), np.arange(3 * new.size)] = 1.0
-        slot[new] = model.compliance.shape[0] // 3 + np.arange(new.size)
-        model.compliance = np.concatenate([model.compliance, model.lu.solve(unit).T])
-    return model.compliance[_node_dofs(slot[nodes])]
-
-
-def _newton_direction(model: AssembledModel, contacts: _Contacts, kp: float, r: np.ndarray) -> np.ndarray:
-    """Solve J du = r for the Newton Jacobian J = A + H^T B H.
-
-    A = K + reg*I is factored once per model; H selects the dofs of the
-    record's rows and B is block-diagonal with their _contact_blocks (a node
-    on two surfaces has two rows).  By the Woodbury identity,
-    du = y - Z (I + B W)^-1 B H y with y = A^-1 r, Z = A^-1 H^T and
-    W = H Z; this form needs no B^-1, which a slip block lacks.  The
-    near-singular rigid modes of A make that solve lose about 1e-7 of
-    relative accuracy, so REFINE_PASSES passes of iterative refinement
-    against J's exact sparse product follow.  Raises np.linalg.LinAlgError
-    for a singular I + B W, and SuperLU's RuntimeError for a singular A.
-    """
+    n3 = model.stiffness.shape[0]
     if model.lu is None:
-        model.lu = spla.splu(model.regularized)
+        model.lu = spla.splu((model.stiffness + model.reg * sp.identity(n3, format="csr")).tocsc())
+    dofs = _node_dofs(nodes)
+    projected = -model.rigid @ model.rigid[dofs].T
+    projected[dofs, np.arange(dofs.size)] += 1.0
+    y = model.lu.solve(projected)
+    model.compliance_slot[nodes] = model.compliance_nodes.size + np.arange(nodes.size)
+    model.compliance_nodes = np.concatenate([model.compliance_nodes, nodes])
+    model.compliance = np.concatenate([model.compliance, (y - model.rigid @ (model.rigid.T @ y)).T])
+
+
+def _newton_direction(model: AssembledModel, contacts: _Contacts, kp: float, r: np.ndarray):
+    """The Newton step (dg, du) from the force residual r, per slot; every
+    record row's node must have a slot.
+
+    u moves by du = V^T dg + R da, V the compliance rows and da the change
+    of the rigid-mode amplitudes.  With B the rows' _contact_blocks
+    (block-diagonal, a node on two surfaces having two rows), H selecting
+    the rows' dofs and S summing rows into slots, the contact force changes
+    by -S c with c = B H du, so dg = r - S c, and c and da solve the
+    bordered capacitance system
+
+        [I + B W   -B R_H] [c ]   [B H V^T r]
+        [R_H^T     reg I ] [da] = [R_T^T r  ]
+
+    where W = H V^T S is the rows' deflated compliance, R_H = H R, and R_T
+    is R on the slotted dofs: the second row keeps g's net force and torque
+    equal to the anchor's, reg times the rigid amplitudes.  reg enters only
+    that 6x6 block, and no entry carries its 1/reg, so the step's roundoff
+    scales with r.  This form needs no B^-1, which a slip block lacks.
+    Raises np.linalg.LinAlgError for a singular system.
+    """
     nodes = contacts.nodes
-    if not nodes.size:
-        return model.lu.solve(r)
+    k = nodes.size
     blocks = _contact_blocks(contacts, kp, model.mat.friction_mu)
     dofs = _node_dofs(nodes)
-    z_rows = _compliance_rows(model, nodes)
-    w = z_rows[:, dofs].T
-    k = nodes.size
-    capacitance = np.eye(3 * k) + np.matmul(blocks, w.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k)
-
-    def solve(v):
-        y = model.lu.solve(v)
-        by = np.matmul(blocks, y[dofs].reshape(k, 3, 1)).ravel()
-        return y - z_rows.T @ np.linalg.solve(capacitance, by)
-
-    def jacobian_product(v):
-        jv = model.stiffness @ v + model.reg * v
-        np.add.at(jv.reshape(-1, 3), nodes, np.matmul(blocks, v[dofs].reshape(k, 3, 1))[:, :, 0])
-        return jv
-
-    du = solve(r)
-    for _ in range(REFINE_PASSES):
-        du += solve(r - jacobian_product(du))
-    return du
+    z = model.compliance[:, dofs]
+    rigid_h = model.rigid[dofs]
+    w = z[_node_dofs(model.compliance_slot[nodes])].T
+    capacitance = np.block([
+        [np.eye(3 * k) + np.matmul(blocks, w.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k),
+         -np.matmul(blocks, rigid_h.reshape(k, 3, 6)).reshape(3 * k, 6)],
+        [rigid_h.T, model.reg * np.eye(6)],
+    ])
+    rhs = np.concatenate([
+        np.matmul(blocks, (z.T @ r).reshape(k, 3, 1)).ravel(),
+        model.rigid[_node_dofs(model.compliance_nodes)].T @ r,
+    ])
+    solution = np.linalg.solve(capacitance, rhs)
+    dg = r.copy()
+    np.subtract.at(dg.reshape(-1, 3), model.compliance_slot[nodes], solution[:3 * k].reshape(k, 3))
+    return dg, model.compliance.T @ dg + model.rigid @ solution[3 * k:]
 
 
 def run_squeeze(

@@ -142,10 +142,6 @@ def monotonicity(metric_values, ground_truth) -> float:
     Constant input on either side leaves ranks undefined: that returns NaN
     and raises UndefinedCorrelationWarning instead of failing.
     """
-    # not a module-level import: scipy.stats adds ~0.8 s and ~32 MiB to the
-    # start of every command, and only bench ranks
-    from scipy import stats
-
     a = np.asarray(metric_values, dtype=float)
     b = np.asarray(ground_truth, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 3:
@@ -159,7 +155,18 @@ def monotonicity(metric_values, ground_truth) -> float:
             stacklevel=2,
         )
         return float("nan")
-    return float(stats.spearmanr(a, b).statistic * 100.0)
+    return float(np.corrcoef(np.stack([_average_ranks(a), _average_ranks(b)]))[1, 0] * 100.0)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each run of equal values given its mean rank."""
+    order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def saturation_index(values: np.ndarray) -> int | None:

@@ -254,9 +254,10 @@ def mutate_text(rng, text):
 
 
 def make_newton_solve_singular(monkeypatch, part: str) -> None:
-    """Make every Newton solve hit a singular matrix: the base factor of
-    K + reg*I (part "base": SuperLU's RuntimeError) or the Woodbury
-    capacitance matrix (part "capacitance": numpy's LinAlgError)."""
+    """Make every Newton solve hit a singular matrix: the model's sparse
+    factor, made for its first compliance columns (part "base": SuperLU's
+    RuntimeError), or the capacitance matrix (part "capacitance": numpy's
+    LinAlgError)."""
     def singular(*args):
         if part == "base":
             raise RuntimeError("Factor is exactly singular")

@@ -6,14 +6,14 @@ decompositions.  Nothing imports the geometry code under test beyond plain
 data containers.  There are two exceptions.  full_squeeze_evaluation
 checks the rank/bench squeeze's stopping rule, not its physics or metrics,
 and so scores with the library's own metrics.  direct_lu_squeeze checks
-the Newton step's linear solve alone, and so runs the library's own
-Newton loop and contact law around a direct sparse LU.
+the contact-space Newton solve, and so runs a full-space Newton loop of
+its own, with a direct sparse LU per step, on the library's model,
+contact law and frames.
 """
 
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,7 +250,7 @@ def direct_jacobian(model, contacts, kp: float):
     """The Newton Jacobian K + reg*I plus each record row's
     loop_contact_blocks block on its node's dofs, assembled as one sparse
     matrix (CSC)."""
-    n3 = model.regularized.shape[0]
+    n3 = model.stiffness.shape[0]
     rows, cols, vals = [], [], []
     for node, block in zip(contacts.nodes, loop_contact_blocks(contacts, kp, model.mat.friction_mu)):
         for r in range(3):
@@ -263,26 +263,89 @@ def direct_jacobian(model, contacts, kp: float):
 
 
 def direct_newton_direction(model, contacts, kp: float, r):
-    """A Newton step solved by a fresh sparse LU of direct_jacobian.
-
-    The solve fem._newton_direction replaces (one splu per Newton step),
-    with the same inputs and result.
-    """
+    """A full-space Newton step: r solved by a fresh sparse LU of
+    direct_jacobian."""
     return spla.splu(direct_jacobian(model, contacts, kp)).solve(r)
 
 
-def direct_lu_squeeze(mesh, mat, grasp, cfg):
-    """(status, frames) of fem.run_squeeze with every Newton step solved by
-    direct_newton_direction: "ok" with its frames, "empty" without frames,
-    or "failed" with none when a step raises SolverError."""
+def full_space_residual(model, contacts, u):
+    """f_ext(u) - K u - reg*u over all 3n dofs, f_ext the record's forces
+    summed onto their nodes."""
+    f_ext = np.zeros(u.size)
+    np.add.at(f_ext.reshape(-1, 3), contacts.nodes, contacts.force)
+    return f_ext - model.stiffness @ u - model.reg * u
+
+
+def direct_quasi_static_step(model, grasp, gap, u_start, cfg):
+    """(u, StepReport) of one closing increment, solved by a Newton loop on
+    the full displacement: the clamp, the five-scale line search that keeps
+    the least residual, and the tolerance of fem.quasi_static_step, each
+    step solved by direct_newton_direction.  Raises SolverError as it does."""
     from softgrasp import fem
     from softgrasp.errors import SolverError
 
-    with mock.patch.object(fem, "_newton_direction", direct_newton_direction):
+    pads = fem._PadGeometry(grasp, cfg.platform_height)
+
+    def state_at(u):
+        contacts = fem._contact_state(model, pads, gap, u, u_start, cfg)
+        r = full_space_residual(model, contacts, u)
+        return r, float(np.linalg.norm(r)), contacts
+
+    u = u_start.copy()
+    residual, res_norm, contacts = state_at(u)
+    clamp = 20.0 * cfg.displacement_increment
+    iterations = 0
+    for iterations in range(1, cfg.max_fixedpoint_iters + 1):
+        if res_norm < cfg.convergence_tol:
+            return u, fem.StepReport(contacts, res_norm, iterations, 0)
         try:
-            frames = fem.run_squeeze(mesh, mat, grasp, cfg)
+            du = direct_newton_direction(model, contacts, cfg.penalty_stiffness, residual)
+        except RuntimeError as exc:
+            raise SolverError(f"singular Newton system ({exc})") from exc
+        step = float(np.max(np.abs(du)))
+        if step > clamp:
+            du *= clamp / step
+        trial = None
+        for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            u_try = u + scale * du
+            state = (u_try,) + state_at(u_try)
+            if trial is None or state[2] < trial[2]:
+                trial = state
+            if state[2] < cfg.convergence_tol:
+                break
+        u, residual, res_norm, contacts = trial
+    if res_norm < cfg.convergence_tol:
+        return u, fem.StepReport(contacts, res_norm, iterations, 0)
+    raise SolverError(f"no convergence after {cfg.max_fixedpoint_iters} iterations")
+
+
+def direct_lu_squeeze(mesh, mat, grasp, cfg):
+    """(status, frames) of fem.run_squeeze with every step solved by
+    direct_quasi_static_step: "ok" with its frames, "empty" without frames,
+    or "failed" with none when a step raises SolverError.  The gap schedule
+    and the stop at max_force are fem.squeeze_steps'."""
+    from softgrasp import fem
+    from softgrasp.errors import SolverError
+
+    model = fem.assemble_model(mesh, mat)
+    reach = float(np.max(np.abs((mesh.nodes - grasp.grasp_center) @ grasp.approach_axis)))
+    gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment
+    u = np.zeros(3 * mesh.num_nodes)
+    frames = []
+    gap = gap0
+    step_idx = 0
+    while gap - cfg.displacement_increment > 0.0:
+        step_idx += 1
+        gap = gap0 - step_idx * cfg.displacement_increment
+        try:
+            u, report = direct_quasi_static_step(model, grasp, gap, u, cfg)
         except SolverError:
             return "failed", []
+        if np.all(report.contacts.kind == fem.PLATFORM):
+            continue
+        frames.append(fem.step_frame(model, cfg, step_idx, u, report))
+        if report.squeeze_force >= grasp.max_force:
+            break
     return ("ok" if frames else "empty"), frames
 
 

@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
@@ -639,11 +640,29 @@ PLATFORM_GRASP = GraspCandidate(
 )
 
 
+class CountedFactor:
+    """A SuperLU factor that records the column count of each solve."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solved = []
+
+    def solve(self, rhs):
+        self.solved.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+        return self.lu.solve(rhs)
+
+
 def count_splu(monkeypatch):
-    """Wrap fem.spla.splu; the list fills with one entry per factorization."""
+    """Wrap fem.spla.splu; the list fills with one CountedFactor per
+    factorization."""
     calls = []
     original_splu = fem.spla.splu
-    monkeypatch.setattr(fem.spla, "splu", lambda a: calls.append(1) or original_splu(a))
+
+    def splu(a):
+        calls.append(CountedFactor(original_splu(a)))
+        return calls[-1]
+
+    monkeypatch.setattr(fem.spla, "splu", splu)
     return calls
 
 
@@ -654,35 +673,42 @@ class TestWoodburySolve:
          (0.8, PLATFORM_GRASP, 0.03, 0.0)],
         ids=["stick_pinch", "low_mu_slip", "platform_repeated_nodes"],
     )
-    def test_jacobian_residual_within_10x_of_direct_lu(self, box_model, mu, grasp, lift, platform, monkeypatch):
-        # every Newton step of the squeeze, solved both ways; a relative
-        # residual under 8 eps is roundoff for either solve
-        floor = 8.0 * np.finfo(float).eps
-        seen = {"solves": 0, "slip": 0, "repeated": 0}
-        original = fem._newton_direction
+    def test_converged_residual_is_the_full_space_residual(self, box_model, mu, grasp, lift, platform,
+                                                           monkeypatch):
+        # the contact-space residual of every converged step, against
+        # f_ext(u) - K u - reg*u over all 3n dofs with the sparse K
+        seen = {"steps": 0, "slip": 0, "repeated": 0}
+        original = fem.quasi_static_step
 
-        def checked(model, contacts, kp, r):
-            du = original(model, contacts, kp, r)
-            j = oracles.direct_jacobian(model, contacts, kp)
-            direct = spla.splu(j).solve(r)
-            norm = np.linalg.norm(r)
-            woodbury_res = np.linalg.norm(j @ du - r) / norm
-            direct_res = np.linalg.norm(j @ direct - r) / norm
-            assert woodbury_res <= 10.0 * max(direct_res, floor)
-            seen["solves"] += 1
-            seen["slip"] += not contacts.stick.all()
-            seen["repeated"] += np.unique(contacts.nodes).size < contacts.nodes.size
-            return du
+        def checked(model, grasp, gap, u_start, cfg):
+            u, report = original(model, grasp, gap, u_start, cfg)
+            full = np.linalg.norm(oracles.full_space_residual(model, report.contacts, u))
+            assert report.residual < cfg.convergence_tol
+            assert abs(report.residual - full) <= 1e-9
+            seen["steps"] += 1
+            seen["slip"] += not report.contacts.stick.all()
+            seen["repeated"] += np.unique(report.contacts.nodes).size < report.contacts.nodes.size
+            return u, report
 
-        monkeypatch.setattr(fem, "_newton_direction", checked)
+        monkeypatch.setattr(fem, "quasi_static_step", checked)
         frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, lift)), MaterialParams(friction_mu=mu), grasp,
                              SimConfig(platform_height=platform))
-        assert len(frames) >= 3 and seen["solves"] >= 3
+        assert len(frames) >= 3 and seen["steps"] >= 3
         assert (seen["slip"] > 0) == (mu == SLIP_MU or platform == 0.0)
         assert (seen["repeated"] > 0) == (platform == 0.0)
 
     def test_one_splu_per_squeeze(self, box_model, monkeypatch):
+        # the LU solves one block of compliance columns per batch of nodes
+        # new to contact, nothing else
         splu_calls = count_splu(monkeypatch)
+        widths = []
+        original_add = fem._add_compliance
+
+        def add(model, nodes):
+            original_add(model, nodes)
+            widths.append(3 * nodes.size)
+
+        monkeypatch.setattr(fem, "_add_compliance", add)
         reports = []
         original_step = fem.quasi_static_step
 
@@ -695,6 +721,7 @@ class TestWoodburySolve:
         frames = run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
         assert len(frames) >= 3
         assert len(splu_calls) == sum(r.factorizations for r in reports) == 1
+        assert splu_calls[0].solved == widths
         # the first step that solves makes the factor
         solving = [r for r in reports if r.iterations > 1]
         assert solving[0].factorizations == 1
@@ -702,28 +729,42 @@ class TestWoodburySolve:
 
     def test_compliance_rows_solved_once_per_contact_node(self, box_model, monkeypatch):
         asked = []
-        original = fem._compliance_rows
+        original = fem._add_compliance
 
         def recorded(model, nodes):
-            before = model.compliance.shape[0]
-            rows = original(model, nodes)
-            new = np.setdiff1d(nodes, np.concatenate(asked) if asked else [])
-            assert model.compliance.shape[0] == before + 3 * new.size
+            assert np.all(model.compliance_slot[nodes] < 0)
+            original(model, nodes)
             asked.append(nodes)
-            return rows
 
-        monkeypatch.setattr(fem, "_compliance_rows", recorded)
+        monkeypatch.setattr(fem, "_add_compliance", recorded)
         model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
         for _ in fem.squeeze_steps(model, PLATFORM_GRASP, SimConfig(platform_height=0.0)):
             pass
-        touched = np.unique(np.concatenate(asked))
-        assert np.array_equal(np.flatnonzero(model.compliance_slot >= 0), touched)
+        touched = np.concatenate(asked)
+        assert np.array_equal(model.compliance_nodes, touched)
+        assert np.array_equal(model.compliance_slot[touched], np.arange(touched.size))
+        assert model.compliance.shape == (3 * touched.size, 3 * model.mesh.num_nodes)
+        # each row is v = A^-1 P e, A = K + reg*I and P = I - R R^T, e a
+        # touched dof's unit load: against a twice-refined direct LU of the
+        # bordered system [[A, R], [R^T, 0]] [v; l] = [P e; 0], which is well
+        # conditioned where A is not (A's own refined solve is good to only
+        # about 1e-7 in its rigid modes), and against A itself
+        n3 = 3 * model.mesh.num_nodes
         dofs = fem._node_dofs(touched)
-        unit = np.zeros((3 * model.mesh.num_nodes, dofs.size))
-        unit[dofs, np.arange(dofs.size)] = 1.0
-        want = spla.splu(model.regularized).solve(unit).T
-        got = model.compliance[fem._node_dofs(model.compliance_slot[touched])]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        projected = -model.rigid @ model.rigid[dofs].T
+        projected[dofs, np.arange(dofs.size)] += 1.0
+        a = model.stiffness + model.reg * sp.identity(n3)
+        bordered = sp.bmat([[a, sp.csr_matrix(model.rigid)], [sp.csr_matrix(model.rigid.T), None]], format="csc")
+        rhs = np.vstack([projected, np.zeros((6, dofs.size))])
+        lu = spla.splu(bordered)
+        want = lu.solve(rhs)
+        for _ in range(2):
+            want += lu.solve(rhs - bordered @ want)
+        got = model.compliance.T
+        scale = np.abs(want[:n3]).max()
+        np.testing.assert_allclose(got, want[:n3], rtol=0.0, atol=1e-12 * scale)
+        assert np.abs(a @ got - projected).max() <= 1e-12
+        assert np.abs(model.rigid.T @ got).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize(
         "name,stream", [(name, i) for i, name in enumerate(cli.BENCH_OBJECTS)] + [("slab", 0)],
@@ -822,12 +863,14 @@ class TestContactBlocksOracle:
 RECORD_FIELDS = ("kind", "nodes", "normal", "depth", "fn", "force", "stick", "sdir", "snorm")
 
 
-def assert_state_matches_surface_loop(state, *args):
-    """state, fem._contact_state's result on args, bit for bit against
-    oracles.loop_contact_state's: f_ext, and each record field against the
+def assert_state_matches_surface_loop(contacts, *args):
+    """contacts, fem._contact_state's record on args, bit for bit against
+    oracles.loop_contact_state's result: the record's forces summed onto
+    their nodes row by row against f_ext, and each record field against the
     pieces' values, surface after surface."""
-    f_ext, contacts = state
     want_f, pieces = oracles.loop_contact_state(*args)
+    f_ext = np.zeros_like(want_f)
+    np.add.at(f_ext.reshape(-1, 3), contacts.nodes, contacts.force)
     assert f_ext.tobytes() == want_f.tobytes()
     for name in RECORD_FIELDS:
         got = getattr(contacts, name)
@@ -855,8 +898,8 @@ class TestContactStateOracle:
         slip = rng.normal(size=(mesh.num_nodes, 3)) * 10.0 ** rng.uniform(-7.0, -2.0, (mesh.num_nodes, 1))
         u_start = u - slip.ravel()
         args = (model, pads, 0.0598, u, u_start, cfg)
-        _, contacts = state = fem._contact_state(*args)
-        assert_state_matches_surface_loop(state, *args)
+        contacts = fem._contact_state(*args)
+        assert_state_matches_surface_loop(contacts, *args)
         assert set(contacts.kind) == {fem.PAD_A, fem.PAD_B, fem.PLATFORM}
         for kind in (fem.PAD_A, fem.PAD_B, fem.PLATFORM):
             stick = contacts.stick[contacts.kind == kind]
@@ -867,8 +910,8 @@ class TestContactStateOracle:
         pads = fem._PadGeometry(box_grasp(), cfg.platform_height)
         u = np.zeros(3 * box_model.mesh.num_nodes)
         args = (box_model, pads, 0.2, u, u, cfg)
-        _, contacts = state = fem._contact_state(*args)
-        assert_state_matches_surface_loop(state, *args)
+        contacts = fem._contact_state(*args)
+        assert_state_matches_surface_loop(contacts, *args)
         assert contacts.nodes.size == 0
 
     def test_every_state_of_a_platform_squeeze_matches_surface_loop(self, box_model, monkeypatch):
@@ -877,10 +920,10 @@ class TestContactStateOracle:
         original = fem._contact_state
 
         def checked(*args):
-            state = original(*args)
-            assert_state_matches_surface_loop(state, *args)
-            kinds.append(set(state[1].kind))
-            return state
+            contacts = original(*args)
+            assert_state_matches_surface_loop(contacts, *args)
+            kinds.append(set(contacts.kind))
+            return contacts
 
         monkeypatch.setattr(fem, "_contact_state", checked)
         frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, PLATFORM_GRASP,

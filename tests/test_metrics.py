@@ -277,6 +277,21 @@ class TestMonotonicity:
         b = [1.0, 2.0, 3.0, 4.0]
         assert monotonicity(a, b) == pytest.approx(stats.spearmanr(a, b).statistic * 100)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy_spearman_on_random_ties(self, seed):
+        # series of 3 to 40 values drawn from few levels, so most carry ties
+        from scipy import stats
+
+        rng = np.random.default_rng([5, seed])
+        for _ in range(50):
+            n = int(rng.integers(3, 41))
+            a = rng.integers(0, int(rng.integers(2, 8)), n) * 0.25
+            b = rng.normal(size=n).round(int(rng.integers(0, 3)))
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                continue
+            want = stats.spearmanr(a, b).statistic * 100.0
+            assert monotonicity(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_errors(self):
         with pytest.raises(InvalidInputError):
             monotonicity([1, 2], [1, 2])
