@@ -35,6 +35,7 @@ from .fem import (
     GraspCandidate,
     MaterialParams,
     SimConfig,
+    Squeeze,
     StepReport,
     TetMesh,
     assemble_model,

@@ -7,7 +7,9 @@ or I/O error.  A rank or bench candidate whose squeeze or wrench hull fails
 frame's wrench hull even from joggled input, metric and hull-info print
 "error: ..." to stderr, nothing to stdout, and exit 1.  All sampling is
 seeded, so equal inputs and seeds produce byte-identical outputs,
-regardless of --jobs.
+regardless of --jobs, at a fixed BLAS thread count (CI and pipebench set
+OPENBLAS_NUM_THREADS=1): pipebench's seed-0 rank candidate slab/04 has
+volume 0.03721426078 on one BLAS thread, 0.03714012737 on two.
 """
 
 from __future__ import annotations
@@ -208,16 +210,16 @@ def _run_candidate(payload) -> GraspEvaluation:
 
     That is the first frame to reach desired_force, so the squeeze stops
     there.  Only the first frame (for the torque scale) and the latest step
-    are kept; frames are built for those two alone.  The model, with its
-    sparse factor and its dense compliance columns, is freed before the
-    frame's hull is built.  A SolverError (no convergence, or a singular
-    Newton system) or a HullError makes a failed candidate.
+    are kept; frames are built for those two alone.  The model (its sparse
+    factor) and the squeeze (its dense compliance columns) are freed before
+    the frame's hull is built.  A SolverError, from assembly or a step, or
+    a HullError makes a failed candidate.
     """
     index, mesh, cand, rc = payload
-    model = assemble_model(mesh, rc.material)
     grasp = dataclasses.replace(cand, max_force=min(cand.max_force, rc.desired_force))
     first = last = None
     try:
+        model = assemble_model(mesh, rc.material)
         for last in squeeze_steps(model, grasp, rc.sim):
             first = first or step_frame(model, rc.sim, *last)
     except SolverError as exc:

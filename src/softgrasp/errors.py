@@ -42,16 +42,14 @@ class SolverError(SoftGraspError):
 
     Carries the smallest residual norm the failed step reached, so callers
     can decide whether the result is still usable for diagnostics, and the
-    step's Newton loop passes and sparse factorizations, counted as in
-    fem.StepReport.
+    step's Newton loop passes, counted as in fem.StepReport (NaN and 0 for
+    a singular factor at assembly).
     """
 
-    def __init__(self, message: str, residual: float = float("nan"), iterations: int = 0,
-                 factorizations: int = 0):
+    def __init__(self, message: str, residual: float = float("nan"), iterations: int = 0):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-        self.factorizations = factorizations
 
 
 class HullError(SoftGraspError):

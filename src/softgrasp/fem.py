@@ -404,19 +404,15 @@ def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
     return k
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AssembledModel:
-    """Mesh plus its stiffness, the rigid-mode anchor and the cached compliance.
+    """Mesh plus its stiffness, the rigid-mode anchor and the factor of A.
 
     The elastic operator is A = K + reg*I; reg anchors the six rigid modes,
-    rigid (3n, 6) their orthonormal basis R.  mass is the rest mesh's mass,
-    stamped on every frame.  lu is A's LU, made the first time a node
-    touches and kept for every later solve.  compliance holds the deflated
-    rows (A^-1 P E_i)^T, P = I - R R^T, for the three dofs of each node i
-    that has been in contact, E_i selecting them (see _add_compliance):
-    three rows per node, at 3 * compliance_slot[i] (-1: none yet), the
-    nodes in slot order being compliance_nodes.  A^-1 E_i itself is that
-    row plus R R^T E_i / reg.
+    rigid (3n, 6) their orthonormal basis R, and lu is A's one sparse LU,
+    made at assembly.  mass is the rest mesh's mass, stamped on every frame.
+    No squeeze changes a model: what a squeeze builds up lives in its own
+    Squeeze, so any number of squeezes can share one model.
     """
 
     mesh: TetMesh
@@ -425,23 +421,21 @@ class AssembledModel:
     reg: float
     rigid: np.ndarray
     mass: float
-    lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
-    compliance: np.ndarray = field(init=False, repr=False)
-    compliance_slot: np.ndarray = field(init=False, repr=False)
-    compliance_nodes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.compliance = np.empty((0, 3 * self.mesh.num_nodes))
-        self.compliance_slot = np.full(self.mesh.num_nodes, -1)
-        self.compliance_nodes = np.empty(0, dtype=int)
+    lu: spla.SuperLU = field(repr=False)
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
+    """Raises SolverError when A = K + reg*I has a singular factor."""
     k = assemble_stiffness(mesh, mat)
     reg = RIGID_REG_REL * float(k.diagonal().mean())
+    try:
+        lu = spla.splu((k + reg * sp.identity(k.shape[0], format="csr")).tocsc())
+    except RuntimeError as exc:
+        # SuperLU's singular factor; A is the base of every Newton system
+        raise SolverError(f"singular Newton system ({exc})") from exc
     return AssembledModel(
         mesh=mesh, mat=mat, stiffness=k, reg=reg, rigid=_rigid_modes(mesh.nodes),
-        mass=mat.density * mesh.volume(),
+        mass=mat.density * mesh.volume(), lu=lu,
     )
 
 
@@ -462,18 +456,30 @@ def _rigid_modes(nodes: np.ndarray) -> np.ndarray:
 PAD_A, PAD_B, PLATFORM = 0, 1, 2
 
 
-class _PadGeometry:
-    """Cached pad frame: axis, tangents, the surfaces' normals, and the
-    lateral bound test."""
+class Squeeze:
+    """One squeeze's state, passed to each of its steps: its grasp's pad
+    frame, and the compliance of the nodes it has touched, on a model that
+    it only reads.
 
-    def __init__(self, grasp: GraspCandidate, platform_height: float):
+    axis, center, halfwidth, t1 and t2 place the pads, platform_height the
+    platform.  compliance holds the deflated rows (A^-1 P E_i)^T, P = I -
+    R R^T, for the three dofs of each node i touched so far, E_i selecting
+    them (see _add_compliance): three rows per node, at 3 *
+    compliance_slot[i] (-1: none yet), the nodes in slot order being
+    compliance_nodes.  A^-1 E_i itself is that row plus R R^T E_i / reg.
+    """
+
+    def __init__(self, model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
         self.axis = grasp.approach_axis
         self.center = grasp.grasp_center
         self.halfwidth = grasp.finger_halfwidth
         self.t1, self.t2 = orthonormal_tangents(self.axis)
-        self.platform_height = platform_height
+        self.platform_height = cfg.platform_height
         # rows indexed by PAD_A, PAD_B, PLATFORM
         self.normals = np.array([self.axis, -self.axis, (0.0, 0.0, 1.0)])
+        self.compliance = np.empty((0, 3 * model.mesh.num_nodes))
+        self.compliance_slot = np.full(model.mesh.num_nodes, -1)
+        self.compliance_nodes = np.empty(0, dtype=int)
 
     def contact_candidates(self, x: np.ndarray, gap: float):
         """Penetrating nodes of deformed node positions x, surface by surface.
@@ -495,7 +501,7 @@ class _Contacts:
     """Penalty contact state at one displacement, one row per penetrating node.
 
     Rows run pad A's, then pad B's, then the platform's (see
-    _PadGeometry.contact_candidates).  fn is the normal force k_p * depth,
+    Squeeze.contact_candidates).  fn is the normal force k_p * depth,
     force the total force on the node; a slipping node (stick False) has its
     tangential force capped by the Coulomb cone, with sdir the unit
     tangential slip and snorm the slip length.  A sticking node has sdir 0.
@@ -517,15 +523,12 @@ class StepReport:
     """A converged step: its contact record and its solver counts.
 
     iterations counts Newton loop passes, i.e. solves + 1 on a step that
-    converged before the iteration cap.  factorizations counts the sparse
-    LU factorizations the step made: 1 when it made the model's one LU
-    (see _add_compliance), else 0.
+    converged before the iteration cap.
     """
 
     contacts: _Contacts
     residual: float
     iterations: int
-    factorizations: int
 
     @property
     def squeeze_force(self) -> float:
@@ -533,7 +536,7 @@ class StepReport:
         return float(self.contacts.fn[self.contacts.kind == PAD_A].sum())
 
 
-def _contact_state(model, pads, gap, u, u_step_start, cfg) -> _Contacts:
+def _contact_state(model, squeeze, gap, u, u_step_start, cfg) -> _Contacts:
     """Penalty contact state at displacement u.
 
     Tangential forces oppose the slip accumulated since the step start and
@@ -543,14 +546,14 @@ def _contact_state(model, pads, gap, u, u_step_start, cfg) -> _Contacts:
     x = model.mesh.nodes[surf] + u.reshape(-1, 3)[surf]
     kp = cfg.penalty_stiffness
     mu = model.mat.friction_mu
-    kind, rows, depth = pads.contact_candidates(x, gap)
+    kind, rows, depth = squeeze.contact_candidates(x, gap)
     nodes = surf[rows]
-    normal = pads.normals[kind]
+    normal = squeeze.normals[kind]
     fn = kp * depth
     du = u.reshape(-1, 3)[nodes] - u_step_start.reshape(-1, 3)[nodes]
     # A matvec's bits depend on its rows (BLAS blocks them), so each surface's
     # normal slip is the matvec of that surface's rows alone, as a fresh array.
-    along = np.concatenate([du[kind == k] @ n for k, n in enumerate(pads.normals)])
+    along = np.concatenate([du[kind == k] @ n for k, n in enumerate(squeeze.normals)])
     slip_t = du - along[:, None] * normal
     ft = -kp * slip_t
     ft_norm = np.linalg.norm(ft, axis=1)
@@ -572,10 +575,10 @@ def _contact_state(model, pads, gap, u, u_step_start, cfg) -> _Contacts:
     )
 
 
-def _force_residual(model: AssembledModel, contacts: _Contacts, g: np.ndarray):
+def _force_residual(squeeze: Squeeze, contacts: _Contacts, g: np.ndarray):
     """Contact force minus the carried force g, per compliance slot, and the
     squared norm of the force on contact nodes that have no slot yet."""
-    slot = model.compliance_slot[contacts.nodes]
+    slot = squeeze.compliance_slot[contacts.nodes]
     held = slot >= 0
     r = -g
     np.add.at(r.reshape(-1, 3), slot[held], contacts.force[held])
@@ -589,41 +592,40 @@ def _force_residual(model: AssembledModel, contacts: _Contacts, g: np.ndarray):
 
 def quasi_static_step(
     model: AssembledModel,
-    grasp: GraspCandidate,
+    squeeze: Squeeze,
     gap: float,
     u_start: np.ndarray,
     cfg: SimConfig,
 ) -> tuple[np.ndarray, StepReport]:
-    """Solve one closing increment to equilibrium.
+    """Solve one closing increment of squeeze to equilibrium.
 
-    u_start is the converged flat displacement vector (3n,) of the previous
-    increment on this model (zero before the first); the finger gap is the
-    new, smaller opening.  Returns the new displacement vector and the
+    u_start is the converged flat displacement vector (3n,) of the
+    squeeze's previous increment (zero before the first); the finger gap is
+    the new, smaller opening.  Returns the new displacement vector and the
     step's report.  Raises SolverError when the residual fails to reach
     convergence_tol or a Newton system is singular.
 
     The loads act on contact nodes only, so every iterate is
     u = u_start + A^-1 E (g - g_start), E selecting the dofs of the nodes
-    that have been in contact and g the elastic force A u on them: after
-    one product A u_start, the Newton loop runs on g and those nodes'
-    compliance columns, with no sparse solve or product.  Its residual is
-    the contact force minus g, the full residual f_ext(u) - A u but for
-    the roundoff that A u_start leaves on the other nodes (counted in the
-    norm).  u is updated alongside g, so the rigid-mode amplitudes
+    that have been in contact in this squeeze and g the elastic force A u
+    on them: after one product A u_start, the Newton loop runs on g and
+    those nodes' compliance columns, with no sparse solve or product.  Its
+    residual is the contact force minus g, the full residual f_ext(u) - A u
+    but for the roundoff that A u_start leaves on the other nodes (counted
+    in the norm).  u is updated alongside g, so the rigid-mode amplitudes
     R^T u = R^T g / reg are never formed by dividing by reg.
     """
     if gap <= 0.0:
         raise InvalidInputError("finger gap must be > 0")
-    pads = _PadGeometry(grasp, cfg.platform_height)
     kp = cfg.penalty_stiffness
     force = model.stiffness @ u_start + model.reg * u_start
-    g = force[_node_dofs(model.compliance_nodes)]
+    g = force[_node_dofs(squeeze.compliance_nodes)]
     # A u_start off the slotted nodes: roundoff when a step made u_start
-    off = float(np.sum(force.reshape(-1, 3)[model.compliance_slot < 0] ** 2))
+    off = float(np.sum(force.reshape(-1, 3)[squeeze.compliance_slot < 0] ** 2))
 
     def state_at(u, g):
-        contacts = _contact_state(model, pads, gap, u, u_start, cfg)
-        r, loose = _force_residual(model, contacts, g)
+        contacts = _contact_state(model, squeeze, gap, u, u_start, cfg)
+        r, loose = _force_residual(squeeze, contacts, g)
         return r, float(np.sqrt(r @ r + loose + off)), contacts
 
     u = u_start.copy()
@@ -631,24 +633,21 @@ def quasi_static_step(
     least = res_norm
     clamp = 20.0 * cfg.displacement_increment
     iterations = 0
-    factorizations = 0
     for iterations in range(1, cfg.max_fixedpoint_iters + 1):
         if res_norm < cfg.convergence_tol:
             break
         try:
-            new = np.unique(contacts.nodes[model.compliance_slot[contacts.nodes] < 0])
+            new = np.unique(contacts.nodes[squeeze.compliance_slot[contacts.nodes] < 0])
             if new.size:
-                factorizations += int(model.lu is None)
-                _add_compliance(model, new)
+                _add_compliance(model, squeeze, new)
                 # their share of A u_start is roundoff, counted in off
                 g = np.concatenate([g, np.zeros(3 * new.size)])
-                residual = _force_residual(model, contacts, g)[0]
-            dg, du = _newton_direction(model, contacts, kp, residual)
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
-            # RuntimeError is SuperLU's singular factor
+                residual = _force_residual(squeeze, contacts, g)[0]
+            dg, du = _newton_direction(model, squeeze, contacts, kp, residual)
+        except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"singular Newton system ({exc}; residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
-                residual=least, iterations=iterations, factorizations=factorizations,
+                residual=least, iterations=iterations,
             ) from exc
         step = float(np.max(np.abs(du)))
         if step > clamp:
@@ -673,11 +672,11 @@ def quasi_static_step(
     # the loop stops at the first converged state, so only the current one
     # can be converged; least is the smallest residual seen, for the error
     if res_norm < cfg.convergence_tol:
-        return u, StepReport(contacts, res_norm, iterations, factorizations)
+        return u, StepReport(contacts, res_norm, iterations)
     raise SolverError(
         f"no convergence after {cfg.max_fixedpoint_iters} iterations "
         f"(residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
-        residual=least, iterations=iterations, factorizations=factorizations,
+        residual=least, iterations=iterations,
     )
 
 
@@ -713,10 +712,10 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
     return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
-def _add_compliance(model: AssembledModel, nodes: np.ndarray) -> None:
+def _add_compliance(model: AssembledModel, squeeze: Squeeze, nodes: np.ndarray) -> None:
     """Solve the deflated compliance rows of nodes (unique, without a slot
-    yet) in one multi-right-hand-side solve, and give them the next slots.
-    Makes the model's LU of A on its first call.
+    yet in squeeze) in one multi-right-hand-side solve with the model's LU,
+    and give them the squeeze's next slots.
 
     A row v = A^-1 P e, P = I - R R^T, is the first block of the bordered
     system [[A, R], [R^T, 0]] [v; l] = [P e; 0], whose six extra unknowns
@@ -728,24 +727,21 @@ def _add_compliance(model: AssembledModel, nodes: np.ndarray) -> None:
     that LU, slowed by the border's dense rows, takes 1.2 to 4 times as
     long as A's.
     """
-    n3 = model.stiffness.shape[0]
-    if model.lu is None:
-        model.lu = spla.splu((model.stiffness + model.reg * sp.identity(n3, format="csr")).tocsc())
     dofs = _node_dofs(nodes)
     projected = -model.rigid @ model.rigid[dofs].T
     projected[dofs, np.arange(dofs.size)] += 1.0
     y = model.lu.solve(projected)
-    model.compliance_slot[nodes] = model.compliance_nodes.size + np.arange(nodes.size)
-    model.compliance_nodes = np.concatenate([model.compliance_nodes, nodes])
-    model.compliance = np.concatenate([model.compliance, (y - model.rigid @ (model.rigid.T @ y)).T])
+    squeeze.compliance_slot[nodes] = squeeze.compliance_nodes.size + np.arange(nodes.size)
+    squeeze.compliance_nodes = np.concatenate([squeeze.compliance_nodes, nodes])
+    squeeze.compliance = np.concatenate([squeeze.compliance, (y - model.rigid @ (model.rigid.T @ y)).T])
 
 
-def _newton_direction(model: AssembledModel, contacts: _Contacts, kp: float, r: np.ndarray):
-    """The Newton step (dg, du) from the force residual r, per slot; every
-    record row's node must have a slot.
+def _newton_direction(model: AssembledModel, squeeze: Squeeze, contacts: _Contacts, kp: float, r: np.ndarray):
+    """The Newton step (dg, du) from the force residual r, per slot of
+    squeeze; every record row's node must have a slot.
 
-    u moves by du = V^T dg + R da, V the compliance rows and da the change
-    of the rigid-mode amplitudes.  With B the rows' _contact_blocks
+    u moves by du = V^T dg + R da, V the squeeze's compliance rows, da the
+    change of the rigid-mode amplitudes.  With B the rows' _contact_blocks
     (block-diagonal, a node on two surfaces having two rows), H selecting
     the rows' dofs and S summing rows into slots, the contact force changes
     by -S c with c = B H du, so dg = r - S c, and c and da solve the
@@ -765,9 +761,9 @@ def _newton_direction(model: AssembledModel, contacts: _Contacts, kp: float, r: 
     k = nodes.size
     blocks = _contact_blocks(contacts, kp, model.mat.friction_mu)
     dofs = _node_dofs(nodes)
-    z = model.compliance[:, dofs]
+    z = squeeze.compliance[:, dofs]
     rigid_h = model.rigid[dofs]
-    w = z[_node_dofs(model.compliance_slot[nodes])].T
+    w = z[_node_dofs(squeeze.compliance_slot[nodes])].T
     capacitance = np.block([
         [np.eye(3 * k) + np.matmul(blocks, w.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k),
          -np.matmul(blocks, rigid_h.reshape(k, 3, 6)).reshape(3 * k, 6)],
@@ -775,12 +771,12 @@ def _newton_direction(model: AssembledModel, contacts: _Contacts, kp: float, r: 
     ])
     rhs = np.concatenate([
         np.matmul(blocks, (z.T @ r).reshape(k, 3, 1)).ravel(),
-        model.rigid[_node_dofs(model.compliance_nodes)].T @ r,
+        model.rigid[_node_dofs(squeeze.compliance_nodes)].T @ r,
     ])
     solution = np.linalg.solve(capacitance, rhs)
     dg = r.copy()
-    np.subtract.at(dg.reshape(-1, 3), model.compliance_slot[nodes], solution[:3 * k].reshape(k, 3))
-    return dg, model.compliance.T @ dg + model.rigid @ solution[3 * k:]
+    np.subtract.at(dg.reshape(-1, 3), squeeze.compliance_slot[nodes], solution[:3 * k].reshape(k, 3))
+    return dg, squeeze.compliance.T @ dg + model.rigid @ solution[3 * k:]
 
 
 def run_squeeze(
@@ -814,6 +810,7 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     reach = float(np.max(np.abs(span)))
     gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment
 
+    squeeze = Squeeze(model, grasp, cfg)
     touched = False
     u = np.zeros(3 * mesh.num_nodes)
     gap = gap0
@@ -821,7 +818,7 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     while gap - cfg.displacement_increment > 0.0:
         step_idx += 1
         gap = gap0 - step_idx * cfg.displacement_increment
-        u, report = quasi_static_step(model, grasp, gap, u, cfg)
+        u, report = quasi_static_step(model, squeeze, gap, u, cfg)
         if np.all(report.contacts.kind == PLATFORM):
             continue
         touched = True

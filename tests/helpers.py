@@ -255,9 +255,8 @@ def mutate_text(rng, text):
 
 def make_newton_solve_singular(monkeypatch, part: str) -> None:
     """Make every Newton solve hit a singular matrix: the model's sparse
-    factor, made for its first compliance columns (part "base": SuperLU's
-    RuntimeError), or the capacitance matrix (part "capacitance": numpy's
-    LinAlgError)."""
+    factor, made at assembly (part "base": SuperLU's RuntimeError), or the
+    capacitance matrix (part "capacitance": numpy's LinAlgError)."""
     def singular(*args):
         if part == "base":
             raise RuntimeError("Factor is exactly singular")

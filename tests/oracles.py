@@ -276,18 +276,17 @@ def full_space_residual(model, contacts, u):
     return f_ext - model.stiffness @ u - model.reg * u
 
 
-def direct_quasi_static_step(model, grasp, gap, u_start, cfg):
+def direct_quasi_static_step(model, squeeze, gap, u_start, cfg):
     """(u, StepReport) of one closing increment, solved by a Newton loop on
     the full displacement: the clamp, the five-scale line search that keeps
     the least residual, and the tolerance of fem.quasi_static_step, each
-    step solved by direct_newton_direction.  Raises SolverError as it does."""
+    step solved by direct_newton_direction.  squeeze is a fem.Squeeze, of
+    which only the pad frame is read.  Raises SolverError as it does."""
     from softgrasp import fem
     from softgrasp.errors import SolverError
 
-    pads = fem._PadGeometry(grasp, cfg.platform_height)
-
     def state_at(u):
-        contacts = fem._contact_state(model, pads, gap, u, u_start, cfg)
+        contacts = fem._contact_state(model, squeeze, gap, u, u_start, cfg)
         r = full_space_residual(model, contacts, u)
         return r, float(np.linalg.norm(r)), contacts
 
@@ -297,7 +296,7 @@ def direct_quasi_static_step(model, grasp, gap, u_start, cfg):
     iterations = 0
     for iterations in range(1, cfg.max_fixedpoint_iters + 1):
         if res_norm < cfg.convergence_tol:
-            return u, fem.StepReport(contacts, res_norm, iterations, 0)
+            return u, fem.StepReport(contacts, res_norm, iterations)
         try:
             du = direct_newton_direction(model, contacts, cfg.penalty_stiffness, residual)
         except RuntimeError as exc:
@@ -315,7 +314,7 @@ def direct_quasi_static_step(model, grasp, gap, u_start, cfg):
                 break
         u, residual, res_norm, contacts = trial
     if res_norm < cfg.convergence_tol:
-        return u, fem.StepReport(contacts, res_norm, iterations, 0)
+        return u, fem.StepReport(contacts, res_norm, iterations)
     raise SolverError(f"no convergence after {cfg.max_fixedpoint_iters} iterations")
 
 
@@ -328,6 +327,7 @@ def direct_lu_squeeze(mesh, mat, grasp, cfg):
     from softgrasp.errors import SolverError
 
     model = fem.assemble_model(mesh, mat)
+    squeeze = fem.Squeeze(model, grasp, cfg)
     reach = float(np.max(np.abs((mesh.nodes - grasp.grasp_center) @ grasp.approach_axis)))
     gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment
     u = np.zeros(3 * mesh.num_nodes)
@@ -338,7 +338,7 @@ def direct_lu_squeeze(mesh, mat, grasp, cfg):
         step_idx += 1
         gap = gap0 - step_idx * cfg.displacement_increment
         try:
-            u, report = direct_quasi_static_step(model, grasp, gap, u, cfg)
+            u, report = direct_quasi_static_step(model, squeeze, gap, u, cfg)
         except SolverError:
             return "failed", []
         if np.all(report.contacts.kind == fem.PLATFORM):

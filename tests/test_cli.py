@@ -496,6 +496,34 @@ class TestSingularSolve:
         assert [r["status"] for r in rows] == ["failed", "failed"]
         assert "candidate 0: failed (singular Newton system (" in caplog.text
 
+    def test_singular_factor_fails_its_candidate_not_the_run(self, workspace, capsys, caplog, monkeypatch):
+        # candidate 0's model meets a singular factor at assembly; rank
+        # prints it as a failed row, still scores candidate 1, and exits 1
+        calls = []
+        real_splu = fem.spla.splu
+
+        def splu(a):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(a)
+
+        monkeypatch.setattr(fem.spla, "splu", splu)
+        code, out, _ = run_cli(
+            capsys, "rank",
+            "--node", str(workspace / "box.node"),
+            "--ele", str(workspace / "box.ele"),
+            "--grasps", str(workspace / "good.jsonl"),
+            "--config", str(workspace / "run.cfg"),
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        header = lines[0].split("\t")
+        rows = [dict(zip(header, ln.split("\t"))) for ln in lines[1:]]
+        assert [(r["candidate"], r["status"]) for r in rows] == [("1", "ok"), ("0", "failed")]
+        assert "candidate 0: failed (singular Newton system (Factor is exactly singular))" in caplog.text
+        assert len(calls) == 2
+
 
 class TestExitCodes:
     def test_missing_file_exit_2(self, capsys):
@@ -791,10 +819,16 @@ class TestScoredFrameStop:
         assert got.status == "ok" and not got.reached and steps == step_index(frames[-1], MIDAIR)
 
     def test_model_freed_before_scoring(self, workspace, monkeypatch):
-        # the model holds the last LU; keeping it alive while the hull is
-        # built stacks the two memory peaks
-        models = []
+        # the model holds the LU and the squeeze its compliance columns;
+        # keeping either alive while the hull is built stacks the two
+        # memory peaks
+        models, squeezes = [], []
         real_assemble, real_quality = cli.assemble_model, cli.frame_quality
+
+        class TrackedSqueeze(fem.Squeeze):
+            def __init__(self, *args):
+                super().__init__(*args)
+                squeezes.append(weakref.ref(self))
 
         def assemble(*args):
             model = real_assemble(*args)
@@ -803,8 +837,10 @@ class TestScoredFrameStop:
 
         def quality(*args, **kwargs):
             assert models and models[0]() is None
+            assert len(squeezes) == 1 and squeezes[0]() is None
             return real_quality(*args, **kwargs)
 
+        monkeypatch.setattr(fem, "Squeeze", TrackedSqueeze)
         monkeypatch.setattr(cli, "assemble_model", assemble)
         monkeypatch.setattr(cli, "frame_quality", quality)
         rc = load_run_config(workspace / "run.cfg")

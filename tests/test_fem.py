@@ -16,6 +16,7 @@ from softgrasp import (
     MeshError,
     SimConfig,
     SolverError,
+    Squeeze,
     TetMesh,
     assemble_model,
     assemble_stiffness,
@@ -401,36 +402,39 @@ class TestQuasiStaticStep:
     def test_gap_wider_than_object(self, box_model):
         cfg = pinch_config()
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
-        u, report = quasi_static_step(box_model, box_grasp(), 0.2, u0, cfg)
+        u, report = quasi_static_step(box_model, Squeeze(box_model, box_grasp(), cfg), 0.2, u0, cfg)
         assert np.all(u == 0.0)
         assert not np.any(on_pads(report.contacts))
         assert pad_normal_forces(report.contacts) == (0.0, 0.0)
 
     def test_report_is_the_contact_record_and_solver_counts(self, box_model):
-        assert [f.name for f in dataclasses.fields(fem.StepReport)] == [
-            "contacts", "residual", "iterations", "factorizations"]
+        assert [f.name for f in dataclasses.fields(fem.StepReport)] == ["contacts", "residual", "iterations"]
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
-        _, report = quasi_static_step(box_model, box_grasp(), 0.0599, u0, pinch_config())
+        cfg = pinch_config()
+        _, report = quasi_static_step(box_model, Squeeze(box_model, box_grasp(), cfg), 0.0599, u0, cfg)
         assert isinstance(report.contacts, fem._Contacts)
         assert report.squeeze_force == pad_normal_forces(report.contacts)[0] > 0.0
 
     def test_nonpositive_gap_rejected(self, box_model):
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
+        cfg = pinch_config()
         with pytest.raises(InvalidInputError):
-            quasi_static_step(box_model, box_grasp(), 0.0, u0, pinch_config())
+            quasi_static_step(box_model, Squeeze(box_model, box_grasp(), cfg), 0.0, u0, cfg)
 
     def test_pads_bounded_laterally(self, box_model):
         # pads that never overlap the object leave it untouched
         grasp = GraspCandidate((0.0, 0.2, 0.0), (1.0, 0, 0), 0.01, 10.0)
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
-        u, report = quasi_static_step(box_model, grasp, 0.03, u0, pinch_config())
+        cfg = pinch_config()
+        u, report = quasi_static_step(box_model, Squeeze(box_model, grasp, cfg), 0.03, u0, cfg)
         assert not np.any(on_pads(report.contacts))
 
     def test_symmetric_step_balance(self, box_model):
         cfg = pinch_config()
+        sq = Squeeze(box_model, box_grasp(), cfg)
         u = np.zeros(3 * box_model.mesh.num_nodes)
         for gap in (0.0601, 0.0599, 0.0597):
-            u, report = quasi_static_step(box_model, box_grasp(), gap, u, cfg)
+            u, report = quasi_static_step(box_model, sq, gap, u, cfg)
         assert np.any(on_pads(report.contacts))
         total = report.contacts.force.sum(axis=0)
         assert np.linalg.norm(total) <= 10.0 * cfg.convergence_tol
@@ -446,9 +450,10 @@ class TestQuasiStaticStep:
         )
         model = assemble_model(mesh, MaterialParams())
         cfg = SimConfig(platform_height=0.0)
+        sq = Squeeze(model, box_grasp(), cfg)
         u = np.zeros(3 * mesh.num_nodes)
         for gap in (0.0598, 0.0594, 0.0590):
-            u, report = quasi_static_step(model, box_grasp(), gap, u, cfg)
+            u, report = quasi_static_step(model, sq, gap, u, cfg)
         contacts = report.contacts
         assert contacts.force[contacts.kind == fem.PLATFORM].sum(axis=0)[2] > 0.0
         total = contacts.force.sum(axis=0)
@@ -458,36 +463,46 @@ class TestQuasiStaticStep:
         cfg = pinch_config(convergence_tol=1e-18, max_fixedpoint_iters=2)
         u0 = np.zeros(3 * box_model.mesh.num_nodes)
         with pytest.raises(SolverError) as exc:
-            quasi_static_step(box_model, box_grasp(), 0.058, u0, cfg)
+            quasi_static_step(box_model, Squeeze(box_model, box_grasp(), cfg), 0.058, u0, cfg)
         assert exc.value.residual > 0.0
 
     def test_solver_error_carries_step_counts(self, box_model, monkeypatch):
-        # a deep first step on a fresh model, cut off after three passes
+        # a deep first step on a fresh model, cut off after three passes;
+        # the model's one factor is made at assembly, none by the step
         splu_calls = count_splu(monkeypatch)
         model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
+        assert len(splu_calls) == 1
         u0 = np.zeros(3 * model.mesh.num_nodes)
+        cfg = pinch_config(max_fixedpoint_iters=3)
         with pytest.raises(SolverError) as exc:
-            quasi_static_step(model, SLIP_GRASP, 0.058, u0, pinch_config(max_fixedpoint_iters=3))
+            quasi_static_step(model, Squeeze(model, SLIP_GRASP, cfg), 0.058, u0, cfg)
         assert exc.value.iterations == 3
-        assert exc.value.factorizations == len(splu_calls) > 0
+        assert len(splu_calls) == 1 and splu_calls[0].solved
 
     @pytest.mark.parametrize("part", ["base", "capacitance"])
     def test_singular_solve_raises_solver_error_with_counts(self, box_model, part, monkeypatch):
+        # a singular factor fails at assembly, before any step; a singular
+        # capacitance system fails the first Newton solve
         make_newton_solve_singular(monkeypatch, part)
-        model = assemble_model(box_model.mesh, box_model.mat)
-        u0 = np.zeros(3 * model.mesh.num_nodes)
+        cfg = pinch_config()
+        u0 = np.zeros(3 * box_model.mesh.num_nodes)
         with pytest.raises(SolverError, match="singular Newton system") as exc:
-            quasi_static_step(model, box_grasp(), 0.058, u0, pinch_config())
-        assert exc.value.residual > pinch_config().convergence_tol
-        assert (exc.value.iterations, exc.value.factorizations) == (1, 1)
+            model = assemble_model(box_model.mesh, box_model.mat)
+            quasi_static_step(model, Squeeze(model, box_grasp(), cfg), 0.058, u0, cfg)
+        if part == "base":
+            assert np.isnan(exc.value.residual) and exc.value.iterations == 0
+        else:
+            assert exc.value.residual > cfg.convergence_tol
+            assert exc.value.iterations == 1
 
     def test_coulomb_cap_per_contact(self, box_model):
         cfg = pinch_config()
         mu = box_model.mat.friction_mu
         u = np.zeros(3 * box_model.mesh.num_nodes)
         grasp = GraspCandidate((0.0, 0.01, 0.005), (1.0, 0, 0), 0.05, 50.0)
+        sq = Squeeze(box_model, grasp, cfg)
         for gap in (0.0601, 0.0597, 0.0593):
-            u, report = quasi_static_step(box_model, grasp, gap, u, cfg)
+            u, report = quasi_static_step(box_model, sq, gap, u, cfg)
         pads = on_pads(report.contacts)
         assert np.any(pads)
         for force, normal in zip(report.contacts.force[pads], report.contacts.normal[pads]):
@@ -560,9 +575,10 @@ class TestRunSqueeze:
         u = np.zeros(3 * mesh.num_nodes)
         energies = []
         rest_volume = mesh.volume()
+        sq = Squeeze(box_model, grasp, cfg)
         for step in range(1, 13):
             gap = gap0 - step * cfg.displacement_increment
-            u, report = quasi_static_step(box_model, grasp, gap, u, cfg)
+            u, report = quasi_static_step(box_model, sq, gap, u, cfg)
             if not np.any(on_pads(report.contacts)):
                 continue
             energies.append(0.5 * float(u @ (box_model.stiffness @ u)))
@@ -680,8 +696,8 @@ class TestWoodburySolve:
         seen = {"steps": 0, "slip": 0, "repeated": 0}
         original = fem.quasi_static_step
 
-        def checked(model, grasp, gap, u_start, cfg):
-            u, report = original(model, grasp, gap, u_start, cfg)
+        def checked(model, squeeze, gap, u_start, cfg):
+            u, report = original(model, squeeze, gap, u_start, cfg)
             full = np.linalg.norm(oracles.full_space_residual(model, report.contacts, u))
             assert report.residual < cfg.convergence_tol
             assert abs(report.residual - full) <= 1e-9
@@ -698,14 +714,24 @@ class TestWoodburySolve:
         assert (seen["repeated"] > 0) == (platform == 0.0)
 
     def test_one_splu_per_squeeze(self, box_model, monkeypatch):
-        # the LU solves one block of compliance columns per batch of nodes
-        # new to contact, nothing else
+        # assembly makes the one factor; the squeeze's LU solves are one
+        # block of compliance columns per batch of nodes new to contact,
+        # nothing else
         splu_calls = count_splu(monkeypatch)
+        real_assemble = fem.assemble_model
+        factored = []
+
+        def assemble(*args):
+            model = real_assemble(*args)
+            factored.append(len(splu_calls))
+            return model
+
+        monkeypatch.setattr(fem, "assemble_model", assemble)
         widths = []
         original_add = fem._add_compliance
 
-        def add(model, nodes):
-            original_add(model, nodes)
+        def add(model, squeeze, nodes):
+            original_add(model, squeeze, nodes)
             widths.append(3 * nodes.size)
 
         monkeypatch.setattr(fem, "_add_compliance", add)
@@ -720,30 +746,50 @@ class TestWoodburySolve:
         monkeypatch.setattr(fem, "quasi_static_step", step)
         frames = run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
         assert len(frames) >= 3
-        assert len(splu_calls) == sum(r.factorizations for r in reports) == 1
-        assert splu_calls[0].solved == widths
-        # the first step that solves makes the factor
-        solving = [r for r in reports if r.iterations > 1]
-        assert solving[0].factorizations == 1
+        assert factored == [1] and len(splu_calls) == 1
+        assert splu_calls[0].solved == widths and len(widths) > 1
         assert sum(r.iterations - 1 for r in reports) > len(reports)
 
+    def test_one_pad_frame_per_squeeze(self, box_model, monkeypatch):
+        # the pad tangents are made once, by the squeeze's Squeeze, not per
+        # step
+        tangents, steps = [], []
+        real_tangents, real_step = fem.orthonormal_tangents, fem.quasi_static_step
+
+        def counted_tangents(axis):
+            tangents.append(1)
+            return real_tangents(axis)
+
+        def step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(fem, "orthonormal_tangents", counted_tangents)
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=6.0), pinch_config())
+        assert len(frames) >= 3 and len(steps) > len(frames)
+        assert len(tangents) == 1
+
     def test_compliance_rows_solved_once_per_contact_node(self, box_model, monkeypatch):
-        asked = []
+        asked, squeezes = [], []
         original = fem._add_compliance
 
-        def recorded(model, nodes):
-            assert np.all(model.compliance_slot[nodes] < 0)
-            original(model, nodes)
+        def recorded(model, squeeze, nodes):
+            assert np.all(squeeze.compliance_slot[nodes] < 0)
+            original(model, squeeze, nodes)
             asked.append(nodes)
+            squeezes.append(squeeze)
 
         monkeypatch.setattr(fem, "_add_compliance", recorded)
         model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
         for _ in fem.squeeze_steps(model, PLATFORM_GRASP, SimConfig(platform_height=0.0)):
             pass
+        sq = squeezes[0]
+        assert all(s is sq for s in squeezes)
         touched = np.concatenate(asked)
-        assert np.array_equal(model.compliance_nodes, touched)
-        assert np.array_equal(model.compliance_slot[touched], np.arange(touched.size))
-        assert model.compliance.shape == (3 * touched.size, 3 * model.mesh.num_nodes)
+        assert np.array_equal(sq.compliance_nodes, touched)
+        assert np.array_equal(sq.compliance_slot[touched], np.arange(touched.size))
+        assert sq.compliance.shape == (3 * touched.size, 3 * model.mesh.num_nodes)
         # each row is v = A^-1 P e, A = K + reg*I and P = I - R R^T, e a
         # touched dof's unit load: against a twice-refined direct LU of the
         # bordered system [[A, R], [R^T, 0]] [v; l] = [P e; 0], which is well
@@ -760,7 +806,7 @@ class TestWoodburySolve:
         want = lu.solve(rhs)
         for _ in range(2):
             want += lu.solve(rhs - bordered @ want)
-        got = model.compliance.T
+        got = sq.compliance.T
         scale = np.abs(want[:n3]).max()
         np.testing.assert_allclose(got, want[:n3], rtol=0.0, atol=1e-12 * scale)
         assert np.abs(a @ got - projected).max() <= 1e-12
@@ -791,6 +837,33 @@ class TestWoodburySolve:
             assert (status, len(frames)) == (want_status, len(want))
             for got_frame, want_frame in zip(frames, want):
                 assert abs(got_frame.squeeze_force - want_frame.squeeze_force) <= cfg.convergence_tol
+
+
+def step_bits(model, grasp, cfg):
+    """Every squeeze_steps step of grasp on model, as bytes: its index, u
+    and its report's contact record, residual and Newton passes."""
+    return [
+        (step_idx, u.tobytes(), report.residual, report.iterations)
+        + tuple(getattr(report.contacts, name).tobytes() for name in RECORD_FIELDS)
+        for step_idx, u, report in fem.squeeze_steps(model, grasp, cfg)
+    ]
+
+
+class TestSharedModel:
+    def test_squeezes_on_one_model_match_fresh_models(self, box_model):
+        # seeded bench candidates on the res-3 box, squeezed mid-air to the
+        # bench's desired force one after another on the shared model, in
+        # sample order and reversed: each squeeze's steps equal, bit for
+        # bit, the same squeeze on a model of its own
+        rc = cli.RunConfig()
+        cfg = pinch_config()
+        grasps = [dataclasses.replace(c, max_force=rc.desired_force)
+                  for c in cli.sample_grasps(box_model.mesh, 4, np.random.default_rng([0, 0]), rc)]
+        fresh = [step_bits(assemble_model(box_model.mesh, box_model.mat), g, cfg) for g in grasps]
+        assert all(len(steps) >= 3 for steps in fresh)
+        for order in (range(4), reversed(range(4))):
+            for i in order:
+                assert step_bits(box_model, grasps[i], cfg) == fresh[i], i
 
 
 def contact_record(kind, nodes, normal, depth, stick, sdir, snorm):
@@ -892,12 +965,12 @@ class TestContactStateOracle:
         axis = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.1, 0.1, 3)
         grasp = GraspCandidate((0.0, rng.uniform(-0.01, 0.01), 0.03), axis / np.linalg.norm(axis), 0.05, 10.0)
         cfg = SimConfig(platform_height=1e-4)
-        pads = fem._PadGeometry(grasp, cfg.platform_height)
+        sq = Squeeze(model, grasp, cfg)
         u = rng.normal(0.0, 2e-5, 3 * mesh.num_nodes)
         # slips from far inside to far outside the friction cones
         slip = rng.normal(size=(mesh.num_nodes, 3)) * 10.0 ** rng.uniform(-7.0, -2.0, (mesh.num_nodes, 1))
         u_start = u - slip.ravel()
-        args = (model, pads, 0.0598, u, u_start, cfg)
+        args = (model, sq, 0.0598, u, u_start, cfg)
         contacts = fem._contact_state(*args)
         assert_state_matches_surface_loop(contacts, *args)
         assert set(contacts.kind) == {fem.PAD_A, fem.PAD_B, fem.PLATFORM}
@@ -907,9 +980,9 @@ class TestContactStateOracle:
 
     def test_no_contact_matches_surface_loop(self, box_model):
         cfg = pinch_config()
-        pads = fem._PadGeometry(box_grasp(), cfg.platform_height)
+        sq = Squeeze(box_model, box_grasp(), cfg)
         u = np.zeros(3 * box_model.mesh.num_nodes)
-        args = (box_model, pads, 0.2, u, u, cfg)
+        args = (box_model, sq, 0.2, u, u, cfg)
         contacts = fem._contact_state(*args)
         assert_state_matches_surface_loop(contacts, *args)
         assert contacts.nodes.size == 0
