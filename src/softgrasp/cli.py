@@ -8,8 +8,10 @@ frame's wrench hull even from joggled input, metric and hull-info print
 "error: ..." to stderr, nothing to stdout, and exit 1.  All sampling is
 seeded, so equal inputs and seeds produce byte-identical outputs,
 regardless of --jobs, at a fixed BLAS thread count (CI and pipebench set
-OPENBLAS_NUM_THREADS=1): pipebench's seed-0 rank candidate slab/04 has
-volume 0.03721426078 on one BLAS thread, 0.03714012737 on two.
+OPENBLAS_NUM_THREADS=1).  The squeeze's dense solves sum in a
+thread-dependent order: pipebench's 24 seed-0 rank-midair candidates print
+byte-identical rows on one and two BLAS threads, but its seed-0
+squeeze-platform candidate box/00 converges on one thread and fails on two.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from the origin.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,9 @@ class Polytope:
     """Convex body as qhull builds it, or the affine rank of a flat one.
 
     vertices holds qhull's extreme points.  facet_normals / facet_offsets
-    are qhull's distinct facet planes with unit normals; facet_simplices
-    triangulates the boundary with rows of indices into vertices (it drives
-    the fan volume).  Flat polytopes carry no vertices, facets, simplices or
-    interior point.
+    are qhull's distinct facet planes with unit normals, and volume is
+    qhull's hypervolume of the hull.  Flat polytopes carry no vertices or
+    facets, and volume 0.
     """
 
     dim: int
@@ -44,8 +42,7 @@ class Polytope:
     facet_normals: np.ndarray
     facet_offsets: np.ndarray
     affine_rank: int
-    interior_point: np.ndarray | None = None
-    facet_simplices: np.ndarray | None = None
+    volume: float = 0.0
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -101,10 +98,10 @@ def _qhull(pts: np.ndarray):
 def convex_hull(points, dim: int | None = None) -> Polytope:
     """qhull's convex hull of a point set in R^d, 2 <= d <= 6.
 
-    Full-rank inputs get qhull's vertices, its distinct facet planes and an
-    interior point (the vertex centroid); a joggled retry returns the hull
-    of the joggled input.  Flat inputs get their affine rank only: no
-    vertices, facets or interior point, and no qhull call.
+    Full-rank inputs get qhull's vertices, its distinct facet planes and
+    its volume; a joggled retry returns the hull (and volume) of the
+    joggled input.  Flat inputs get their affine rank only: no vertices or
+    facets, volume 0, and no qhull call.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -123,19 +120,14 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
                         facet_offsets=np.zeros(0), affine_rank=rank)
 
     hull = _qhull(pts)
-    vidx = np.asarray(hull.vertices, dtype=int)
-    vertices = pts[vidx]
-    remap = np.full(pts.shape[0], -1, dtype=int)
-    remap[vidx] = np.arange(vidx.size)
     normals, offsets = _distinct_planes(hull.equations)
     return Polytope(
         dim=d,
-        vertices=vertices,
+        vertices=pts[hull.vertices],
         facet_normals=normals,
         facet_offsets=offsets,
         affine_rank=d,
-        interior_point=vertices.mean(axis=0),
-        facet_simplices=remap[hull.simplices],
+        volume=float(hull.volume),
     )
 
 
@@ -175,9 +167,6 @@ def min_facet_distance(poly: Polytope) -> float:
 
 
 def polytope_volume(poly: Polytope) -> float:
-    """Hypervolume via a simplex fan from the interior point to each facet."""
-    if not poly.is_full_dimensional:
-        return 0.0
-    mats = poly.vertices[poly.facet_simplices] - poly.interior_point
-    return float(np.abs(np.linalg.det(mats)).sum()) / math.factorial(poly.dim)
+    """qhull's hypervolume of poly, 0 for a flat polytope."""
+    return poly.volume
 

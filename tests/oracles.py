@@ -107,17 +107,6 @@ def cube_image_volume(matrix: np.ndarray) -> float:
     return float(abs(np.linalg.det(a)) * 2.0 ** a.shape[0])
 
 
-def monte_carlo_volume(points: np.ndarray, n_samples: int, rng) -> float:
-    """Hit-or-miss volume estimate with LP membership (slow; small n only)."""
-    pts = np.asarray(points, dtype=float)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    box = float(np.prod(hi - lo))
-    samples = rng.uniform(lo, hi, size=(n_samples, pts.shape[1]))
-    hits = sum(1 for s in samples if lp_membership(pts, s))
-    return box * hits / n_samples
-
-
 def subspace_gravity_quality(
     wrenches: np.ndarray,
     arm: np.ndarray,

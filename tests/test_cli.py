@@ -742,6 +742,13 @@ class TestBenchAccounting:
         ]
 
 
+def run_python(script, **env):
+    """Run script in a fresh interpreter that imports this softgrasp."""
+    path = [str(Path(softgrasp.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+
+
 class TestStartupImports:
     def test_scoring_commands_leave_scipy_stats_unloaded(self):
         # scipy.stats adds ~0.8 s and ~32 MiB to a command's start; only bench ranks
@@ -754,12 +761,39 @@ class TestStartupImports:
             "assert cli.main(['metric', '--trajectory', path]) == 0\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
         )
-        path = [str(Path(softgrasp.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-        )
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBlasThreads:
+    # pipebench's seed-0 rank-midair candidate slab/04 on the bench slab
+    SLAB_04 = (
+        '{"center": [-0.008545659412703332, 4.4928497333996266e-05, 0.0049553248879357645], '
+        '"axis": [0.01697964922676124, -0.9998345913418581, -0.006517780941074409], '
+        '"halfwidth": 0.03412643140596059, "max_force": 7.5}\n'
+    )
+
+    def test_rank_volume_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the squeeze's dense solves sum in a thread-dependent order, so the
+        # scored frame's last bits differ between 1 and 2 BLAS threads; its
+        # wrench hull's volume must not jump with them
+        node, ele = tetgen_text(bench_mesh("slab"))
+        (tmp_path / "slab.node").write_text(node)
+        (tmp_path / "slab.ele").write_text(ele)
+        (tmp_path / "grasps.jsonl").write_text(self.SLAB_04)
+        (tmp_path / "midair.cfg").write_text("platform_height = -1\ndesired_force = 5\n")
+        argv = ["rank", "--node", str(tmp_path / "slab.node"), "--ele", str(tmp_path / "slab.ele"),
+                "--grasps", str(tmp_path / "grasps.jsonl"), "--config", str(tmp_path / "midair.cfg")]
+        script = f"import sys\nfrom softgrasp import cli\nsys.exit(cli.main({argv!r}))\n"
+        volumes = []
+        for threads in ("1", "2"):
+            proc = run_python(script, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            header, row = proc.stdout.splitlines()
+            fields = dict(zip(header.split("\t"), row.split("\t")))
+            assert fields["status"] == "ok"
+            volumes.append(float(fields["volume"]))
+        assert volumes[1] == pytest.approx(volumes[0], rel=1e-8)
 
 
 # run_bench's protocol: candidates squeezed mid-air

@@ -13,7 +13,6 @@ from softgrasp import (
     DegenerateInputError,
     HullError,
     InvalidInputError,
-    Polytope,
     affine_rank_of,
     convex_hull,
     min_facet_distance,
@@ -99,12 +98,6 @@ class TestConvexHull:
         slack = pts @ np.asarray(p.facet_normals).T - np.asarray(p.facet_offsets)
         assert np.max(slack) <= 1e-7
 
-    def test_interior_point_strictly_inside(self, rng):
-        pts = random_hull_points(rng, 5, 30)
-        p = convex_hull(pts, 5)
-        slack = np.asarray(p.facet_normals) @ p.interior_point - np.asarray(p.facet_offsets)
-        assert np.max(slack) < 0.0
-
     def test_facet_normals_unit(self, rng):
         pts = random_hull_points(rng, 6, 40)
         p = convex_hull(pts, 6)
@@ -122,7 +115,7 @@ class TestConvexHull:
             assert not p.is_full_dimensional
             assert p.vertices.shape == p.facet_normals.shape == (0, 3)
             assert p.facet_offsets.shape == (0,)
-            assert p.interior_point is None and p.facet_simplices is None
+            assert p.volume == 0.0
 
     def test_errors(self):
         with pytest.raises(InvalidInputError):
@@ -288,30 +281,22 @@ class TestVolume:
                 oracles.cube_image_volume(a), rel=1e-9
             )
 
-    def test_fan_sums_absolute_determinants(self):
-        # fan simplices I, 2I and a singular one: |det| sum 1 + 8 + 0 over 3!
-        p = Polytope(
-            dim=3,
-            vertices=np.vstack([np.eye(3), 2.0 * np.eye(3), np.zeros((1, 3))]),
-            facet_normals=np.zeros((0, 3)),
-            facet_offsets=np.zeros(0),
-            affine_rank=3,
-            interior_point=np.zeros(3),
-            facet_simplices=np.array([[0, 1, 2], [5, 4, 3], [6, 6, 6]]),
-        )
-        assert polytope_volume(p) == pytest.approx(9.0 / 6.0)
-
-    def test_empty_fan_is_zero(self):
-        p = Polytope(
-            dim=6,
-            vertices=np.zeros((0, 6)),
-            facet_normals=np.zeros((0, 6)),
-            facet_offsets=np.zeros(0),
-            affine_rank=6,
-            interior_point=np.zeros(6),
-            facet_simplices=np.zeros((0, 6), dtype=int),
-        )
-        assert polytope_volume(p) == 0.0
+    def test_continuous_under_jitter_of_a_real_wrench_set(self, monkeypatch):
+        # the scored frame of a mid-air slab squeeze, whose hull merges many
+        # near-coplanar facets: a simplex fan over qhull's triangulated
+        # facets overshoots here and moved by 2.2e-3 to 2.3e-3 relative under
+        # this jitter; the seeds are ones whose hull qhull builds on its first
+        # try (a joggled retry's volume is the joggled input's)
+        pts = np.loadtxt(DATA / "slab04_scored_wrenches.txt")
+        assert pts.shape == (289, 6)
+        options = recording_qhull(monkeypatch)
+        ref = polytope_volume(convex_hull(pts, 6))
+        scale = 1e-12 * np.max(np.abs(pts))
+        for seed in (0, 12, 13):
+            jittered = pts + scale * np.random.default_rng(seed).normal(size=pts.shape)
+            assert polytope_volume(convex_hull(jittered, 6)) == pytest.approx(ref, rel=1e-8)
+        assert options == [None] * 4
+        assert ref == pytest.approx(oracles.delaunay_volume(pts), rel=1e-6)
 
     def test_degenerate_zero(self, rng):
         flat = np.hstack([rng.normal(size=(5, 3)), np.zeros((5, 3))])
