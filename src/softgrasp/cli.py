@@ -384,9 +384,9 @@ def cmd_simulate(args, rc: RunConfig) -> int:
 # metric
 
 
-def _score_trajectory(path, rc: RunConfig, names):
-    """A trajectory file's frames, and each frame's FrameQuality on names
-    (the metric and hull-info commands).
+def _score_trajectory(path, rc: RunConfig):
+    """A trajectory file's frames, and each frame's FrameQuality (the metric
+    and hull-info commands).
 
     The torque scale is the config's torque_scale_rho, or, when that is
     auto, the one the trajectory header recorded.
@@ -395,12 +395,12 @@ def _score_trajectory(path, rc: RunConfig, names):
     rho = traj.header.torque_scale_rho if rc.torque_scale_rho is None else rc.torque_scale_rho
     wcfg = rc.wrench_config(rho)
     frames = list(traj.frames)
-    return frames, _map_frames(lambda f: frame_quality(f, wcfg, rc.gravity, names), frames)
+    return frames, _map_frames(lambda f: frame_quality(f, wcfg, rc.gravity), frames)
 
 
 def cmd_metric(args, rc: RunConfig) -> int:
+    frames, qualities = _score_trajectory(args.trajectory, rc)
     names = list(METRIC_NAMES) if args.metric == "all" else [args.metric]
-    frames, qualities = _score_trajectory(args.trajectory, rc, names)
     if not frames:
         print("# empty trajectory", file=sys.stdout)
         return 0
@@ -556,8 +556,7 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
         else:
             for metric in METRIC_NAMES:
                 vals = np.array([getattr(e, metric) for e in measured])
-                with np.errstate(invalid="ignore"):
-                    scores[metric] = monotonicity(vals, proxy)
+                scores[metric] = monotonicity(vals, proxy)
         rows.append(
             (name, len(evals), failed, empty, scores["epsilon"], scores["volume"], scores["gravity"])
         )
@@ -590,7 +589,7 @@ def cmd_bench(args, rc: RunConfig) -> int:
 
 
 def cmd_hull_info(args, rc: RunConfig) -> int:
-    frames, qualities = _score_trajectory(args.trajectory, rc, METRIC_NAMES)
+    frames, qualities = _score_trajectory(args.trajectory, rc)
     _emit(("frame", "time", "contacts", "vertices", "facets", "affine_rank") + METRIC_NAMES)
     for i, (frame, q) in enumerate(zip(frames, qualities)):
         _emit(

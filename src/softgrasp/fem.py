@@ -560,8 +560,7 @@ def _contact_state(model, squeeze, gap, u, u_step_start, cfg) -> _Contacts:
     cap = mu * fn
     slipping = ft_norm > cap
     scale = np.ones_like(ft_norm)
-    nz = ft_norm > 0.0
-    scale[nz & slipping] = cap[nz & slipping] / ft_norm[nz & slipping]
+    scale[slipping] = cap[slipping] / ft_norm[slipping]
     ft = ft * scale[:, None]
     force = fn[:, None] * normal + ft
     # unit slip directions and magnitudes for the capped nodes

@@ -21,7 +21,6 @@ from .errors import InvalidInputError, UndefinedCorrelationWarning, check_fields
 from .geom import Polytope, min_facet_distance, polytope_volume, ray_exit_distances
 
 METRIC_NAMES = ("epsilon", "volume", "gravity")
-TRACE_METRICS = METRIC_NAMES + ("proxy",)
 # A trace counts as saturated once later values stop exceeding the current
 # one by more than this relative margin.
 SATURATION_REL_MARGIN = 0.01
@@ -67,10 +66,10 @@ def gravity_directions(gcfg: GravityConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameQuality:
-    """Requested metrics of one frame plus the size of its wrench hull.
+    """The metrics of one frame plus the size of its wrench hull.
 
-    values maps each requested metric name to its value.  A contact-free
-    frame has no hull: every metric is zero and so are the counts.
+    values maps each metric name to its value.  A contact-free frame has no
+    hull: every metric is zero and so are the counts.
     """
 
     values: dict
@@ -91,43 +90,32 @@ def frame_quality(
     frame: TrajectoryFrame,
     cfg: WrenchSpaceConfig,
     gcfg: GravityConfig,
-    metrics=TRACE_METRICS,
     proxy_dirs=None,
 ) -> FrameQuality:
-    """Every requested metric of one frame from a single wrench hull.
+    """Every metric of one frame from its single wrench hull.
 
-    metrics is any subset of epsilon | volume | gravity | proxy; only the
-    requested ones are computed.  Proxy directions default to the gravity
-    directions.  Flat hulls and contact-free frames score zero on every
-    metric.
+    values holds epsilon, volume and gravity, plus proxy (the mean hull exit
+    distance along proxy_dirs, over the mass) when proxy_dirs is given.
+    Flat hulls and contact-free frames score zero on every metric.
     """
-    names = tuple(metrics)
-    unknown = [m for m in names if m not in TRACE_METRICS]
-    if unknown:
-        raise InvalidInputError(f"unknown metric {unknown[0]!r}, expected one of {TRACE_METRICS}")
-    inertial = "gravity" in names or "proxy" in names
-    if "proxy" in names:
-        dirs = gravity_directions(gcfg) if proxy_dirs is None else unit_rows(proxy_dirs, "proxy_dirs", 3)
-
+    if proxy_dirs is None:
+        values = dict.fromkeys(METRIC_NAMES, 0.0)
+    else:
+        proxy_dirs = unit_rows(proxy_dirs, "proxy_dirs", 3)
+        values = dict.fromkeys(METRIC_NAMES + ("proxy",), 0.0)
     if len(frame.contacts) == 0:
-        return FrameQuality({m: 0.0 for m in names}, vertices=0, facets=0, affine_rank=0)
+        return FrameQuality(values, vertices=0, facets=0, affine_rank=0)
     gws = build_gws(frame, cfg)
-    values = dict.fromkeys(names, 0.0)
     if gws.is_full_dimensional:
-        if "epsilon" in names:
-            values["epsilon"] = min_facet_distance(gws)
-        if "volume" in names:
-            values["volume"] = polytope_volume(gws)
-        if inertial:
-            arm = frame.com - contact_centroid(frame)
-            rho = cfg.torque_scale_rho
-            if "gravity" in names:
-                exits, norms = _inertial_exits(gws, arm, gravity_directions(gcfg), rho)
-                caps = frame.mass * gcfg.gravity_accel * norms
-                values["gravity"] = float(np.min(np.minimum(exits, caps)))
-            if "proxy" in names:
-                exits, _ = _inertial_exits(gws, arm, dirs, rho)
-                values["proxy"] = float(np.mean(exits) / frame.mass)
+        arm = frame.com - contact_centroid(frame)
+        rho = cfg.torque_scale_rho
+        exits, norms = _inertial_exits(gws, arm, gravity_directions(gcfg), rho)
+        values["epsilon"] = min_facet_distance(gws)
+        values["volume"] = polytope_volume(gws)
+        values["gravity"] = float(np.min(np.minimum(exits, frame.mass * gcfg.gravity_accel * norms)))
+        if proxy_dirs is not None:
+            exits, _ = _inertial_exits(gws, arm, proxy_dirs, rho)
+            values["proxy"] = float(np.mean(exits) / frame.mass)
     return FrameQuality(
         values,
         vertices=gws.vertices.shape[0],

@@ -11,8 +11,8 @@ from softgrasp import ContactPoint, GravityConfig, TrajectoryFrame, frame_qualit
 
 
 def quality(frame, cfg, metric: str, gcfg=GravityConfig(), proxy_dirs=None) -> float:
-    """One metric of one frame, requested alone from frame_quality."""
-    return frame_quality(frame, cfg, gcfg, (metric,), proxy_dirs).values[metric]
+    """One metric of one frame, read off frame_quality's values."""
+    return frame_quality(frame, cfg, gcfg, proxy_dirs).values[metric]
 
 
 def random_unit(rng, d: int = 3) -> np.ndarray:

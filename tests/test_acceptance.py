@@ -166,7 +166,7 @@ def test_criterion_2_metric_laws(rng, capsys):
 
     def scores(f, gc=gcfg):
         """(epsilon, volume, gravity) of a frame, read off one wrench hull."""
-        values = frame_quality(f, cfg, gc, METRIC_NAMES).values
+        values = frame_quality(f, cfg, gc).values
         return tuple(values[m] for m in METRIC_NAMES)
 
     cap_violations = zero_violations = 0
@@ -356,7 +356,7 @@ def box_sweep():
     gcfg = rc.gravity
     t0 = time.perf_counter()
     # scored as the metric command scores a trajectory: frames concurrently
-    qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg, ("gravity",)), frames)
+    qualities = _map_frames(lambda f: frame_quality(f, wcfg, gcfg), frames)
     values = np.array([q.values["gravity"] for q in qualities])
     metric_s = (time.perf_counter() - t0) / len(frames)
     return {

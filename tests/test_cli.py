@@ -376,6 +376,11 @@ class TestMetricAndHullInfoOutputs:
         assert code == 0
         assert out == (DATA / "hull_info_fixture.tsv").read_text()
 
+    def test_metric_fixture_output(self, capsys):
+        code, out, _ = run_cli(capsys, "metric", "--trajectory", str(FIXTURE_TRAJECTORY))
+        assert code == 0
+        assert out == (DATA / "metric_fixture.tsv").read_text()
+
     def test_metric_all_columns_equal_single_runs(self, capsys):
         code, out, _ = run_cli(capsys, "metric", "--trajectory", str(FIXTURE_TRAJECTORY))
         assert code == 0
@@ -605,6 +610,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--seed", "1"])
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["bogus", "proxy"])
+    def test_unknown_metric(self, name, capsys):
+        # frame_quality takes no metric names: --metric only picks printed columns
+        with pytest.raises(SystemExit):
+            main(["metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--metric", name])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_negative_desired_force_exit_2(self, workspace, capsys):
         code, _, err = run_cli(

@@ -36,7 +36,7 @@ from softgrasp import (
     saturation_index,
 )
 from softgrasp import cli, metrics
-from softgrasp.metrics import TRACE_METRICS
+from softgrasp.metrics import METRIC_NAMES
 
 
 def frame_with_forces(frame, k):
@@ -53,13 +53,11 @@ def frame_with_forces(frame, k):
     )
 
 
-def score_frames(frames, names, cfg, gcfg=GravityConfig(), proxy_dirs=None):
-    """Per-frame values of each metric in names, scored the way the metric
-    command scores a trajectory: frame_quality mapped over the frames."""
-    per_frame = cli._map_frames(
-        lambda f: frame_quality(f, cfg, gcfg, names, proxy_dirs).values, frames
-    )
-    return {m: np.array([v[m] for v in per_frame]) for m in names}
+def score_frames(frames, cfg, gcfg=GravityConfig(), proxy_dirs=None):
+    """Per-frame values of each metric, scored the way the metric command
+    scores a trajectory: frame_quality mapped over the frames."""
+    per_frame = cli._map_frames(lambda f: frame_quality(f, cfg, gcfg, proxy_dirs).values, frames)
+    return {m: np.array([v[m] for v in per_frame]) for m in per_frame[0]}
 
 
 def with_mass(frame, mass):
@@ -334,7 +332,7 @@ class TestQualityTrace:
     def test_identical_frames_constant_trace(self):
         traj = self.make_trajectory([1.0, 1.0, 1.0])
         cfg = WrenchSpaceConfig(friction_mu=0.5)
-        values = score_frames(traj, ("epsilon",), cfg)["epsilon"]
+        values = score_frames(traj, cfg)["epsilon"]
         assert np.allclose(values, values[0])
         assert saturation_index(values) == 0
 
@@ -357,20 +355,16 @@ class TestQualityTrace:
                     mass=base.mass,
                 )
             )
-        values = score_frames(frames, ("epsilon",), cfg)["epsilon"]
+        values = score_frames(frames, cfg)["epsilon"]
         assert np.all(np.diff(values) >= -1e-12)
 
     def test_gravity_and_proxy_traces(self):
         traj = self.make_trajectory([1.0, 2.0, 3.0])
         cfg = WrenchSpaceConfig(friction_mu=0.5, force_normalization="reported-force")
-        values = score_frames(traj, ("gravity", "proxy"), cfg)
+        values = score_frames(traj, cfg, proxy_dirs=fibonacci_sphere(16))
         assert values["gravity"].shape == (3,)
         assert values["proxy"].shape == (3,)
         assert np.all(np.diff(values["gravity"]) >= -1e-12)
-
-    def test_unknown_metric(self):
-        with pytest.raises(InvalidInputError):
-            score_frames(self.make_trajectory([1.0, 2.0]), ("bogus",), WrenchSpaceConfig())
 
 
 class TestFrameQuality:
@@ -382,14 +376,12 @@ class TestFrameQuality:
             antipodal_patch_frame(),
         ]
 
-    def test_equals_single_metric_requests(self, rng):
+    def test_hull_counts_and_flat_hulls_score_zero(self, rng):
         dirs = fibonacci_sphere(12)
         gcfg = GravityConfig()
         for cfg in (WrenchSpaceConfig(), WrenchSpaceConfig(friction_mu=0.0)):
             for f in self.frames(rng):
-                q = frame_quality(f, cfg, gcfg, TRACE_METRICS, dirs)
-                for m in TRACE_METRICS:
-                    assert q.values[m] == quality(f, cfg, m, gcfg, dirs)
+                q = frame_quality(f, cfg, gcfg, dirs)
                 gws = build_gws(f, cfg)
                 assert (q.vertices, q.facets, q.affine_rank) == (
                     gws.vertices.shape[0], gws.facet_offsets.shape[0], gws.affine_rank
@@ -408,20 +400,21 @@ class TestFrameQuality:
         frames = [random_frame(rng, n, time=0.1 * (n + 1)) for n in (4, 3, 5)]
         frame_quality(frames[0], WrenchSpaceConfig(), GravityConfig())
         assert len(built) == 1
-        values = score_frames(frames, TRACE_METRICS, WrenchSpaceConfig())
+        values = score_frames(frames, WrenchSpaceConfig(), proxy_dirs=fibonacci_sphere(12))
         assert len(built) == 1 + len(frames)
-        assert set(values) == set(TRACE_METRICS)
+        assert set(values) == set(METRIC_NAMES + ("proxy",))
 
-    def test_computes_only_requested(self, rng):
-        q = frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), GravityConfig(), ("gravity",))
-        assert list(q.values) == ["gravity"]
-        with pytest.raises(InvalidInputError):
-            frame_quality(random_frame(rng, 4), WrenchSpaceConfig(), GravityConfig(), ("bogus",))
+    def test_value_keys(self, rng):
+        f = random_frame(rng, 4)
+        q = frame_quality(f, WrenchSpaceConfig(), GravityConfig())
+        assert tuple(q.values) == METRIC_NAMES
+        q = frame_quality(f, WrenchSpaceConfig(), GravityConfig(), fibonacci_sphere(12))
+        assert tuple(q.values) == METRIC_NAMES + ("proxy",)
 
     def test_contact_free_frame_scores_zero(self):
         f = TrajectoryFrame(time=0.0, contacts=(), squeeze_force=0.0, com=np.zeros(3), mass=0.1)
         q = frame_quality(f, WrenchSpaceConfig(), GravityConfig())
-        assert q.values == {m: 0.0 for m in TRACE_METRICS}
+        assert q.values == {m: 0.0 for m in METRIC_NAMES}
         assert (q.vertices, q.facets, q.affine_rank) == (0, 0, 0)
         assert quality(f, WrenchSpaceConfig(), "epsilon") == 0.0
 
@@ -441,11 +434,11 @@ class TestConcurrentFrames:
     def test_traces_bit_equal_for_any_cpu_count(self, rng, monkeypatch):
         frames = self.trajectory(rng)
         cfg, gcfg, dirs = WrenchSpaceConfig(), GravityConfig(), fibonacci_sphere(12)
-        serial = [frame_quality(f, cfg, gcfg, TRACE_METRICS, dirs).values for f in frames]
+        serial = [frame_quality(f, cfg, gcfg, dirs).values for f in frames]
         for cpus in (1, 2, 4):
             bind_cpus(monkeypatch, cpus)
-            traces = score_frames(frames, TRACE_METRICS, cfg, gcfg, dirs)
-            for m in TRACE_METRICS:
+            traces = score_frames(frames, cfg, gcfg, dirs)
+            for m in METRIC_NAMES + ("proxy",):
                 values = np.array([q[m] for q in serial])
                 assert np.array_equal(traces[m], values)
                 assert saturation_index(traces[m]) == saturation_index(values)
@@ -481,7 +474,7 @@ class TestConcurrentFrames:
 
         monkeypatch.setattr(metrics, "build_gws", counting_build_gws)
         frames = [random_frame(rng, 3, time=0.1 * (i + 1)) for i in range(count)]
-        score_frames(frames, ("epsilon",), WrenchSpaceConfig())
+        score_frames(frames, WrenchSpaceConfig())
         assert len(seen) == count
         assert max(seen) == before + threads
         assert threading.active_count() == before
