@@ -28,7 +28,6 @@ from .errors import (
     ParseError,
     SoftGraspError,
     SolverError,
-    UndefinedCorrelationWarning,
     UnsupportedVersionError,
 )
 from .fem import (
@@ -73,7 +72,6 @@ from .metrics import (
     desired_force_index,
     fibonacci_sphere,
     frame_quality,
-    gravity_directions,
     monotonicity,
     saturation_index,
 )

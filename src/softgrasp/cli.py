@@ -1,7 +1,10 @@
 """Command line front end: simulate | metric | rank | bench | hull-info.
 
 Data tables go to stdout (tab-separated, '#' for summary lines); diagnostics
-go to stderr.  Exit codes: 0 success, 1 partial per-item failure, 2 config
+go to stderr as logging records, "LEVEL logger: message": one per failed or
+empty candidate and per normalized grasp axis, and with -v also qhull's
+joggle retries.  The library layers return outcomes; the commands report
+them, each once.  Exit codes: 0 success, 1 partial per-item failure, 2 config
 or I/O error.  A rank or bench candidate whose squeeze or wrench hull fails
 (SolverError, HullError) is a failed row.  When qhull cannot build a
 frame's wrench hull even from joggled input, metric and hull-info print
@@ -117,13 +120,13 @@ _SECTIONS = {
 }
 # Each flat config key -> (the section whose dataclass declares it, or None
 # for RunConfig's own fields; that field's default).  custom_directions, an
-# array, has no flat form.
+# array, has no flat form, and a field derived in __post_init__ is no key.
 _KEYS = {f.name: (None, f.default) for f in dataclasses.fields(RunConfig) if f.name not in _SECTIONS}
 _KEYS.update(
     (g.name, (name, g.default))
     for name, cls in _SECTIONS.items()
     for g in dataclasses.fields(cls)
-    if g.default is not None
+    if g.init and g.default is not None
 )
 
 
@@ -560,7 +563,6 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
         rows.append(
             (name, len(evals), failed, empty, scores["epsilon"], scores["volume"], scores["gravity"])
         )
-        logger.info("bench %s: %s", name, scores)
     # a NaN correlation compares false, so its object is not ordered
     ordered = sum(1 for (*_, eps, vol, grav) in rows if grav >= vol >= eps)
     return rows, ordered
@@ -572,11 +574,7 @@ def cmd_bench(args, rc: RunConfig) -> int:
         raise ConfigError("no bench objects given")
     if args.grasps_per_object < 3:
         raise ConfigError("--grasps-per-object must be >= 3 (rank correlation needs 3 grasps)")
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")  # constant-series NaNs are reported in the table
-        rows, ordered = run_bench(names, args.grasps_per_object, rc, jobs=args.jobs)
+    rows, ordered = run_bench(names, args.grasps_per_object, rc, jobs=args.jobs)
     _emit(("object", "grasps", "failed", "empty", "epsilon", "volume", "gravity"))
     for row in rows:
         _emit(row)

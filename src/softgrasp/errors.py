@@ -74,10 +74,6 @@ class ConfigError(SoftGraspError, ValueError):
     """A run configuration file contained an unknown key or a bad value."""
 
 
-class UndefinedCorrelationWarning(UserWarning):
-    """Rank correlation is undefined (constant series); NaN was returned."""
-
-
 def finite(value, name: str, *, above=None, least=None, below=None) -> float:
     """value as a float, when it is a finite number inside the given bounds.
 

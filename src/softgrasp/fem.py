@@ -10,7 +10,6 @@ finger contact are emitted as TrajectoryFrames for the metric pipeline.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,6 @@ import scipy.sparse.linalg as spla
 
 from .contact import ContactPoint, TrajectoryFrame, orthonormal_tangents
 from .errors import InvalidInputError, MeshError, SolverError, check_fields, finite, integer, vec3
-
-logger = logging.getLogger(__name__)
 
 # Tikhonov factor anchoring the six rigid modes of the free-floating object,
 # relative to the mean stiffness diagonal.
@@ -789,7 +786,7 @@ def run_squeeze(
     One frame per squeeze_steps increment (time = global step index * dt,
     squeeze_force = pad A's normal force sum, com recomputed from the
     deformed mesh).  A squeeze that never touches the object returns an
-    empty list.
+    empty list: that is the miss signal, which the command reports.
     """
     model = assemble_model(mesh, mat)
     return [step_frame(model, cfg, *step) for step in squeeze_steps(model, grasp, cfg)]
@@ -800,8 +797,9 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
 
     The gap shrinks by displacement_increment per step from just outside the
     object.  Stops after the first step whose squeeze force (pad A's normal
-    force sum) reaches grasp.max_force, or when the gap runs out.  Raises
-    SolverError from the first step that does not converge.
+    force sum) reaches grasp.max_force, or when the gap runs out.  Yields
+    nothing when the pads never touch the object.  Raises SolverError from
+    the first step that does not converge.
     """
     mesh = model.mesh
     axis = grasp.approach_axis
@@ -810,7 +808,6 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment
 
     squeeze = Squeeze(model, grasp, cfg)
-    touched = False
     u = np.zeros(3 * mesh.num_nodes)
     gap = gap0
     step_idx = 0
@@ -820,16 +817,9 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
         u, report = quasi_static_step(model, squeeze, gap, u, cfg)
         if np.all(report.contacts.kind == PLATFORM):
             continue
-        touched = True
         yield step_idx, u, report
         if report.squeeze_force >= grasp.max_force:
             return
-    if not touched:
-        logger.warning(
-            "squeeze produced no contact frames (grasp center %s, axis %s)",
-            np.array2string(grasp.grasp_center, precision=4),
-            np.array2string(axis, precision=4),
-        )
 
 
 def step_frame(model: AssembledModel, cfg: SimConfig, step_idx: int, u, report) -> TrajectoryFrame:

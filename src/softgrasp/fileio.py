@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,8 @@ import numpy as np
 from .contact import ContactPoint, TrajectoryFrame
 from .errors import InvalidInputError, MeshError, ParseError, UnsupportedVersionError, check_fields, finite, vec3
 from .fem import GraspCandidate, MaterialParams, TetMesh, tet_volumes
+
+logger = logging.getLogger(__name__)
 
 TRAJECTORY_FORMAT = "softgrasp-trajectory"
 TRAJECTORY_VERSION = 1
@@ -353,8 +355,8 @@ def parse_grasp_candidates(text: str) -> list[GraspCandidate]:
     """Parse line-delimited JSON grasp candidates.
 
     Required keys per line: center, axis, halfwidth, max_force; other keys
-    are ignored.  An axis off unit length by at most 1e-3 is normalized with
-    a warning; more than that is an error.
+    are ignored.  An axis off unit length by at most 1e-3 is normalized and
+    logged; more than that is an error.
     """
     if not isinstance(text, str):
         raise ParseError("grasp input must be text")
@@ -372,10 +374,7 @@ def parse_grasp_candidates(text: str) -> list[GraspCandidate]:
             if abs(norm - 1.0) > 1e-3:
                 raise ParseError(f"axis norm {norm:.6f} too far from 1", line=lineno)
             if abs(norm - 1.0) > 1e-9:
-                warnings.warn(
-                    f"grasp line {lineno}: axis normalized (norm was {norm:.6f})",
-                    stacklevel=2,
-                )
+                logger.warning("grasp line %d: axis normalized (norm was %.6f)", lineno, norm)
             out.append(GraspCandidate(grasp_center=center, approach_axis=axis / norm,
                                       finger_halfwidth=halfwidth, max_force=max_force))
         except InvalidInputError as exc:

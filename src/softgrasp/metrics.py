@@ -11,13 +11,12 @@ serves as benchmark ground truth, compared via rank correlation.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact import TrajectoryFrame, WrenchSpaceConfig, build_gws, contact_centroid
-from .errors import InvalidInputError, UndefinedCorrelationWarning, check_fields, finite, integer, unit_rows
+from .errors import InvalidInputError, check_fields, finite, integer, unit_rows
 from .geom import Polytope, min_facet_distance, polytope_volume, ray_exit_distances
 
 METRIC_NAMES = ("epsilon", "volume", "gravity")
@@ -44,11 +43,13 @@ class GravityConfig:
 
     custom_directions, when given, replaces the Fibonacci-sphere lattice of
     num_directions directions, and num_directions becomes its row count.
+    directions holds the sampled directions, built once here.
     """
 
     num_directions: int = 16
     gravity_accel: float = 9.81
     custom_directions: np.ndarray | None = None
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, finite, "gravity_accel", above=0.0)
@@ -56,12 +57,10 @@ class GravityConfig:
             check_fields(self, unit_rows, "custom_directions", dim=3)
             object.__setattr__(self, "num_directions", self.custom_directions.shape[0])
         check_fields(self, integer, "num_directions", least=4)
-
-
-def gravity_directions(gcfg: GravityConfig) -> np.ndarray:
-    if gcfg.custom_directions is None:
-        return fibonacci_sphere(gcfg.num_directions)
-    return gcfg.custom_directions
+        dirs = self.custom_directions
+        if dirs is None:
+            dirs = fibonacci_sphere(self.num_directions)
+        object.__setattr__(self, "directions", dirs)
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def frame_quality(
     if gws.is_full_dimensional:
         arm = frame.com - contact_centroid(frame)
         rho = cfg.torque_scale_rho
-        exits, norms = _inertial_exits(gws, arm, gravity_directions(gcfg), rho)
+        exits, norms = _inertial_exits(gws, arm, gcfg.directions, rho)
         values["epsilon"] = min_facet_distance(gws)
         values["volume"] = polytope_volume(gws)
         values["gravity"] = float(np.min(np.minimum(exits, frame.mass * gcfg.gravity_accel * norms)))
@@ -127,8 +126,8 @@ def frame_quality(
 def monotonicity(metric_values, ground_truth) -> float:
     """Spearman rank correlation scaled to [-100, 100], average-rank ties.
 
-    Constant input on either side leaves ranks undefined: that returns NaN
-    and raises UndefinedCorrelationWarning instead of failing.
+    Constant input on either side leaves ranks undefined: that returns NaN,
+    which the caller reports (bench prints it in its table).
     """
     a = np.asarray(metric_values, dtype=float)
     b = np.asarray(ground_truth, dtype=float)
@@ -137,11 +136,6 @@ def monotonicity(metric_values, ground_truth) -> float:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("non-finite values in series")
     if np.all(a == a[0]) or np.all(b == b[0]):
-        warnings.warn(
-            "rank correlation undefined for a constant series",
-            UndefinedCorrelationWarning,
-            stacklevel=2,
-        )
         return float("nan")
     return float(np.corrcoef(np.stack([_average_ranks(a), _average_ranks(b)]))[1, 0] * 100.0)
 

@@ -44,7 +44,6 @@ from softgrasp.metrics import (
     METRIC_NAMES,
     GravityConfig,
     frame_quality,
-    gravity_directions,
     saturation_index,
 )
 
@@ -145,7 +144,7 @@ def test_criterion_2_metric_laws(rng, capsys):
     start = time.perf_counter()
     cfg = WrenchSpaceConfig()
     gcfg = GravityConfig()
-    base_dirs = gravity_directions(gcfg)
+    base_dirs = gcfg.directions
 
     frames = []
     frames += [helpers.random_frame(rng, int(rng.integers(2, 7))) for _ in range(80)]
@@ -258,7 +257,7 @@ def test_criterion_3_gravity_oracle(rng, capsys):
             frame_wrenches(f, cfg),
             np.asarray(f.com, dtype=float) - contact_centroid(f),
             cfg.torque_scale_rho,
-            gravity_directions(gcfg),
+            gcfg.directions,
             f.mass,
             gcfg.gravity_accel,
         )

@@ -530,6 +530,34 @@ class TestSingularSolve:
         assert len(calls) == 2
 
 
+class TestDiagnostics:
+    def test_each_event_logged_once(self, tmp_path):
+        # line 1 misses the box; line 2's axis is normalized and its squeeze
+        # converges mid-air.  A fresh interpreter runs main, so stderr holds
+        # what a user sees: one logging record per event and nothing else
+        node_text, ele_text = tetgen_text(bench_mesh("box"))
+        (tmp_path / "box.node").write_text(node_text)
+        (tmp_path / "box.ele").write_text(ele_text)
+        lines = [
+            {"center": [0.0, 0.5, 0.03], "axis": [1.0, 0.0, 0.0], "halfwidth": 0.019, "max_force": 5.0},
+            {"center": [0.0, 0.0, 0.03], "axis": [1.0005, 0.0, 0.0], "halfwidth": 0.019, "max_force": 5.0},
+        ]
+        (tmp_path / "grasps.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        (tmp_path / "midair.cfg").write_text("platform_height = -1.0\n")
+        argv = [
+            "rank", "--node", str(tmp_path / "box.node"), "--ele", str(tmp_path / "box.ele"),
+            "--grasps", str(tmp_path / "grasps.jsonl"), "--config", str(tmp_path / "midair.cfg"),
+        ]
+        result = run_python(f"import sys; from softgrasp.cli import main; sys.exit(main({argv!r}))")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "WARNING softgrasp.fileio: grasp line 2: axis normalized (norm was 1.000500)",
+            "WARNING softgrasp.cli: candidate 0: empty (no contact frames)",
+        ]
+        rows = [line.split("\t") for line in result.stdout.splitlines()[1:]]
+        assert [(row[1], row[-1]) for row in rows] == [("1", "ok"), ("0", "empty")]
+
+
 class TestExitCodes:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--trajectory", "/no/such/file.jsonl")

@@ -592,12 +592,10 @@ class TestRunSqueeze:
         deformed = tet_volumes(mesh.nodes + u.reshape(-1, 3), mesh.tets).sum()
         assert abs(deformed - rest_volume) <= 3.0 * strain * rest_volume
 
-    def test_miss_returns_empty_with_diagnostic(self, box_model, caplog):
+    def test_miss_returns_empty_with_diagnostic(self, box_model):
+        # the empty list is the whole diagnostic: rank and simulate report it
         grasp = GraspCandidate((0.0, 0.5, 0.0), (1.0, 0, 0), 0.005, 10.0)
-        with caplog.at_level("WARNING", logger="softgrasp.fem"):
-            frames = run_squeeze(box_model.mesh, box_model.mat, grasp, pinch_config())
-        assert frames == []
-        assert any("no contact frames" in r.message for r in caplog.records)
+        assert run_squeeze(box_model.mesh, box_model.mat, grasp, pinch_config()) == []
 
     def test_tiny_max_force_stops_immediately(self, box_model):
         frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=1e-6), pinch_config())
@@ -609,6 +607,15 @@ class TestRunSqueeze:
         frames = run_squeeze(mesh, MaterialParams(), box_grasp(max_force=2.0), pinch_config())
         assert len(frames) >= 1
         assert frames[-1].squeeze_force >= 2.0
+
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason="pad edge on grid nodes: ROADMAP item 3")
+    def test_pad_edge_on_grid_nodes_converges(self):
+        # a 2 cm halfwidth puts the pad edges on the bench box's 1 cm node
+        # grid; the Newton loop stalls at a residual near 0.18 N, while
+        # halfwidths 1.9 and 2.1 cm converge to 5.2 N
+        grasp = GraspCandidate((0.0, 0.0, 0.03), (1.0, 0, 0), 0.02, 5.0)
+        frames = run_squeeze(cli.bench_mesh("box"), MaterialParams(), grasp, SimConfig(platform_height=-1.0))
+        assert frames[-1].squeeze_force >= 5.0
 
 
 class TestFrameCenterOfMass:

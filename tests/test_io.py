@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -312,19 +311,20 @@ class TestGraspCandidates:
             assert a.finger_halfwidth == b.finger_halfwidth
             assert a.max_force == b.max_force
 
-    def test_slightly_off_axis_normalized_with_warning(self):
+    def test_slightly_off_axis_normalized_with_warning(self, caplog):
         line = json.dumps(
             {"center": [0, 0, 0], "axis": [1.0 + 5e-4, 0.0, 0.0], "halfwidth": 0.02, "max_force": 5.0}
         )
-        with pytest.warns(UserWarning, match="normalized"):
+        with caplog.at_level("WARNING", logger="softgrasp.fileio"):
             out = parse_grasp_candidates(line + "\n")
         assert np.linalg.norm(out[0].approach_axis) == pytest.approx(1.0, abs=1e-12)
+        assert [r.getMessage() for r in caplog.records] == ["grasp line 1: axis normalized (norm was 1.000500)"]
 
-    def test_exact_axis_no_warning(self):
+    def test_exact_axis_no_warning(self, caplog):
         text = write_grasp_candidates(self.candidates())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with caplog.at_level("DEBUG"):
             parse_grasp_candidates(text)
+        assert caplog.records == []
 
     def test_far_off_axis_rejected(self):
         line = json.dumps(
@@ -404,8 +404,6 @@ class TestFuzzNeverCrashes:
         )
         for _ in range(200):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    parse_grasp_candidates(mutate_text(rng, base))
+                parse_grasp_candidates(mutate_text(rng, base))
             except IO_ERRORS:
                 pass

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from softgrasp import (
     GravityConfig,
     InvalidInputError,
     TrajectoryFrame,
-    UndefinedCorrelationWarning,
     WrenchSpaceConfig,
     build_gws,
     contact_centroid,
@@ -30,7 +31,6 @@ from softgrasp import (
     fibonacci_sphere,
     frame_quality,
     frame_wrenches,
-    gravity_directions,
     min_facet_distance,
     monotonicity,
     saturation_index,
@@ -88,7 +88,7 @@ class TestDirections:
         g = GravityConfig()
         assert g.num_directions == 16
         assert g.gravity_accel == 9.81
-        assert gravity_directions(g).shape == (16, 3)
+        assert g.directions.shape == (16, 3)
 
     def test_gravity_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -103,8 +103,16 @@ class TestDirections:
     def test_custom_directions(self):
         dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
         g = GravityConfig(custom_directions=dirs)
-        assert np.allclose(gravity_directions(g), dirs)
+        assert np.allclose(g.directions, dirs)
         assert g.num_directions == 4
+
+    def test_directions_built_once(self, rng, monkeypatch):
+        g = GravityConfig()
+        assert np.array_equal(g.directions, fibonacci_sphere(16))
+        assert dataclasses.replace(g, num_directions=32).directions.shape == (32, 3)
+        monkeypatch.setattr(metrics, "fibonacci_sphere", lambda count: pytest.fail("lattice rebuilt"))
+        for _ in range(3):
+            assert quality(random_frame(rng, 4), WrenchSpaceConfig(), "gravity", g) > 0.0
 
 
 class TestEpsilonVolume:
@@ -187,7 +195,7 @@ class TestGravityQuality:
             f = random_frame(rng, 4)
             q = quality(f, cfg, "gravity", gcfg)
             arm = f.com - contact_centroid(f)
-            dirs = gravity_directions(gcfg)
+            dirs = gcfg.directions
             v = np.hstack([dirs, np.cross(np.broadcast_to(arm, dirs.shape), dirs)])
             max_cap = f.mass * gcfg.gravity_accel * np.linalg.norm(v, axis=1).max()
             assert q <= max_cap + 1e-12
@@ -202,7 +210,7 @@ class TestGravityQuality:
                 frame_wrenches(f, cfg),
                 f.com - contact_centroid(f),
                 cfg.torque_scale_rho,
-                gravity_directions(gcfg),
+                gcfg.directions,
                 f.mass,
                 gcfg.gravity_accel,
             )
@@ -263,7 +271,9 @@ class TestMonotonicity:
         assert monotonicity([4, 3, 2, 1], [10, 20, 30, 40]) == pytest.approx(-100.0)
 
     def test_constant_series_nan_with_warning(self):
-        with pytest.warns(UndefinedCorrelationWarning):
+        # NaN is the whole report: bench prints it in its table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = monotonicity([1.0, 1.0, 1.0], [1, 2, 3])
         assert np.isnan(out)
 
