@@ -15,7 +15,6 @@ from .contact import (
     contact_centroid,
     default_torque_scale,
     frame_wrenches,
-    friction_pyramid,
     orthonormal_tangents,
 )
 from .errors import (

@@ -56,7 +56,7 @@ from .metrics import (
     saturation_index,
 )
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("softgrasp.cli")  # __name__ is "__main__" under python -m
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A frame's wrench space is the convex hull of friction-pyramid edge wrenches
 from every contact plus the zero wrench.  Torques are taken about the mean
 contact location and divided by a length scale rho so all six coordinates
-carry force units.
+carry force units.  frame_wrenches builds every contact's edges and torques
+as (k, m, 3) arrays in one pass; orthonormal_tangents, the tangent rule it
+shares with the squeeze pads and grasp sampling, takes one normal or a stack.
 """
 
 from __future__ import annotations
@@ -80,56 +82,53 @@ def contact_centroid(frame: TrajectoryFrame) -> np.ndarray:
     return np.mean([c.position for c in frame.contacts], axis=0)
 
 
+def _row_lengths(v: np.ndarray) -> np.ndarray:
+    """Each row's length, as np.linalg.norm takes it of one 3-vector: sqrt(row . row)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
+
+
 def orthonormal_tangents(normal) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic right-handed tangent basis (t1, t2) for a unit normal.
-
-    Seeds t1 from the coordinate axis least aligned with the normal, so the
-    basis is reproducible across runs and never degenerate.
+    """Deterministic right-handed tangent basis (t1, t2) for a unit normal, or
+    one per row of a (k, 3) stack.  t1 is seeded from the coordinate axis least
+    aligned with the normal, so the basis is reproducible and never degenerate.
     """
-    n = vec3(normal, "normal")
-    a = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[a] = 1.0
-    t1 = e - n[a] * n
-    t1 /= np.linalg.norm(t1)
+    given = np.asarray(normal, dtype=float)
+    n = np.atleast_2d(given)
+    if n.ndim != 2 or n.shape[1] != 3 or not np.all(np.isfinite(n)):
+        raise InvalidInputError("normal must be a finite 3-vector or (k, 3) stack")
+    rows, a = np.arange(len(n)), np.argmin(np.abs(n), axis=1)
+    e = np.zeros_like(n)
+    e[rows, a] = 1.0
+    t1 = e - n[rows, a][:, None] * n
+    t1 /= _row_lengths(t1)[:, None]
     t2 = np.cross(n, t1)
-    return t1, t2
-
-
-def friction_pyramid(normal, mu: float, m: int) -> np.ndarray:
-    """m unit edge directions of the linearized Coulomb cone around normal.
-
-    edge_j = normalize(n + mu * (cos(2*pi*j/m) t1 + sin(2*pi*j/m) t2)).
-    """
-    n = vec3(normal, "normal")
-    length = float(np.linalg.norm(n))
-    if length < 1e-12:
-        raise InvalidInputError("zero contact normal")
-    m = integer(m, "m", 3)
-    mu = finite(mu, "mu", least=0.0)
-    n = n / length
-    t1, t2 = orthonormal_tangents(n)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    edges = n[None, :] + mu * (np.cos(theta)[:, None] * t1 + np.sin(theta)[:, None] * t2)
-    return edges / np.linalg.norm(edges, axis=1)[:, None]
+    return (t1, t2) if given.ndim == 2 else (t1[0], t2[0])
 
 
 def frame_wrenches(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> np.ndarray:
-    """All pyramid-edge wrenches of a frame plus the zero wrench, (N*m+1, 6)."""
-    if len(frame.contacts) == 0:
-        raise EmptyFrameError("frame has no contacts")
+    """All pyramid-edge wrenches of a frame plus the zero wrench, (k*m+1, 6).
+
+    Contact i with unit normal n and tangents (t1, t2) gives the m unit
+    edges of its linearized Coulomb cone,
+    edge_j = normalize(n + mu * (cos(2*pi*j/m) t1 + sin(2*pi*j/m) t2)),
+    scaled by |force| in reported-force mode, each with its torque
+    ((x_i - centroid) x edge_j) / rho.  Rows run contact by contact, m rows
+    each, and end with the zero wrench.
+    """
     centroid = contact_centroid(frame)
-    rho = cfg.torque_scale_rho
-    rows = []
-    for c in frame.contacts:
-        edges = friction_pyramid(c.normal, cfg.friction_mu, cfg.cone_edges)
-        if cfg.force_normalization == "reported-force":
-            edges = edges * float(np.linalg.norm(c.force))
-        arm = c.position - centroid
-        torques = np.cross(np.broadcast_to(arm, edges.shape), edges) / rho
-        rows.append(np.hstack([edges, torques]))
-    rows.append(np.zeros((1, 6)))
-    return np.vstack(rows)
+    normals = np.array([c.normal for c in frame.contacts])
+    n = normals / _row_lengths(normals)[:, None]
+    t1, t2 = (t[:, None, :] for t in orthonormal_tangents(n))
+    theta = 2.0 * np.pi * np.arange(cfg.cone_edges)[:, None] / cfg.cone_edges
+    edges = n[:, None, :] + cfg.friction_mu * (np.cos(theta) * t1 + np.sin(theta) * t2)
+    edges = edges / np.linalg.norm(edges, axis=2)[:, :, None]
+    if cfg.force_normalization == "reported-force":
+        forces = np.array([c.force for c in frame.contacts])
+        edges = edges * _row_lengths(forces)[:, None, None]
+    arms = np.array([c.position for c in frame.contacts]) - centroid
+    torques = np.cross(arms[:, None, :], edges) / cfg.torque_scale_rho
+    rows = np.concatenate([edges, torques], axis=2).reshape(-1, 6)
+    return np.vstack([rows, np.zeros((1, 6))])
 
 
 def build_gws(frame: TrajectoryFrame, cfg: WrenchSpaceConfig) -> Polytope:

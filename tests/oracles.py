@@ -366,6 +366,43 @@ def loop_extract_surface(tets: np.ndarray) -> np.ndarray:
     return np.array(boundary, dtype=int)
 
 
+def loop_frame_wrenches(frame, cfg, centroid=None) -> np.ndarray:
+    """A frame's wrench set built contact by contact.
+
+    The loop contact.frame_wrenches had before it stacked the contacts: for
+    each contact, renormalize the normal, seed t1 from the coordinate axis
+    least aligned with it, take the m edges
+    normalize(n + mu (cos(2 pi j/m) t1 + sin(2 pi j/m) t2)), scale them by
+    |force| in reported-force mode and append (edge, arm x edge / rho).
+    The torques are about centroid, the contacts' mean when None.
+    frame_wrenches must give the same bytes.
+    """
+    if centroid is None:
+        centroid = np.mean([c.position for c in frame.contacts], axis=0)
+    m = cfg.cone_edges
+    rows = []
+    for c in frame.contacts:
+        n = c.normal / float(np.linalg.norm(c.normal))
+        a = int(np.argmin(np.abs(n)))
+        e = np.zeros(3)
+        e[a] = 1.0
+        t1 = e - n[a] * n
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(n, t1)
+        theta = 2.0 * np.pi * np.arange(m) / m
+        edges = n[None, :] + cfg.friction_mu * (
+            np.cos(theta)[:, None] * t1 + np.sin(theta)[:, None] * t2
+        )
+        edges = edges / np.linalg.norm(edges, axis=1)[:, None]
+        if cfg.force_normalization == "reported-force":
+            edges = edges * float(np.linalg.norm(c.force))
+        arm = c.position - centroid
+        torques = np.cross(np.broadcast_to(arm, edges.shape), edges) / cfg.torque_scale_rho
+        rows.append(np.hstack([edges, torques]))
+    rows.append(np.zeros((1, 6)))
+    return np.vstack(rows)
+
+
 def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
     """A rank/bench candidate scored from every frame of its full squeeze.
 

@@ -531,10 +531,10 @@ class TestSingularSolve:
 
 
 class TestDiagnostics:
-    def test_each_event_logged_once(self, tmp_path):
+    @staticmethod
+    def rank_argv(tmp_path):
         # line 1 misses the box; line 2's axis is normalized and its squeeze
-        # converges mid-air.  A fresh interpreter runs main, so stderr holds
-        # what a user sees: one logging record per event and nothing else
+        # converges mid-air
         node_text, ele_text = tetgen_text(bench_mesh("box"))
         (tmp_path / "box.node").write_text(node_text)
         (tmp_path / "box.ele").write_text(ele_text)
@@ -544,11 +544,16 @@ class TestDiagnostics:
         ]
         (tmp_path / "grasps.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
         (tmp_path / "midair.cfg").write_text("platform_height = -1.0\n")
-        argv = [
+        return [
             "rank", "--node", str(tmp_path / "box.node"), "--ele", str(tmp_path / "box.ele"),
             "--grasps", str(tmp_path / "grasps.jsonl"), "--config", str(tmp_path / "midair.cfg"),
         ]
-        result = run_python(f"import sys; from softgrasp.cli import main; sys.exit(main({argv!r}))")
+
+    def test_each_event_logged_once(self, tmp_path):
+        # a fresh interpreter runs main, so stderr holds what a user sees:
+        # one logging record per event and nothing else
+        argv = self.rank_argv(tmp_path)
+        result = run_python("-c", f"import sys; from softgrasp.cli import main; sys.exit(main({argv!r}))")
         assert result.returncode == 1
         assert result.stderr.splitlines() == [
             "WARNING softgrasp.fileio: grasp line 2: axis normalized (norm was 1.000500)",
@@ -556,6 +561,15 @@ class TestDiagnostics:
         ]
         rows = [line.split("\t") for line in result.stdout.splitlines()[1:]]
         assert [(row[1], row[-1]) for row in rows] == [("1", "ok"), ("0", "empty")]
+
+    def test_module_run_logs_as_softgrasp_cli(self, tmp_path):
+        # python -m runs cli.py as __main__; its records keep the module's name
+        result = run_python("-m", "softgrasp.cli", *self.rank_argv(tmp_path))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "WARNING softgrasp.fileio: grasp line 2: axis normalized (norm was 1.000500)",
+            "WARNING softgrasp.cli: candidate 0: empty (no contact frames)",
+        ]
 
 
 class TestExitCodes:
@@ -782,11 +796,11 @@ class TestBenchAccounting:
         ]
 
 
-def run_python(script, **env):
-    """Run script in a fresh interpreter that imports this softgrasp."""
+def run_python(*args, **env):
+    """Run python with args in a fresh interpreter that imports this softgrasp."""
     path = [str(Path(softgrasp.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestStartupImports:
@@ -801,7 +815,7 @@ class TestStartupImports:
             "assert cli.main(['metric', '--trajectory', path]) == 0\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
         )
-        proc = run_python(script)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -827,7 +841,7 @@ class TestBlasThreads:
         script = f"import sys\nfrom softgrasp import cli\nsys.exit(cli.main({argv!r}))\n"
         volumes = []
         for threads in ("1", "2"):
-            proc = run_python(script, OPENBLAS_NUM_THREADS=threads)
+            proc = run_python("-c", script, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             header, row = proc.stdout.splitlines()
             fields = dict(zip(header.split("\t"), row.split("\t")))

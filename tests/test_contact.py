@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from softgrasp import (
     contact_centroid,
     default_torque_scale,
     frame_wrenches,
-    friction_pyramid,
     min_facet_distance,
     orthonormal_tangents,
     polytope_volume,
 )
+from softgrasp.fileio import load_trajectory
+
+FIXTURE_TRAJECTORY = Path(__file__).parent / "data" / "hull_info_fixture.jsonl"
 
 
 def make_frame(contacts, mass=1.0, com=(0.0, 0.0, 0.0)):
@@ -44,6 +48,8 @@ class TestContactPoint:
     def test_normal_must_be_unit(self):
         with pytest.raises(InvalidInputError):
             ContactPoint(position=(0, 0, 0), normal=(0, 0, 2.0), force=(0, 0, 1.0))
+        with pytest.raises(InvalidInputError):
+            ContactPoint(position=(0, 0, 0), normal=(0, 0, 0), force=(0, 0, 1.0))
 
     def test_frame_validation(self):
         c = contact((0, 0, 0), (0, 0, 1))
@@ -137,15 +143,39 @@ class TestTangentBasis:
         a2 = orthonormal_tangents(n.copy())
         assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
 
+    def test_stack_matches_single_normals(self, rng):
+        n = rng.normal(size=(20, 3))
+        n[:5, rng.integers(0, 3)] = 0.0
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        t1, t2 = orthonormal_tangents(n)
+        assert t1.shape == t2.shape == (20, 3)
+        for i in range(20):
+            s1, s2 = orthonormal_tangents(n[i])
+            assert s1.tobytes() == t1[i].tobytes() and s2.tobytes() == t2[i].tobytes()
+
+    @pytest.mark.parametrize("bad", [(0.0, 1.0), (0.0, 0.0, 0.0, 1.0), [(0.0, 1.0)], (np.nan, 0.0, 1.0)])
+    def test_rejects_non_3_vectors(self, bad):
+        with pytest.raises(InvalidInputError):
+            orthonormal_tangents(bad)
+
 
 class TestFrictionPyramid:
+    """The edge columns of a one-contact frame's wrench set are the m edges
+    of the contact's linearized friction cone."""
+
+    @staticmethod
+    def edges(normal, mu, m):
+        cfg = WrenchSpaceConfig(friction_mu=mu, cone_edges=m)
+        w = frame_wrenches(make_frame([contact((0.1, -0.2, 0.3), normal)]), cfg)
+        assert w.shape == (m + 1, 6)
+        return w[:m, :3]
+
     def test_zero_mu_collapses_to_normal(self):
-        edges = friction_pyramid((0, 0, 1), 0.0, 8)
-        assert edges.shape == (8, 3)
+        edges = self.edges((0, 0, 1), 0.0, 8)
         assert np.allclose(edges, (0, 0, 1), atol=1e-15)
 
     def test_analytic_first_edge(self):
-        edges = friction_pyramid((0, 0, 1), 1.0, 4)
+        edges = self.edges((0, 0, 1), 1.0, 4)
         assert np.allclose(edges[0], np.array([1.0, 0.0, 1.0]) / np.sqrt(2), atol=1e-15)
 
     def test_edge_mean_parallel_to_normal(self, rng):
@@ -154,7 +184,7 @@ class TestFrictionPyramid:
             n /= np.linalg.norm(n)
             mu = rng.uniform(0.0, 2.0)
             m = int(rng.integers(3, 12))
-            edges = friction_pyramid(n, mu, m)
+            edges = self.edges(n, mu, m)
             mean = edges.mean(axis=0)
             assert np.linalg.norm(np.cross(mean, n)) <= 1e-9
 
@@ -162,18 +192,46 @@ class TestFrictionPyramid:
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         mu = 0.8
-        edges = friction_pyramid(n, mu, 8)
+        edges = self.edges(n, mu, 8)
         assert np.allclose(np.linalg.norm(edges, axis=1), 1.0, atol=1e-12)
         # every edge sits at the cone half-angle: n . e = 1/sqrt(1+mu^2)
         assert np.allclose(edges @ n, 1.0 / np.sqrt(1 + mu * mu), atol=1e-12)
 
-    def test_errors(self):
-        with pytest.raises(InvalidInputError):
-            friction_pyramid((0, 0, 0), 0.5, 8)
-        with pytest.raises(InvalidInputError):
-            friction_pyramid((0, 0, 1), 0.5, 2)
-        with pytest.raises(InvalidInputError):
-            friction_pyramid((0, 0, 1), -0.5, 8)
+
+class TestFrameWrenchesVsLoop:
+    """frame_wrenches stacks every contact's cone; the per-contact loop in
+    oracles.loop_frame_wrenches must give the same bytes."""
+
+    @staticmethod
+    def assert_same_bytes(frame, cfg):
+        w = frame_wrenches(frame, cfg)
+        ref = oracles.loop_frame_wrenches(frame, cfg)
+        assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mode", ["unit-edge", "reported-force"])
+    def test_random_frames(self, rng, mode):
+        for _ in range(100):
+            frame = random_frame(rng, int(rng.integers(1, 13)))
+            cfg = WrenchSpaceConfig(
+                friction_mu=float(rng.uniform(0.0, 2.0)),
+                cone_edges=int(rng.integers(3, 12)),
+                torque_scale_rho=float(rng.uniform(0.05, 3.0)),
+                force_normalization=mode,
+            )
+            self.assert_same_bytes(frame, cfg)
+
+    @pytest.mark.parametrize("mode", ["unit-edge", "reported-force"])
+    def test_fixture_frames(self, mode):
+        traj = load_trajectory(FIXTURE_TRAJECTORY)
+        cfg = WrenchSpaceConfig(
+            friction_mu=traj.header.material.friction_mu,
+            torque_scale_rho=traj.header.torque_scale_rho,
+            force_normalization=mode,
+        )
+        frames = [f for f in traj.frames if f.contacts]
+        assert frames
+        for frame in frames:
+            self.assert_same_bytes(frame, cfg)
 
 
 class TestWrenchSpaceConfig:
@@ -219,11 +277,9 @@ class TestBuildGws:
         assert p.affine_rank == 6
         mfd = min_facet_distance(p)
         assert mfd > 0.0
-        # dense-ray bisection oracle on the same wrench set
+        # exact LP ray-exit oracle on the same wrench set, one LP per facet
         wrenches = frame_wrenches(f, cfg)
-        along_normals = [
-            oracles.bisect_ray_exit(wrenches, n, tol=1e-10) for n in p.facet_normals
-        ]
+        along_normals = [oracles.lp_ray_exit(wrenches, n) for n in p.facet_normals]
         assert min(along_normals) == pytest.approx(mfd, abs=1e-6)
 
     def test_zero_wrench_always_included(self, rng):

@@ -129,9 +129,8 @@ class TestEpsilonVolume:
         assert eps > 0.0
         p = build_gws(f, cfg)
         wrenches = frame_wrenches(f, cfg)
-        oracle = min(
-            oracles.bisect_ray_exit(wrenches, n, tol=1e-10) for n in p.facet_normals
-        )
+        # exact LP ray exit along each facet normal, one LP per facet
+        oracle = min(oracles.lp_ray_exit(wrenches, n) for n in p.facet_normals)
         assert eps == pytest.approx(oracle, abs=1e-6)
 
     def test_rotation_invariance(self, rng):
@@ -567,20 +566,10 @@ class TestHullMonotonicityAcrossMetrics:
             )
             # same centroid is required for hull nesting; rebuild the small
             # frame's wrench set about the bigger frame's centroid instead
-            cen = contact_centroid(bigger)
-            small_w = []
-            from softgrasp import friction_pyramid as fp
-
-            for c in f.contacts:
-                edges = fp(c.normal, cfg.friction_mu, cfg.cone_edges)
-                arm = c.position - cen
-                small_w.append(
-                    np.hstack([edges, np.cross(np.broadcast_to(arm, edges.shape), edges)])
-                )
-            small_w.append(np.zeros((1, 6)))
+            small_w = oracles.loop_frame_wrenches(f, cfg, centroid=contact_centroid(bigger))
             from softgrasp import convex_hull, polytope_volume
 
-            small = convex_hull(np.vstack(small_w), 6)
+            small = convex_hull(small_w, 6)
             big = build_gws(bigger, cfg)
             assert min_facet_distance(big) >= min_facet_distance(small) - 1e-12
             assert polytope_volume(big) >= polytope_volume(small) - 1e-12
