@@ -19,15 +19,11 @@ from .contact import (
 )
 from .errors import (
     ConfigError,
-    DegenerateInputError,
-    EmptyFrameError,
     HullError,
     InvalidInputError,
-    MeshError,
     ParseError,
     SoftGraspError,
     SolverError,
-    UnsupportedVersionError,
 )
 from .fem import (
     GraspCandidate,

@@ -239,6 +239,15 @@ def _run_candidate(payload) -> GraspEvaluation:
         return GraspEvaluation(index, "failed", message=str(exc))
 
 
+def _log_failed_candidates(outcomes, prefix: str = "") -> int:
+    """Log one warning per failed or empty candidate, in the order given, and
+    return how many there were.  outcomes holds (index, status, message)."""
+    failures = [outcome for outcome in outcomes if outcome[1] != "ok"]
+    for index, status, message in failures:
+        logger.warning("%scandidate %d: %s (%s)", prefix, index, status, message)
+    return len(failures)
+
+
 # ---------------------------------------------------------------------------
 # Spreading work: candidates over --jobs processes, frames over CPU threads.
 
@@ -373,12 +382,9 @@ def cmd_simulate(args, rc: RunConfig) -> int:
         for i, cand in enumerate(candidates)
     ]
     results = _map_jobs(_simulate_worker, payloads, args.jobs)
+    failures = _log_failed_candidates((index, status, message) for index, status, _, message, _ in results)
     _emit(("candidate", "status", "frames", "file"))
-    failures = 0
-    for index, status, n_frames, message, path in results:
-        if status != "ok":
-            failures += 1
-            logger.warning("candidate %d: %s (%s)", index, status, message)
+    for index, status, n_frames, _, path in results:
         _emit((index, status, n_frames, path))
     return 1 if failures else 0
 
@@ -440,12 +446,10 @@ def cmd_rank(args, rc: RunConfig) -> int:
         "axis_x", "axis_y", "axis_z", "epsilon", "volume", "gravity", "proxy",
         "eval_force", "reached", "status",
     ))
-    failures = 0
+    # an unmeasured candidate scores 0, so the rows list them in index order too
+    failures = _log_failed_candidates((e.index, e.status, e.message) for e in evals)
     for rank, ev in enumerate(order):
         cand = candidates[ev.index]
-        if ev.status != "ok":
-            failures += 1
-            logger.warning("candidate %d: %s (%s)", ev.index, ev.status, ev.message)
         _emit(
             [rank, ev.index]
             + [float(v) for v in cand.grasp_center]
@@ -549,6 +553,7 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
         candidates = sample_grasps(mesh, grasps_per_object, rng, rc)
         payloads = [(i, mesh, cand, rc) for i, cand in enumerate(candidates)]
         evals = _map_jobs(_run_candidate, payloads, jobs)
+        _log_failed_candidates(((e.index, e.status, e.message) for e in evals), f"bench {name} ")
         measured = [e for e in evals if e.status == "ok"]
         failed = sum(e.status == "failed" for e in evals)
         empty = sum(e.status == "empty" for e in evals)

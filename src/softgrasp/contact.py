@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFrameError, InvalidInputError, check_fields, finite, integer, vec3
+from .errors import InvalidInputError, check_fields, finite, integer, vec3
 from .geom import Polytope, convex_hull
 
 FORCE_MODES = ("unit-edge", "reported-force")
@@ -78,7 +78,7 @@ class WrenchSpaceConfig:
 def contact_centroid(frame: TrajectoryFrame) -> np.ndarray:
     """Arithmetic mean of the contact positions."""
     if len(frame.contacts) == 0:
-        raise EmptyFrameError("frame has no contacts")
+        raise InvalidInputError("frame has no contacts")
     return np.mean([c.position for c in frame.contacts], axis=0)
 
 

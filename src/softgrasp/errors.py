@@ -1,6 +1,15 @@
 """Exception types shared across the package, and the value checks that
 raise InvalidInputError.
 
+There is one type per way a caller handles a failure.  Bad input is
+refused as InvalidInputError (a value, a mesh, a flat polytope or an empty
+frame; the file readers turn it into ParseError with the line number),
+ParseError (a malformed file, or a format version this code does not read)
+or ConfigError (a bad run configuration); the commands exit 2 on the last
+two.  A candidate fails as SolverError (its squeeze does not converge) or
+HullError (qhull cannot build its wrench hull).  All derive from
+SoftGraspError.
+
 Each kind of input value is checked here once: a finite number within
 optional bounds, a whole number, a 3-vector and a stack of unit rows.  The
 dataclasses that hold the values call these checks from __post_init__
@@ -21,19 +30,8 @@ class SoftGraspError(Exception):
 
 
 class InvalidInputError(SoftGraspError, ValueError):
-    """An argument failed validation (shape, range, or unit constraint)."""
-
-
-class DegenerateInputError(InvalidInputError):
-    """An operation that needs a full-dimensional set received a flat one."""
-
-
-class EmptyFrameError(InvalidInputError):
-    """A frame-level operation received a frame with no contacts."""
-
-
-class MeshError(SoftGraspError, ValueError):
-    """A tetrahedral mesh violates a structural requirement."""
+    """An argument failed validation: a value's shape, range or unit length,
+    a mesh's structure, a flat polytope or a frame with no contacts."""
 
 
 class SolverError(SoftGraspError):
@@ -57,17 +55,14 @@ class HullError(SoftGraspError):
 
 
 class ParseError(SoftGraspError, ValueError):
-    """A file could not be parsed.  ``line`` is 1-based when known."""
+    """A file could not be parsed, or declares a format version this code
+    does not read.  ``line`` is 1-based when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class UnsupportedVersionError(ParseError):
-    """A file declares a format version this code does not read."""
 
 
 class ConfigError(SoftGraspError, ValueError):

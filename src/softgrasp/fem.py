@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .contact import ContactPoint, TrajectoryFrame, orthonormal_tangents
-from .errors import InvalidInputError, MeshError, SolverError, check_fields, finite, integer, vec3
+from .errors import InvalidInputError, SolverError, check_fields, finite, integer, vec3
 
 # Tikhonov factor anchoring the six rigid modes of the free-floating object,
 # relative to the mean stiffness diagonal.
@@ -46,17 +46,17 @@ class TetMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         tets = np.asarray(self.tets, dtype=int)
         if nodes.ndim != 2 or nodes.shape[1] != 3 or nodes.shape[0] < 4:
-            raise MeshError("nodes must be an (n >= 4, 3) array")
+            raise InvalidInputError("nodes must be an (n >= 4, 3) array")
         if not np.all(np.isfinite(nodes)):
-            raise MeshError("non-finite node coordinates")
+            raise InvalidInputError("non-finite node coordinates")
         if tets.ndim != 2 or tets.shape[1] != 4 or tets.shape[0] < 1:
-            raise MeshError("tets must be an (m >= 1, 4) array")
+            raise InvalidInputError("tets must be an (m >= 1, 4) array")
         if tets.min() < 0 or tets.max() >= nodes.shape[0]:
-            raise MeshError("tet node index out of range")
+            raise InvalidInputError("tet node index out of range")
         vols = tet_volumes(nodes, tets)
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
-            raise MeshError(f"tet {bad[0]} has non-positive volume {vols[bad[0]]:.3e}")
+            raise InvalidInputError(f"tet {bad[0]} has non-positive volume {vols[bad[0]]:.3e}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "tets", tets)
         faces = _extract_surface(tets)
@@ -91,7 +91,7 @@ def mesh_center_of_mass(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
     centroids = nodes[tets].mean(axis=1)
     total = vols.sum()
     if total <= 0.0:
-        raise MeshError("mesh has non-positive total volume")
+        raise InvalidInputError("mesh has non-positive total volume")
     return (vols[:, None] * centroids).sum(axis=0) / total
 
 
@@ -114,10 +114,10 @@ def _extract_surface(tets: np.ndarray) -> np.ndarray:
     counts = np.diff(np.r_[starts, len(ranked)])
     if counts.max() > 2:
         third = order[starts[counts > 2] + 2].min()
-        raise MeshError(f"face {tuple(int(v) for v in keys[third])} shared by more than two tets")
+        raise InvalidInputError(f"face {tuple(int(v) for v in keys[third])} shared by more than two tets")
     boundary = np.sort(order[starts[counts == 1]])
     if not boundary.size:
-        raise MeshError("mesh has no boundary faces")
+        raise InvalidInputError("mesh has no boundary faces")
     return tris[boundary]
 
 
@@ -354,13 +354,14 @@ def _tet_stiffness(coords: np.ndarray, lam: float, mu: float) -> np.ndarray:
     """Element stiffness for a batch of linear tets.
 
     ``coords`` is (m, 4, 3).  Returns ``ke`` of shape (m, 12, 12).  Raises
-    MeshError when any element has non-positive volume, before inverting.
+    InvalidInputError when any element has non-positive volume, before
+    inverting.
     """
     m = coords.shape[0]
     edges = coords[:, 1:, :] - coords[:, :1, :]
     vols = np.linalg.det(edges) / 6.0
     if np.any(vols <= 0.0):
-        raise MeshError("inverted tet during assembly")
+        raise InvalidInputError("inverted tet during assembly")
     # gradient of shape function i (i=1..3) is column i-1 of inv(edges)
     grads_rest = np.transpose(np.linalg.inv(edges), (0, 2, 1))
     grads = np.empty((m, 4, 3))

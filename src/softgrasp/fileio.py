@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactPoint, TrajectoryFrame
-from .errors import InvalidInputError, MeshError, ParseError, UnsupportedVersionError, check_fields, finite, vec3
+from .errors import InvalidInputError, ParseError, check_fields, finite, vec3
 from .fem import GraspCandidate, MaterialParams, TetMesh, tet_volumes
 
 logger = logging.getLogger(__name__)
@@ -143,7 +143,7 @@ def _parse_header(obj: dict, lineno: int) -> TrajectoryHeader:
     if not isinstance(version, int) or isinstance(version, bool):
         raise ParseError("version must be an integer", line=lineno)
     if version != TRAJECTORY_VERSION:
-        raise UnsupportedVersionError(
+        raise ParseError(
             f"unsupported trajectory version {version} (supported: {TRAJECTORY_VERSION})",
             line=lineno,
         )
@@ -339,7 +339,7 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
         )
     try:
         return TetMesh(nodes=coords, tets=tets)
-    except MeshError as exc:
+    except InvalidInputError as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInputError, HullError, InvalidInputError, unit_rows
+from .errors import HullError, InvalidInputError, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -139,7 +139,7 @@ def ray_exit_distances(poly: Polytope, directions) -> np.ndarray:
     exit distance and raise.
     """
     if not poly.is_full_dimensional:
-        raise DegenerateInputError("ray exit undefined for a flat polytope")
+        raise InvalidInputError("ray exit undefined for a flat polytope")
     if poly.facet_offsets.shape[0] == 0:
         raise InvalidInputError("polytope has no facets")
     dirs = unit_rows(directions, "directions", poly.dim)

@@ -343,10 +343,10 @@ def loop_extract_surface(tets: np.ndarray) -> np.ndarray:
 
     The loop TetMesh first extracted its surface with: faces keyed by their
     sorted node ids in first-seen order, a face met twice dropped, a face
-    met a third time raising MeshError.  fem._extract_surface must give the
-    same faces in the same order and raise on the same face.
+    met a third time raising InvalidInputError.  fem._extract_surface must
+    give the same faces in the same order and raise on the same face.
     """
-    from softgrasp.errors import MeshError
+    from softgrasp.errors import InvalidInputError
     from softgrasp.fem import _TET_FACES
 
     seen = {}
@@ -356,13 +356,13 @@ def loop_extract_surface(tets: np.ndarray) -> np.ndarray:
             key = tuple(sorted(tri))
             if key in seen:
                 if seen[key] is None:
-                    raise MeshError(f"face {key} shared by more than two tets")
+                    raise InvalidInputError(f"face {key} shared by more than two tets")
                 seen[key] = None
             else:
                 seen[key] = tri
     boundary = [tri for tri in seen.values() if tri is not None]
     if not boundary:
-        raise MeshError("mesh has no boundary faces")
+        raise InvalidInputError("mesh has no boundary faces")
     return np.array(boundary, dtype=int)
 
 

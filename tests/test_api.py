@@ -77,3 +77,22 @@ def test_every_public_definition_has_a_non_test_caller():
     names = sorted({name for tree in parse(package_modules()) for name in public_definitions(tree)})
     assert {"frame_quality", "TetMesh", "num_nodes"} <= set(names)
     assert unused(names, program_trees()) == []
+
+
+def caught_names(tree) -> set[str]:
+    """The exception names the except clauses under tree catch, alone or in a tuple."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names |= {n.id for n in caught if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_error_type_has_a_handler():
+    # a type is worth declaring only when some code handles it apart from its base
+    (errors,) = parse([PACKAGE / "errors.py"])
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert {"SoftGraspError", "HullError"} <= set(defined)
+    caught = set().union(*map(caught_names, parse(package_modules())))
+    assert [name for name in defined if name != "SoftGraspError" and name not in caught] == []

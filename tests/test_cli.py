@@ -744,11 +744,15 @@ class TestBenchSmoke:
         assert lines[-1].startswith("# ordering")
 
 
+FAKE_MESSAGES = {"ok": "", "failed": "no convergence after 80 iterations", "empty": "no contact frames"}
+
+
 def fake_evaluations(monkeypatch, statuses, values):
     """Make run_bench's candidates end with the given statuses; the ok ones
     take their metric and proxy values, in order, from values[name].
 
-    Unmeasured candidates score 0 everywhere, as _run_candidate reports them.
+    Unmeasured candidates score 0 everywhere, as _run_candidate reports them,
+    with FAKE_MESSAGES[status] as their message.
     """
 
     def fake_map(func, payloads, jobs):
@@ -759,7 +763,7 @@ def fake_evaluations(monkeypatch, statuses, values):
             if status == "ok":
                 k = next(ok)
                 scores = {name: float(series[k]) for name, series in values.items()}
-            evals.append(GraspEvaluation(index=index, status=status, **scores))
+            evals.append(GraspEvaluation(index=index, status=status, message=FAKE_MESSAGES[status], **scores))
         return evals
 
     monkeypatch.setattr(cli, "_map_jobs", fake_map)
@@ -793,6 +797,19 @@ class TestBenchAccounting:
             "object\tgrasps\tfailed\tempty\tepsilon\tvolume\tgravity",
             f"box\t{len(statuses)}\t{failed}\t{empty}\tnan\tnan\tnan",
             "# ordering gravity>=volume>=epsilon on 0/1 objects",
+        ]
+
+    def test_each_unmeasured_candidate_logged_once(self, monkeypatch, capsys, caplog):
+        values = {name: [1, 2] for name in ("epsilon", "volume", "gravity", "proxy")}
+        fake_evaluations(monkeypatch, ["ok", "failed", "ok", "empty"], values)
+        code, out, _ = run_cli(capsys, "bench", "--objects", "box", "--grasps-per-object", "4")
+        assert code == 0
+        assert out.splitlines()[1] == "box\t4\t1\t1\tnan\tnan\tnan"
+        # as main's logging format prints them to stderr
+        assert [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records] == [
+            "WARNING softgrasp.cli: bench box candidate 1: failed (no convergence after 80 iterations)",
+            "WARNING softgrasp.cli: bench box candidate 3: empty (no contact frames)",
+            "WARNING softgrasp.cli: bench box: 2 measured grasps, too few to rank",
         ]
 
 

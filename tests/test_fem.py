@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from softgrasp import (
     GraspCandidate,
     InvalidInputError,
     MaterialParams,
-    MeshError,
     SimConfig,
     SolverError,
     Squeeze,
@@ -176,16 +176,16 @@ class TestTetMeshValidation:
             TetMesh(nodes=self.unit_tet(), tets=[[0, 1, 2, 3]], **{derived: np.zeros((0, 3), dtype=int)})
 
     def test_index_out_of_range(self):
-        with pytest.raises(MeshError):
+        with pytest.raises(InvalidInputError, match="tet node index out of range"):
             TetMesh(nodes=self.unit_tet(), tets=[[0, 1, 2, 4]])
 
     def test_inverted_tet(self):
-        with pytest.raises(MeshError, match="volume"):
+        with pytest.raises(InvalidInputError, match="tet 0 has non-positive volume"):
             TetMesh(nodes=self.unit_tet(), tets=[[0, 2, 1, 3]])
 
     def test_degenerate_tet(self):
         nodes = np.vstack([self.unit_tet(), [[0.5, 0.5, 0.0]]])
-        with pytest.raises(MeshError, match="volume"):
+        with pytest.raises(InvalidInputError, match="tet 0 has non-positive volume"):
             TetMesh(nodes=nodes, tets=[[0, 1, 2, 4]])
 
     def test_overshared_face(self):
@@ -193,18 +193,18 @@ class TestTetMeshValidation:
             [[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, -1.0], [0, 0, -2.0]]
         )
         tets = [[0, 1, 2, 3], [0, 2, 1, 4], [0, 2, 1, 5]]
-        with pytest.raises(MeshError, match="shared"):
+        with pytest.raises(InvalidInputError, match="shared by more than two tets"):
             TetMesh(nodes=nodes, tets=tets)
 
     def test_bad_shapes(self):
-        with pytest.raises(MeshError):
+        with pytest.raises(InvalidInputError, match=re.escape("nodes must be an (n >= 4, 3) array")):
             TetMesh(nodes=self.unit_tet()[:3], tets=[[0, 1, 2, 3]])
-        with pytest.raises(MeshError):
+        with pytest.raises(InvalidInputError, match=re.escape("tets must be an (m >= 1, 4) array")):
             TetMesh(nodes=self.unit_tet(), tets=np.zeros((0, 4), dtype=int))
 
 
 def raised_message(fn, *args):
-    with pytest.raises(MeshError) as info:
+    with pytest.raises(InvalidInputError) as info:
         fn(*args)
     return str(info.value)
 
@@ -334,7 +334,7 @@ class TestAssembly:
             tets=[[0, 1, 2, 3]],
         )
         mesh.nodes[[1, 2]] = mesh.nodes[[2, 1]]  # node arrays stay mutable
-        with pytest.raises(MeshError, match="inverted"):
+        with pytest.raises(InvalidInputError, match="inverted tet during assembly"):
             assemble_stiffness(mesh, MaterialParams())
 
     def test_assemble_model(self, cube_mesh):

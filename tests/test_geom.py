@@ -10,7 +10,6 @@ import oracles
 from helpers import antipodal_patch_frame, dyadic_frame, random_frame, random_hull_points
 from softgrasp import geom
 from softgrasp import (
-    DegenerateInputError,
     HullError,
     InvalidInputError,
     affine_rank_of,
@@ -186,7 +185,7 @@ class TestRayExit:
     def test_degenerate_raises(self, rng):
         planar = np.hstack([rng.normal(size=(10, 2)), np.zeros((10, 1))])
         p = convex_hull(planar, 3)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InvalidInputError, match="ray exit undefined for a flat polytope"):
             ray_exit_distances(p, [[1.0, 0.0, 0.0]])
 
     def test_cube_exits(self):
