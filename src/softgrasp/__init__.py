@@ -33,7 +33,6 @@ from .fem import (
     StepReport,
     TetMesh,
     assemble_model,
-    assemble_stiffness,
     generate_primitive_mesh,
     mesh_center_of_mass,
     quasi_static_step,

@@ -351,10 +351,9 @@ def _emit(columns) -> None:
 
 def _simulate_worker(payload):
     index, mesh, cand, rc, out_path, object_name = payload
-    mat = rc.material
-    mass = mat.density * mesh.volume()
     try:
-        frames = run_squeeze(mesh, mat, cand, rc.sim)
+        model = assemble_model(mesh, rc.material)
+        frames = run_squeeze(model, cand, rc.sim)
     except SolverError as exc:
         return (index, "failed", 0, str(exc), "")
     if frames:
@@ -363,7 +362,7 @@ def _simulate_worker(payload):
         centroid0 = mesh_center_of_mass(mesh.nodes, mesh.tets)
     rho = rc.resolve_rho(mesh.nodes, centroid0)
     header = fileio.TrajectoryHeader(
-        object_name=object_name, mass=mass, material=mat, torque_scale_rho=rho
+        object_name=object_name, mass=model.mass, material=model.mat, torque_scale_rho=rho
     )
     fileio.save_trajectory(out_path, frames, header)
     status = "ok" if frames else "empty"

@@ -388,20 +388,6 @@ def _tet_stiffness(coords: np.ndarray, lam: float, mu: float) -> np.ndarray:
     return ke
 
 
-def assemble_stiffness(mesh: TetMesh, mat: MaterialParams) -> sp.csr_matrix:
-    """Global stiffness (3n x 3n, CSR) from constant-strain tets."""
-    lam, mu = mat.lame()
-    coords = mesh.nodes[mesh.tets]
-    ke = _tet_stiffness(coords, lam, mu)
-    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
-    rows = np.repeat(dofs, 12, axis=1).ravel()
-    cols = np.tile(dofs, (1, 12)).ravel()
-    n3 = 3 * mesh.num_nodes
-    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n3, n3)).tocsr()
-    k.sum_duplicates()
-    return k
-
-
 @dataclass(frozen=True, eq=False)
 class AssembledModel:
     """Mesh plus its stiffness, the rigid-mode anchor and the factor of A.
@@ -423,8 +409,21 @@ class AssembledModel:
 
 
 def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
-    """Raises SolverError when A = K + reg*I has a singular factor."""
-    k = assemble_stiffness(mesh, mat)
+    """The mesh's model: its global stiffness K (3n x 3n, CSR) from
+    constant-strain tets, and the one factor of A = K + reg*I.
+
+    The only place a mesh is assembled and factored; every squeeze reads the
+    model it is given.  Raises InvalidInputError on an inverted tet and
+    SolverError when A has a singular factor.
+    """
+    lam, mu = mat.lame()
+    ke = _tet_stiffness(mesh.nodes[mesh.tets], lam, mu)
+    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
+    rows = np.repeat(dofs, 12, axis=1).ravel()
+    cols = np.tile(dofs, (1, 12)).ravel()
+    n3 = 3 * mesh.num_nodes
+    # tocsr sums the duplicate entries and leaves K in canonical CSR
+    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n3, n3)).tocsr()
     reg = RIGID_REG_REL * float(k.diagonal().mean())
     try:
         lu = spla.splu((k + reg * sp.identity(k.shape[0], format="csr")).tocsc())
@@ -776,20 +775,14 @@ def _newton_direction(model: AssembledModel, squeeze: Squeeze, contacts: _Contac
     return dg, squeeze.compliance.T @ dg + model.rigid @ solution[3 * k:]
 
 
-def run_squeeze(
-    mesh: TetMesh,
-    mat: MaterialParams,
-    grasp: GraspCandidate,
-    cfg: SimConfig,
-) -> list[TrajectoryFrame]:
-    """Close the fingers on the object and record contact frames.
+def run_squeeze(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig) -> list[TrajectoryFrame]:
+    """Close the fingers on the model's object and record contact frames.
 
     One frame per squeeze_steps increment (time = global step index * dt,
     squeeze_force = pad A's normal force sum, com recomputed from the
     deformed mesh).  A squeeze that never touches the object returns an
     empty list: that is the miss signal, which the command reports.
     """
-    model = assemble_model(mesh, mat)
     return [step_frame(model, cfg, *step) for step in squeeze_steps(model, grasp, cfg)]
 
 

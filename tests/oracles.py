@@ -307,15 +307,15 @@ def direct_quasi_static_step(model, squeeze, gap, u_start, cfg):
     raise SolverError(f"no convergence after {cfg.max_fixedpoint_iters} iterations")
 
 
-def direct_lu_squeeze(mesh, mat, grasp, cfg):
-    """(status, frames) of fem.run_squeeze with every step solved by
+def direct_lu_squeeze(model, grasp, cfg):
+    """(status, frames) of fem.run_squeeze on model with every step solved by
     direct_quasi_static_step: "ok" with its frames, "empty" without frames,
     or "failed" with none when a step raises SolverError.  The gap schedule
     and the stop at max_force are fem.squeeze_steps'."""
     from softgrasp import fem
     from softgrasp.errors import SolverError
 
-    model = fem.assemble_model(mesh, mat)
+    mesh = model.mesh
     squeeze = fem.Squeeze(model, grasp, cfg)
     reach = float(np.max(np.abs((mesh.nodes - grasp.grasp_center) @ grasp.approach_axis)))
     gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment

@@ -30,7 +30,7 @@ from softgrasp import fileio
 from softgrasp.fem import (
     GraspCandidate,
     MaterialParams,
-    assemble_stiffness,
+    assemble_model,
     generate_primitive_mesh,
     run_squeeze,
 )
@@ -281,13 +281,13 @@ def test_criterion_3_gravity_oracle(rng, capsys):
 def test_criterion_4_fem_patch_test(capsys):
     mat = MaterialParams()
     mesh = generate_primitive_mesh("box", (1.0, 1.0, 1.0), 3)
-    k = assemble_stiffness(mesh, mat)
+    k = assemble_model(mesh, mat).stiffness
 
     scale = np.abs(k).max()
     asymmetry = np.abs(k - k.T).max() / scale
 
     small = generate_primitive_mesh("box", (1.0, 1.0, 1.0), 2)
-    ks = assemble_stiffness(small, mat).toarray()
+    ks = assemble_model(small, mat).stiffness.toarray()
     eigs = np.linalg.eigvalsh(0.5 * (ks + ks.T))
     n_rigid = int(np.sum(eigs < 1e-9 * eigs.max()))
 
@@ -345,7 +345,7 @@ def box_sweep():
         max_force=20.0,
     )
     t0 = time.perf_counter()
-    frames = run_squeeze(mesh, rc.material, cand, rc.sim)
+    frames = run_squeeze(assemble_model(mesh, rc.material), cand, rc.sim)
     squeeze_s = time.perf_counter() - t0
 
     rho = default_torque_scale(mesh.nodes, contact_centroid(frames[0]))

@@ -16,6 +16,7 @@ from helpers import make_newton_solve_singular, tetgen_text
 from softgrasp import (
     ConfigError,
     SolverError,
+    assemble_model,
     cli,
     desired_force_index,
     fem,
@@ -294,6 +295,28 @@ class TestPipeline:
         first = lines[1].split("\t")
         assert int(first[2]) > 0  # contacts
         assert int(first[5]) <= 6  # affine rank
+
+    def test_rank_scores_equal_metric_on_simulated_trajectory(self, capsys, tmp_path):
+        # one mid-air candidate on a 3 cm box: rank's scores, as printed,
+        # are metric's *_at_desired lines on simulate's trajectory of it,
+        # through the file round trip, the header's torque scale and the
+        # scored-frame rule
+        mesh = ["--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele")]
+        grasps = ["--grasps", str(DATA / "midair_grasp.jsonl"), "--config", str(DATA / "midair.cfg")]
+        code, out, err = run_cli(capsys, "simulate", *mesh, *grasps, "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert data_columns(out)["status"] == ["ok"]
+        code, out, err = run_cli(capsys, "metric", "--trajectory", str(tmp_path / "grasp_000.jsonl"),
+                                 "--config", str(DATA / "midair.cfg"))
+        assert (code, err) == (0, "")
+        at_desired = dict(ln[2:].split("\t") for ln in out.splitlines() if ln.startswith("# "))
+        code, out, err = run_cli(capsys, "rank", *mesh, *grasps)
+        assert (code, err) == (0, "")
+        ranked = data_columns(out)
+        assert ranked["status"] == ["ok"] and ranked["reached"] == ["1"]
+        for name in ("epsilon", "volume", "gravity"):
+            assert ranked[name] == [at_desired[f"{name}_at_desired"]], name
+        assert at_desired["desired_force_frame"] != "none" and float(at_desired["epsilon_at_desired"]) > 0.0
 
     def test_simulate_partial_failure_exit_1(self, workspace, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -879,7 +902,7 @@ def bench_candidates(name, count):
 
 
 def full_squeeze(mesh, cand, rc):
-    return run_squeeze(mesh, rc.material, cand, rc.sim)
+    return run_squeeze(assemble_model(mesh, rc.material), cand, rc.sim)
 
 
 def step_index(frame, rc):

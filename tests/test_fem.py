@@ -19,7 +19,6 @@ from softgrasp import (
     Squeeze,
     TetMesh,
     assemble_model,
-    assemble_stiffness,
     generate_primitive_mesh,
     load_trajectory,
     mesh_center_of_mass,
@@ -258,7 +257,7 @@ def cube_mesh():
 
 @pytest.fixture(scope="module")
 def cube_stiffness(cube_mesh):
-    return assemble_stiffness(cube_mesh, MaterialParams())
+    return assemble_model(cube_mesh, MaterialParams()).stiffness
 
 
 class TestAssembly:
@@ -320,7 +319,7 @@ class TestAssembly:
 
     def test_single_tet_symmetric_with_rigid_null_space(self):
         nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        k = assemble_stiffness(TetMesh(nodes=nodes, tets=[[0, 1, 2, 3]]), MaterialParams()).toarray()
+        k = assemble_model(TetMesh(nodes=nodes, tets=[[0, 1, 2, 3]]), MaterialParams()).stiffness.toarray()
         scale = np.abs(k).max()
         assert np.allclose(k, k.T, atol=1e-12 * scale)
         for ax in range(3):
@@ -335,12 +334,13 @@ class TestAssembly:
         )
         mesh.nodes[[1, 2]] = mesh.nodes[[2, 1]]  # node arrays stay mutable
         with pytest.raises(InvalidInputError, match="inverted tet during assembly"):
-            assemble_stiffness(mesh, MaterialParams())
+            assemble_model(mesh, MaterialParams())
 
     def test_assemble_model(self, cube_mesh):
         model = assemble_model(cube_mesh, MaterialParams())
         assert model.reg > 0.0
         assert model.stiffness.shape == (3 * cube_mesh.num_nodes, 3 * cube_mesh.num_nodes)
+        assert model.stiffness.has_canonical_format
 
     def test_material_validation(self):
         with pytest.raises(InvalidInputError):
@@ -514,7 +514,7 @@ class TestQuasiStaticStep:
 @pytest.fixture(scope="module")
 def squeeze(box_model):
     cfg = pinch_config()
-    frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=6.0), cfg)
+    frames = run_squeeze(box_model, box_grasp(max_force=6.0), cfg)
     return frames, cfg
 
 
@@ -595,18 +595,22 @@ class TestRunSqueeze:
     def test_miss_returns_empty_with_diagnostic(self, box_model):
         # the empty list is the whole diagnostic: rank and simulate report it
         grasp = GraspCandidate((0.0, 0.5, 0.0), (1.0, 0, 0), 0.005, 10.0)
-        assert run_squeeze(box_model.mesh, box_model.mat, grasp, pinch_config()) == []
+        assert run_squeeze(box_model, grasp, pinch_config()) == []
 
     def test_tiny_max_force_stops_immediately(self, box_model):
-        frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=1e-6), pinch_config())
+        frames = run_squeeze(box_model, box_grasp(max_force=1e-6), pinch_config())
         assert len(frames) == 1
         assert frames[0].squeeze_force >= 1e-6
 
     def test_run_squeeze_wrapper(self):
-        mesh = generate_primitive_mesh("box", (0.06, 0.06, 0.06), 2)
-        frames = run_squeeze(mesh, MaterialParams(), box_grasp(max_force=2.0), pinch_config())
-        assert len(frames) >= 1
-        assert frames[-1].squeeze_force >= 2.0
+        # one frame per squeeze_steps step, on the model it is given
+        model = assemble_model(generate_primitive_mesh("box", (0.06, 0.06, 0.06), 2), MaterialParams())
+        grasp, cfg = box_grasp(max_force=2.0), pinch_config()
+        frames = run_squeeze(model, grasp, cfg)
+        steps = list(fem.squeeze_steps(model, grasp, cfg))
+        assert len(frames) == len(steps) >= 1
+        assert [f.time for f in frames] == [step_idx * cfg.dt for step_idx, _, _ in steps]
+        assert frames[-1].squeeze_force == steps[-1][2].squeeze_force >= 2.0
 
     @pytest.mark.xfail(strict=True, raises=SolverError, reason="pad edge on grid nodes: ROADMAP item 3")
     def test_pad_edge_on_grid_nodes_converges(self):
@@ -614,7 +618,8 @@ class TestRunSqueeze:
         # grid; the Newton loop stalls at a residual near 0.18 N, while
         # halfwidths 1.9 and 2.1 cm converge to 5.2 N
         grasp = GraspCandidate((0.0, 0.0, 0.03), (1.0, 0, 0), 0.02, 5.0)
-        frames = run_squeeze(cli.bench_mesh("box"), MaterialParams(), grasp, SimConfig(platform_height=-1.0))
+        model = assemble_model(cli.bench_mesh("box"), MaterialParams())
+        frames = run_squeeze(model, grasp, SimConfig(platform_height=-1.0))
         assert frames[-1].squeeze_force >= 5.0
 
 
@@ -639,7 +644,7 @@ class TestFrameCenterOfMass:
             frames, dt = load_trajectory(out).frames, rc.sim.dt
         else:
             cfg = pinch_config()
-            frames = run_squeeze(box_model.mesh, box_model.mat, grasp, cfg)
+            frames = run_squeeze(box_model, grasp, cfg)
             dt = cfg.dt
         assert len(frames) >= 3
         mesh = box_model.mesh
@@ -714,26 +719,19 @@ class TestWoodburySolve:
             return u, report
 
         monkeypatch.setattr(fem, "quasi_static_step", checked)
-        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, lift)), MaterialParams(friction_mu=mu), grasp,
-                             SimConfig(platform_height=platform))
+        model = assemble_model(box_model.mesh.translated((0.0, 0.0, lift)), MaterialParams(friction_mu=mu))
+        frames = run_squeeze(model, grasp, SimConfig(platform_height=platform))
         assert len(frames) >= 3 and seen["steps"] >= 3
         assert (seen["slip"] > 0) == (mu == SLIP_MU or platform == 0.0)
         assert (seen["repeated"] > 0) == (platform == 0.0)
 
     def test_one_splu_per_squeeze(self, box_model, monkeypatch):
-        # assembly makes the one factor; the squeeze's LU solves are one
-        # block of compliance columns per batch of nodes new to contact,
-        # nothing else
+        # assembly makes the one factor, outside the counted region; the
+        # squeeze factors nothing, and its LU solves are one block of
+        # compliance columns per batch of nodes new to contact, nothing else
+        model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
+        model = dataclasses.replace(model, lu=CountedFactor(model.lu))
         splu_calls = count_splu(monkeypatch)
-        real_assemble = fem.assemble_model
-        factored = []
-
-        def assemble(*args):
-            model = real_assemble(*args)
-            factored.append(len(splu_calls))
-            return model
-
-        monkeypatch.setattr(fem, "assemble_model", assemble)
         widths = []
         original_add = fem._add_compliance
 
@@ -751,10 +749,10 @@ class TestWoodburySolve:
             return u, report
 
         monkeypatch.setattr(fem, "quasi_static_step", step)
-        frames = run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
+        frames = run_squeeze(model, SLIP_GRASP, pinch_config())
         assert len(frames) >= 3
-        assert factored == [1] and len(splu_calls) == 1
-        assert splu_calls[0].solved == widths and len(widths) > 1
+        assert splu_calls == []
+        assert model.lu.solved == widths and len(widths) > 1
         assert sum(r.iterations - 1 for r in reports) > len(reports)
 
     def test_one_pad_frame_per_squeeze(self, box_model, monkeypatch):
@@ -773,7 +771,7 @@ class TestWoodburySolve:
 
         monkeypatch.setattr(fem, "orthonormal_tangents", counted_tangents)
         monkeypatch.setattr(fem, "quasi_static_step", step)
-        frames = run_squeeze(box_model.mesh, box_model.mat, box_grasp(max_force=6.0), pinch_config())
+        frames = run_squeeze(box_model, box_grasp(max_force=6.0), pinch_config())
         assert len(frames) >= 3 and len(steps) > len(frames)
         assert len(tangents) == 1
 
@@ -832,11 +830,12 @@ class TestWoodburySolve:
         rc = cli.RunConfig()
         cfg = dataclasses.replace(rc.sim, platform_height=-1.0)
         mesh = cli.bench_mesh(name)
+        model = assemble_model(mesh, rc.material)
         for cand in cli.sample_grasps(mesh, 3, np.random.default_rng([0, stream]), rc):
             grasp = dataclasses.replace(cand, max_force=rc.desired_force)
-            want_status, want = oracles.direct_lu_squeeze(mesh, rc.material, grasp, cfg)
+            want_status, want = oracles.direct_lu_squeeze(model, grasp, cfg)
             try:
-                frames = run_squeeze(mesh, rc.material, grasp, cfg)
+                frames = run_squeeze(model, grasp, cfg)
             except SolverError:
                 status, frames = "failed", []
             else:
@@ -929,7 +928,8 @@ class TestContactBlocksOracle:
             return got
 
         monkeypatch.setattr(fem, "_contact_blocks", checked_blocks)
-        run_squeeze(box_model.mesh, MaterialParams(friction_mu=SLIP_MU), SLIP_GRASP, pinch_config())
+        model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
+        run_squeeze(model, SLIP_GRASP, pinch_config())
         assert all(same for _, _, same in checked)
         assert any(slip for _, slip, _ in checked)
         assert any(n >= 2 for n, _, _ in checked)
@@ -1006,7 +1006,7 @@ class TestContactStateOracle:
             return contacts
 
         monkeypatch.setattr(fem, "_contact_state", checked)
-        frames = run_squeeze(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat, PLATFORM_GRASP,
-                             SimConfig(platform_height=0.0))
+        model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
+        frames = run_squeeze(model, PLATFORM_GRASP, SimConfig(platform_height=0.0))
         assert len(frames) >= 3
         assert {fem.PAD_A, fem.PAD_B, fem.PLATFORM} in kinds
