@@ -15,6 +15,10 @@ OPENBLAS_NUM_THREADS=1).  The squeeze's dense solves sum in a
 thread-dependent order: pipebench's 24 seed-0 rank-midair candidates print
 byte-identical rows on one and two BLAS threads, but its seed-0
 squeeze-platform candidate box/00 converges on one thread and fails on two.
+Work is spread over the caller and helpers: --jobs N runs candidates in
+the calling process and min(N, candidates) - 1 worker processes, and
+metric and hull-info score frames on the calling thread and one pool
+thread per other usable CPU.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,25 +257,43 @@ def _log_failed_candidates(outcomes, prefix: str = "") -> int:
 
 
 def _map(executor, func, items, workers: int) -> list:
-    """[func(x) for x in items] on min(workers, len(items)) workers of
-    executor (a concurrent.futures executor class); one worker runs the
-    plain loop.
+    """[func(x) for x in items] on w = min(workers, len(items)) workers: the
+    calling thread and a pool of w - 1 workers of executor (a
+    concurrent.futures executor class); w <= 1 runs the plain loop.
 
-    Results come back in item order.  They are read in that order, so a
-    failure raises the exception of the lowest failing index, as the loop
-    would, and map cancels the items not yet started when one fails or the
-    caller is interrupted.
+    Every item is submitted to the pool, which starts them from the front;
+    the caller walks them from the back and runs each one it can still
+    cancel, until one of its own raises, so no worker waits idle and the
+    pool never receives the items the caller runs.  Results are read in
+    item order, so a failure raises the exception of the lowest failing
+    index, as the loop would, and the items not yet started are cancelled
+    when one fails or the caller is interrupted.
     """
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1:
         return [func(x) for x in items]
-    with executor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
+    with executor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(func, x) for x in items]
+        try:
+            for i in reversed(range(len(items))):
+                if not futures[i].cancel():
+                    break  # the pool has taken this item and every one before it
+                futures[i] = Future()  # holds the caller's own outcome
+                try:
+                    futures[i].set_result(func(items[i]))
+                except Exception as exc:
+                    futures[i].set_exception(exc)
+                    break
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _map_jobs(func, payloads, jobs: int):
-    """Run payloads through func, in order, on up to jobs worker processes."""
+    """Run payloads through func, in order, on the calling process and up to
+    jobs - 1 worker processes; one job or one payload starts no process."""
     return _map(ProcessPoolExecutor, func, payloads, jobs)
 
 
@@ -325,8 +347,8 @@ def _usable_cpus() -> int:
 
 
 def _map_frames(func, frames) -> list:
-    """[func(f) for f in frames], on min(len(frames), usable CPUs) threads
-    while the caller waits.
+    """[func(f) for f in frames], on the calling thread and one pool thread
+    per other usable CPU, min(len(frames), usable CPUs) threads in all.
 
     Frames are independent and a wrench hull's qhull call releases the GIL,
     so threads score them side by side; the output does not depend on the

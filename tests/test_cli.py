@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -363,13 +364,16 @@ class TestPipeline:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    # pool: the worker count asked of the executor, None when the loop runs
-    @pytest.mark.parametrize("jobs, count, pool", [(64, 2, 2), (2, 5, 2), (3, 1, None), (1, 4, None)])
+    # pool: the worker count asked of the executor, beside the calling
+    # process; None when the loop runs
+    @pytest.mark.parametrize("jobs, count, pool", [(64, 2, 1), (2, 5, 1), (3, 1, None), (1, 4, None)])
     def test_jobs_start_at_most_one_process_per_candidate(self, jobs, count, pool, monkeypatch):
         asked = []
 
-        class SerialPool:
-            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+        class IdlePool:
+            """Stands in for ProcessPoolExecutor: records its size, starts no
+            process and never starts an item, so the caller cancels and runs
+            each one."""
 
             def __init__(self, max_workers):
                 asked.append(max_workers)
@@ -380,12 +384,27 @@ class TestPipeline:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, items):
-                return map(func, items)
+            def submit(self, func, item):
+                return Future()
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
         assert cli._map_jobs(lambda i: i * i, list(range(count)), jobs) == [i * i for i in range(count)]
         assert asked == ([] if pool is None else [pool])
+
+    def test_jobs_run_in_the_caller_and_worker_processes(self):
+        results = cli._map_jobs(square_and_pid, list(range(8)), 2)
+        assert [r for r, _ in results] == [i * i for i in range(8)]
+        assert os.getpid() in {pid for _, pid in results}
+        with pytest.raises(ValueError, match="item 1$"):
+            cli._map_jobs(square_and_pid, [1, -1, 2, 3, 4, -5, 6, 7], 2)
+
+
+def square_and_pid(i):
+    """(i * i, the pid of the process that ran it); a negative i raises.
+    Module level, so a worker process can unpickle it."""
+    if i < 0:
+        raise ValueError(f"item {-i}")
+    return i * i, os.getpid()
 
 
 def data_columns(text):

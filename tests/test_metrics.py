@@ -452,33 +452,46 @@ class TestConcurrentFrames:
                 assert np.array_equal(traces[m], values)
                 assert saturation_index(traces[m]) == saturation_index(values)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_lowest_index_failure_is_raised(self, cpus, monkeypatch):
+    # first, later: the failing frames; the first fails only after the later
+    # one has.  With 2 CPUs and 12 frames the caller walks 11, 10, 9, ... while
+    # the pool thread starts at 0, so frame 9 fails on the caller first.
+    @pytest.mark.parametrize(
+        "cpus, first, later",
+        [
+            pytest.param(1, 3, 7, id="1"),
+            pytest.param(2, 3, 7, id="2"),
+            pytest.param(4, 3, 7, id="4"),
+            pytest.param(2, 2, 9, id="caller-fails-first"),
+        ],
+    )
+    def test_lowest_index_failure_is_raised(self, cpus, first, later, monkeypatch):
         bind_cpus(monkeypatch, cpus)
         later_failed = threading.Event()
 
         def score(i):
-            if i == 3:
-                if cpus > 1:  # fail only after frame 7 has failed
+            if i == first:
+                if cpus > 1:  # fail only after the later frame has failed
                     later_failed.wait(timeout=5.0)
-                raise ValueError("frame 3")
-            if i == 7:
+                raise ValueError(f"frame {first}")
+            if i == later:
                 later_failed.set()
-                raise KeyError("frame 7")
+                raise KeyError(f"frame {later}")
             return i
 
-        with pytest.raises(ValueError, match="frame 3"):
+        with pytest.raises(ValueError, match=f"frame {first}"):
             cli._map_frames(score, range(12))
         assert later_failed.is_set() == (cpus > 1)
 
-    @pytest.mark.parametrize("cpus, count, threads", [(1, 8, 0), (4, 1, 0), (2, 8, 2)])
+    # threads: the pool threads started beside the calling thread
+    @pytest.mark.parametrize("cpus, count, threads", [(1, 8, 0), (4, 1, 0), (2, 8, 1)])
     def test_threads_started(self, cpus, count, threads, rng, monkeypatch):
         bind_cpus(monkeypatch, cpus)
         before = threading.active_count()
-        seen = []
+        seen, scorers = [], set()
 
         def counting_build_gws(frame, cfg):
             seen.append(threading.active_count())
+            scorers.add(threading.get_ident())
             return build_gws(frame, cfg)
 
         monkeypatch.setattr(metrics, "build_gws", counting_build_gws)
@@ -486,6 +499,7 @@ class TestConcurrentFrames:
         score_frames(frames, WrenchSpaceConfig())
         assert len(seen) == count
         assert max(seen) == before + threads
+        assert threading.get_ident() in scorers
         assert threading.active_count() == before
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
