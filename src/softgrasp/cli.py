@@ -18,7 +18,9 @@ squeeze-platform candidate box/00 converges on one thread and fails on two.
 Work is spread over the caller and helpers: --jobs N runs candidates in
 the calling process and min(N, candidates) - 1 worker processes, and
 metric and hull-info score frames on the calling thread and one pool
-thread per other usable CPU.
+thread per other usable CPU.  multiprocessing loads at the first --jobs
+map and scipy.sparse.linalg (SuperLU) at the first mesh assembly, so
+metric and hull-info load neither.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -293,7 +295,10 @@ def _map(executor, func, items, workers: int) -> list:
 
 def _map_jobs(func, payloads, jobs: int):
     """Run payloads through func, in order, on the calling process and up to
-    jobs - 1 worker processes; one job or one payload starts no process."""
+    jobs - 1 worker processes; one job or one payload starts no process.
+    multiprocessing loads here, at the first map, not with the module."""
+    from concurrent.futures import ProcessPoolExecutor
+
     return _map(ProcessPoolExecutor, func, payloads, jobs)
 
 

@@ -6,18 +6,25 @@ k_p * depth plus Coulomb-capped tangential force against the tangential slip
 accumulated within the step), and every closing increment is solved to elastic
 equilibrium with a Newton loop on the residual.  Converged increments with
 finger contact are emitted as TrajectoryFrames for the metric pipeline.
+
+assemble_model is the one caller of SuperLU, so it imports
+scipy.sparse.linalg on its first call: a process that scores trajectories
+and never assembles a mesh (metric, hull-info) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .contact import ContactPoint, TrajectoryFrame, orthonormal_tangents
 from .errors import InvalidInputError, SolverError, check_fields, finite, integer, vec3
+
+if TYPE_CHECKING:
+    import scipy.sparse.linalg as spla
 
 # Tikhonov factor anchoring the six rigid modes of the free-floating object,
 # relative to the mean stiffness diagonal.
@@ -416,9 +423,13 @@ def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
     model it is given.  Raises InvalidInputError on an inverted tet and
     SolverError when A has a singular factor.
     """
+    import scipy.sparse.linalg as spla  # loaded by the first assembly only
+
     lam, mu = mat.lame()
     ke = _tet_stiffness(mesh.nodes[mesh.tets], lam, mu)
-    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
+    # int32 indices: coo_matrix would convert int64 ones to int32 (3n fits
+    # it for any mesh whose ke fits in memory), so it takes these uncopied
+    dofs = (3 * mesh.tets.astype(np.int32)[:, :, None] + np.arange(3, dtype=np.int32)).reshape(-1, 12)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
     n3 = 3 * mesh.num_nodes

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.spatial import QhullError
 
 import oracles
@@ -387,7 +389,8 @@ class TestPipeline:
             def submit(self, func, item):
                 return Future()
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
+        # _map_jobs imports the executor from concurrent.futures at each call
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", IdlePool)
         assert cli._map_jobs(lambda i: i * i, list(range(count)), jobs) == [i * i for i in range(count)]
         assert asked == ([] if pool is None else [pool])
 
@@ -547,7 +550,7 @@ class TestSingularSolve:
         # candidate 0's model meets a singular factor at assembly; rank
         # prints it as a failed row, still scores candidate 1, and exits 1
         calls = []
-        real_splu = fem.spla.splu
+        real_splu = scipy.sparse.linalg.splu
 
         def splu(a):
             calls.append(1)
@@ -555,7 +558,7 @@ class TestSingularSolve:
                 raise RuntimeError("Factor is exactly singular")
             return real_splu(a)
 
-        monkeypatch.setattr(fem.spla, "splu", splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         code, out, _ = run_cli(
             capsys, "rank",
             "--node", str(workspace / "box.node"),
@@ -864,7 +867,9 @@ def run_python(*args, **env):
 
 class TestStartupImports:
     def test_scoring_commands_leave_scipy_stats_unloaded(self):
-        # scipy.stats adds ~0.8 s and ~32 MiB to a command's start; only bench ranks
+        # scipy.stats adds ~0.8 s and ~32 MiB to a command's start; only bench
+        # ranks.  Scoring assembles no mesh and maps no --jobs, so it loads
+        # neither SuperLU (scipy.sparse.linalg) nor the process pool
         script = (
             "import sys\n"
             "import softgrasp\n"
@@ -872,7 +877,22 @@ class TestStartupImports:
             f"path = {str(FIXTURE_TRAJECTORY)!r}\n"
             "assert cli.main(['hull-info', '--trajectory', path]) == 0\n"
             "assert cli.main(['metric', '--trajectory', path]) == 0\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+            "for name in ('scipy.stats', 'scipy.sparse.linalg', 'multiprocessing'):\n"
+            "    assert name not in sys.modules, f'{name} was imported'\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_rank_loads_superlu_at_its_first_assembly(self):
+        # the model's factor still comes from scipy.sparse.linalg
+        argv = ["rank", "--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele"),
+                "--grasps", str(DATA / "midair_grasp.jsonl"), "--config", str(DATA / "midair.cfg")]
+        script = (
+            "import sys\n"
+            "from softgrasp import cli\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'scipy.sparse.linalg' in sys.modules\n"
         )
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr

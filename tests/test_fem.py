@@ -336,6 +336,22 @@ class TestAssembly:
         with pytest.raises(InvalidInputError, match="inverted tet during assembly"):
             assemble_model(mesh, MaterialParams())
 
+    @pytest.mark.parametrize("name", list(cli.BENCH_OBJECTS))
+    def test_int32_indices_assemble_the_int64_stiffness(self, name):
+        # assemble_model builds its COO indices as int32; K must equal, entry
+        # for entry, the assembly from int64 indices that coo_matrix converts
+        mesh = cli.bench_mesh(name)
+        mat = MaterialParams()
+        k = assemble_model(mesh, mat).stiffness
+        dofs = (3 * mesh.tets.astype(np.int64)[:, :, None] + np.arange(3)).reshape(-1, 12)
+        rows = np.repeat(dofs, 12, axis=1).ravel()
+        cols = np.tile(dofs, (1, 12)).ravel()
+        ke = fem._tet_stiffness(mesh.nodes[mesh.tets], *mat.lame())
+        n3 = 3 * mesh.num_nodes
+        expected = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n3, n3)).tocsr()
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(k, part), getattr(expected, part)), part
+
     def test_assemble_model(self, cube_mesh):
         model = assemble_model(cube_mesh, MaterialParams())
         assert model.reg > 0.0
@@ -681,16 +697,16 @@ class CountedFactor:
 
 
 def count_splu(monkeypatch):
-    """Wrap fem.spla.splu; the list fills with one CountedFactor per
-    factorization."""
+    """Wrap scipy.sparse.linalg.splu, which assemble_model imports at each
+    call; the list fills with one CountedFactor per factorization."""
     calls = []
-    original_splu = fem.spla.splu
+    original_splu = spla.splu
 
     def splu(a):
         calls.append(CountedFactor(original_splu(a)))
         return calls[-1]
 
-    monkeypatch.setattr(fem.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     return calls
 
 
