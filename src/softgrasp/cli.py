@@ -18,9 +18,10 @@ squeeze-platform candidate box/00 converges on one thread and fails on two.
 Work is spread over the caller and helpers: --jobs N runs candidates in
 the calling process and min(N, candidates) - 1 worker processes, and
 metric and hull-info score frames on the calling thread and one pool
-thread per other usable CPU.  multiprocessing loads at the first --jobs
-map and scipy.sparse.linalg (SuperLU) at the first mesh assembly, so
-metric and hull-info load neither.
+thread per other CPU in the affinity mask; a CPU quota does not shrink the
+mask, so under one, bound the threads with taskset.  multiprocessing loads
+when a map starts a worker process and scipy.sparse.linalg (SuperLU) at
+the first mesh assembly, so metric and hull-info load neither.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -258,10 +258,10 @@ def _log_failed_candidates(outcomes, prefix: str = "") -> int:
 # Spreading work: candidates over --jobs processes, frames over CPU threads.
 
 
-def _map(executor, func, items, workers: int) -> list:
+def _map(pool, func, items, workers: int) -> list:
     """[func(x) for x in items] on w = min(workers, len(items)) workers: the
-    calling thread and a pool of w - 1 workers of executor (a
-    concurrent.futures executor class); w <= 1 runs the plain loop.
+    calling thread and pool(w - 1), a concurrent.futures executor of w - 1
+    workers; w <= 1 runs the plain loop and never calls pool.
 
     Every item is submitted to the pool, which starts them from the front;
     the caller walks them from the back and runs each one it can still
@@ -275,8 +275,8 @@ def _map(executor, func, items, workers: int) -> list:
     workers = min(workers, len(items))
     if workers <= 1:
         return [func(x) for x in items]
-    with executor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(func, x) for x in items]
+    with pool(workers - 1) as executor:
+        futures = [executor.submit(func, x) for x in items]
         try:
             for i in reversed(range(len(items))):
                 if not futures[i].cancel():
@@ -293,62 +293,27 @@ def _map(executor, func, items, workers: int) -> list:
                 future.cancel()
 
 
-def _map_jobs(func, payloads, jobs: int):
-    """Run payloads through func, in order, on the calling process and up to
-    jobs - 1 worker processes; one job or one payload starts no process.
-    multiprocessing loads here, at the first map, not with the module."""
+def _process_pool(workers: int):
+    """multiprocessing loads here, when a map starts a worker process."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return _map(ProcessPoolExecutor, func, payloads, jobs)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
-PROC_CGROUP = "/proc/self/cgroup"
-CGROUP_MOUNT = "/sys/fs/cgroup"
-
-
-def _cgroup_cpu_limit() -> float | None:
-    """CPUs' worth of run time a cgroup CPU quota grants this process
-    (v2 cpu.max, v1 cpu.cfs_quota_us / cpu.cfs_period_us), None without one.
-
-    The affinity mask does not show such a quota, and threads beyond it
-    only add contention and malloc arenas.  The quota file is looked up in
-    the process's own cgroup, then at the mount's root, which is where a
-    container without a cgroup namespace sees its own cgroup.
-    """
-    try:
-        with open(PROC_CGROUP) as fh:
-            entries = [line.rstrip("\n").split(":", 2) for line in fh]
-    except OSError:
-        return None
-    for _, controllers, path in entries:
-        if controllers == "":
-            mount, files = CGROUP_MOUNT, ("cpu.max",)
-        elif "cpu" in controllers.split(","):
-            mount, files = f"{CGROUP_MOUNT}/{controllers}", ("cpu.cfs_quota_us", "cpu.cfs_period_us")
-        else:
-            continue
-        for base in (mount + path, mount):
-            try:
-                fields = []
-                for name in files:
-                    with open(os.path.join(base, name)) as fh:
-                        fields += fh.read().split()
-                quota, period = fields[:2]
-                return None if quota in ("max", "-1") else int(quota) / int(period)
-            except (OSError, ValueError):
-                continue
-    return None
+def _map_jobs(func, payloads, jobs: int):
+    """Run payloads through func, in order, on the calling process and up to
+    jobs - 1 worker processes; one job or one payload starts no process."""
+    return _map(_process_pool, func, payloads, jobs)
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one,
-    capped by a cgroup CPU quota."""
+    """CPUs this process may run on: the size of its affinity mask, or
+    os.cpu_count() where the OS has no mask.  A CPU quota does not shrink
+    the mask, so under one, bound the count with taskset."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    limit = _cgroup_cpu_limit()
-    return cpus if limit is None else max(1, min(cpus, math.ceil(limit)))
+        return os.cpu_count() or 1
 
 
 def _map_frames(func, frames) -> list:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -389,7 +390,7 @@ class TestPipeline:
             def submit(self, func, item):
                 return Future()
 
-        # _map_jobs imports the executor from concurrent.futures at each call
+        # _process_pool imports the executor from concurrent.futures at each call
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", IdlePool)
         assert cli._map_jobs(lambda i: i * i, list(range(count)), jobs) == [i * i for i in range(count)]
         assert asked == ([] if pool is None else [pool])
@@ -884,18 +885,48 @@ class TestStartupImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_rank_loads_superlu_at_its_first_assembly(self):
-        # the model's factor still comes from scipy.sparse.linalg
+        # the model's factor still comes from scipy.sparse.linalg; --jobs 1
+        # starts no worker process, so no process pool loads
         argv = ["rank", "--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele"),
                 "--grasps", str(DATA / "midair_grasp.jsonl"), "--config", str(DATA / "midair.cfg")]
         script = (
             "import sys\n"
             "from softgrasp import cli\n"
             "assert 'scipy.sparse.linalg' not in sys.modules\n"
-            f"assert cli.main({argv!r}) == 0\n"
+            f"assert cli.main({argv + ['--jobs', '1']!r}) == 0\n"
             "assert 'scipy.sparse.linalg' in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
         )
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
+
+    def test_one_job_or_one_payload_leaves_multiprocessing_unloaded(self, tmp_path):
+        # the process pool loads only when a map starts a worker process
+        midair = ["--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele"),
+                  "--grasps", str(DATA / "midair_grasp.jsonl"), "--config", str(DATA / "midair.cfg")]
+        simulate = ["simulate", *midair, "--out-dir", str(tmp_path), "--jobs", "1"]
+        bench = ["bench", "--objects", "box", "--grasps-per-object", "3", "--jobs", "1"]
+        script = (
+            "import sys\n"
+            "from softgrasp import cli\n"
+            f"assert cli.main({simulate!r}) == 0\n"
+            f"assert cli.main({bench!r}) == 0\n"
+            "assert cli._map_jobs(abs, [-3], 4) == [3]\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_quick_start_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Quick start (Python)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", block)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 2
 
 
 class TestBlasThreads:
@@ -1080,3 +1111,46 @@ class TestScoredFrameStop:
         )
         assert code == 1
         assert out.strip().splitlines()[1].split("\t")[1] == "failed"
+
+
+# Metamorphic relations: a change of the input that must leave every
+# candidate's outcome unchanged.  The Newton loop stops once the residual
+# force is below convergence_tol newtons, so the scored squeeze force, and
+# the contact forces the metrics are built from, are known only to about
+# convergence_tol; relative to the scored force, which is at least
+# desired_force, that is convergence_tol / desired_force (2e-4).
+RELATION_TOL = MIDAIR.sim.convergence_tol / MIDAIR.desired_force
+SHIFT = np.array([0.1, -0.05, 0.2])
+
+
+def translate(mesh, cand):
+    return mesh.translated(SHIFT), dataclasses.replace(cand, grasp_center=cand.grasp_center + SHIFT)
+
+
+def swap_pads(mesh, cand):
+    return mesh, dataclasses.replace(cand, approach_axis=-cand.approach_axis)
+
+
+def renumber_nodes(mesh, cand):
+    perm = np.random.default_rng(0).permutation(len(mesh.nodes))
+    return fem.TetMesh(mesh.nodes[perm], np.argsort(perm)[mesh.tets]), cand
+
+
+@functools.cache
+def midair_draw(name):
+    """The first 6 seed-0 mid-air candidates of a bench object (pipebench's
+    rank-midair pool), with the mesh and each candidate's outcome."""
+    mesh, cands = bench_candidates(name, 6)
+    return mesh, cands, [_run_candidate((i, mesh, c, MIDAIR)) for i, c in enumerate(cands)]
+
+
+class TestMetamorphicRelations:
+    @pytest.mark.parametrize("relation", [translate, swap_pads, renumber_nodes])
+    @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
+    def test_relation_keeps_every_outcome(self, name, relation):
+        mesh, cands, outcomes = midair_draw(name)
+        for i, (cand, want) in enumerate(zip(cands, outcomes)):
+            got = _run_candidate((i, *relation(mesh, cand), MIDAIR))
+            assert got.status == want.status, (i, want.message, got.message)
+            for key in ("eval_force", *metrics.METRIC_NAMES, "proxy"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=RELATION_TOL, abs=0.0), (i, key)

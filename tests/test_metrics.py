@@ -522,7 +522,6 @@ class TestConcurrentFrames:
         assert sorted(calls) == list(range(500))
 
     def test_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli, "_cgroup_cpu_limit", lambda: None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
         assert cli._usable_cpus() == 2
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -530,36 +529,6 @@ class TestConcurrentFrames:
         assert cli._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli._usable_cpus() == 1
-
-    @pytest.mark.parametrize("limit, cpus", [(None, 8), (1.5, 2), (2.0, 2), (0.25, 1), (16.0, 8)])
-    def test_usable_cpus_capped_by_cgroup_quota(self, limit, cpus, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(cli, "_cgroup_cpu_limit", lambda: limit)
-        assert cli._usable_cpus() == cpus
-
-    @pytest.mark.parametrize("cgroup, files, limit", [
-        ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 1.5),
-        ("0::/job\n", {"job/cpu.max": "max 100000\n"}, None),
-        ("0::/job\n", {"cpu.max": "200000 100000\n"}, 2.0),  # namespaced: the mount's root
-        ("4:memory:/job\n2:cpu,cpuacct:/job\n0::/\n",
-         {"cpu,cpuacct/job/cpu.cfs_quota_us": "300000\n",
-          "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"}, 3.0),
-        ("2:cpu,cpuacct:/job\n",
-         {"cpu,cpuacct/cpu.cfs_quota_us": "-1\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"}, None),
-        ("4:memory:/job\n", {}, None),
-        (None, {}, None),
-    ])
-    def test_cgroup_cpu_limit(self, cgroup, files, limit, tmp_path, monkeypatch):
-        proc = tmp_path / "cgroup"
-        if cgroup is not None:
-            proc.write_text(cgroup)
-        mount = tmp_path / "fs"
-        for name, text in files.items():
-            (mount / name).parent.mkdir(parents=True, exist_ok=True)
-            (mount / name).write_text(text)
-        monkeypatch.setattr(cli, "PROC_CGROUP", str(proc))
-        monkeypatch.setattr(cli, "CGROUP_MOUNT", str(mount))
-        assert cli._cgroup_cpu_limit() == limit
 
 
 class TestHullMonotonicityAcrossMetrics:
