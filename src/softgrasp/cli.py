@@ -41,6 +41,7 @@ from . import fileio
 from .contact import WrenchSpaceConfig, contact_centroid, default_torque_scale, orthonormal_tangents
 from .errors import ConfigError, HullError, InvalidInputError, ParseError, SolverError, check_fields, finite, integer
 from .fem import (
+    PLATFORM,
     GraspCandidate,
     MaterialParams,
     SimConfig,
@@ -195,15 +196,15 @@ class GraspEvaluation:
     message: str = ""
 
 
-def evaluate_frames(first, frame, mesh_nodes, rc: RunConfig, index: int) -> GraspEvaluation:
+def evaluate_frames(centroid, frame, mesh_nodes, rc: RunConfig, index: int) -> GraspEvaluation:
     """Score a squeeze at its last frame.
 
     The squeeze stops at the first frame that reaches the desired force, so
     that frame is the one scored; a squeeze that stops short of it is scored
-    at its last frame and marked not reached.  first is the squeeze's first
-    frame, whose contact centroid fixes the torque scale.
+    at its last frame and marked not reached.  centroid is the contact
+    centroid of the squeeze's first frame, which fixes the torque scale.
     """
-    rho = rc.resolve_rho(mesh_nodes, contact_centroid(first))
+    rho = rc.resolve_rho(mesh_nodes, centroid)
     q = frame_quality(
         frame, rc.wrench_config(rho), rc.gravity,
         proxy_dirs=fibonacci_sphere(rc.proxy_directions),
@@ -216,23 +217,32 @@ def evaluate_frames(first, frame, mesh_nodes, rc: RunConfig, index: int) -> Gras
     )
 
 
+def _pad_centroid(model, u, report) -> np.ndarray:
+    """The contact centroid of a squeeze step's frame, bit for bit, without
+    building the frame: the mean of its pad contacts' deformed positions."""
+    nodes = report.contacts.nodes[report.contacts.kind != PLATFORM]
+    return np.mean(model.mesh.nodes[nodes] + u.reshape(-1, 3)[nodes], axis=0)
+
+
 def _run_candidate(payload) -> GraspEvaluation:
     """Squeeze a rank or bench candidate up to the frame they score, and score it.
 
     That is the first frame to reach desired_force, so the squeeze stops
-    there.  Only the first frame (for the torque scale) and the latest step
-    are kept; frames are built for those two alone.  The model (its sparse
-    factor) and the squeeze (its dense compliance columns) are freed before
-    the frame's hull is built.  A SolverError, from assembly or a step, or
-    a HullError makes a failed candidate.
+    there.  Only the first step's contact centroid (for the torque scale)
+    and the latest step are kept; a frame is built for the scored step
+    alone.  The model (its sparse factor) and the squeeze (its dense
+    compliance columns) are freed before the frame's hull is built.  A
+    SolverError, from assembly or a step, or a HullError makes a failed
+    candidate.
     """
     index, mesh, cand, rc = payload
     grasp = dataclasses.replace(cand, max_force=min(cand.max_force, rc.desired_force))
-    first = last = None
+    centroid = last = None
     try:
         model = assemble_model(mesh, rc.material)
         for last in squeeze_steps(model, grasp, rc.sim):
-            first = first or step_frame(model, rc.sim, *last)
+            if centroid is None:
+                centroid = _pad_centroid(model, *last[1:])
     except SolverError as exc:
         return GraspEvaluation(index, "failed", message=str(exc))
     if last is None:
@@ -240,7 +250,7 @@ def _run_candidate(payload) -> GraspEvaluation:
     frame = step_frame(model, rc.sim, *last)
     del model
     try:
-        return evaluate_frames(first, frame, mesh.nodes, rc, index)
+        return evaluate_frames(centroid, frame, mesh.nodes, rc, index)
     except HullError as exc:
         return GraspEvaluation(index, "failed", message=str(exc))
 

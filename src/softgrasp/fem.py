@@ -15,6 +15,7 @@ and never assembles a mesh (metric, hull-info) does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,13 +40,15 @@ RIGID_REG_REL = 1e-9
 class TetMesh:
     """Tetrahedral mesh in its rest configuration.
 
-    Tets must have positive signed volume.  surface_faces (outward-oriented
-    boundary triangles) and surface_nodes are derived at construction, not
-    passed; a face shared by three or more tets marks a broken mesh.
+    Tets must have positive signed volume.  rest_volumes (each tet's
+    tet_volumes), surface_faces (outward-oriented boundary triangles) and
+    surface_nodes are derived at construction, not passed; a face shared by
+    three or more tets marks a broken mesh.
     """
 
     nodes: np.ndarray
     tets: np.ndarray
+    rest_volumes: np.ndarray = field(init=False)
     surface_faces: np.ndarray = field(init=False)
     surface_nodes: np.ndarray = field(init=False)
 
@@ -66,6 +69,7 @@ class TetMesh:
             raise InvalidInputError(f"tet {bad[0]} has non-positive volume {vols[bad[0]]:.3e}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "tets", tets)
+        object.__setattr__(self, "rest_volumes", vols)
         faces = _extract_surface(tets)
         object.__setattr__(self, "surface_faces", faces)
         object.__setattr__(self, "surface_nodes", np.unique(faces))
@@ -79,7 +83,7 @@ class TetMesh:
         return self.tets.shape[0]
 
     def volume(self) -> float:
-        return float(tet_volumes(self.nodes, self.tets).sum())
+        return float(self.rest_volumes.sum())
 
     def translated(self, offset) -> "TetMesh":
         return TetMesh(nodes=self.nodes + vec3(offset, "offset"), tets=self.tets)
@@ -462,6 +466,7 @@ def _rigid_modes(nodes: np.ndarray) -> np.ndarray:
 # Penalty contact solve.
 
 PAD_A, PAD_B, PLATFORM = 0, 1, 2
+_SURFACES = np.arange(3)
 
 
 class Squeeze:
@@ -470,11 +475,13 @@ class Squeeze:
     it only reads.
 
     axis, center, halfwidth, t1 and t2 place the pads, platform_height the
-    platform.  compliance holds the deflated rows (A^-1 P E_i)^T, P = I -
-    R R^T, for the three dofs of each node i touched so far, E_i selecting
+    platform; surface_rest holds the rest positions of the mesh's
+    surface_nodes.  compliance holds the deflated rows (A^-1 P E_i)^T, P = I
+    - R R^T, for the three dofs of each node i touched so far, E_i selecting
     them (see _add_compliance): three rows per node, at 3 *
     compliance_slot[i] (-1: none yet), the nodes in slot order being
-    compliance_nodes.  A^-1 E_i itself is that row plus R R^T E_i / reg.
+    compliance_nodes, and compliance_rigid holds R's rows of the same dofs.
+    A^-1 E_i itself is that row plus R R^T E_i / reg.
     """
 
     def __init__(self, model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
@@ -485,23 +492,30 @@ class Squeeze:
         self.platform_height = cfg.platform_height
         # rows indexed by PAD_A, PAD_B, PLATFORM
         self.normals = np.array([self.axis, -self.axis, (0.0, 0.0, 1.0)])
+        self.surface_rest = model.mesh.nodes[model.mesh.surface_nodes]
         self.compliance = np.empty((0, 3 * model.mesh.num_nodes))
         self.compliance_slot = np.full(model.mesh.num_nodes, -1)
         self.compliance_nodes = np.empty(0, dtype=int)
+        self.compliance_rigid = np.empty((0, 6))
 
     def contact_candidates(self, x: np.ndarray, gap: float):
-        """Penetrating nodes of deformed node positions x, surface by surface.
+        """Penetrating nodes of deformed surface node positions x, surface
+        by surface.
 
-        Returns (kind, rows, depths) with depths > 0: pad A's rows, then pad
-        B's, then the platform's, each ascending.
+        Returns (kind, rows, depths, counts) with depths > 0: pad A's rows,
+        then pad B's, then the platform's, each ascending, counts[k] being
+        surface k's number of rows.
         """
         rel = x - self.center
         s = rel @ self.axis
         in_pad = (np.abs(rel @ self.t1) <= self.halfwidth) & (np.abs(rel @ self.t2) <= self.halfwidth)
         half = gap / 2.0
-        depth = np.stack([-half - s, s - half, self.platform_height - x[:, 2]])
-        kind, rows = np.nonzero((depth > 0.0) & np.stack([in_pad, in_pad, np.ones_like(in_pad)]))
-        return kind, rows, depth[kind, rows]
+        depths = (-half - s, s - half, self.platform_height - x[:, 2])
+        rows = [((depths[PAD_A] > 0.0) & in_pad).nonzero()[0], ((depths[PAD_B] > 0.0) & in_pad).nonzero()[0],
+                (depths[PLATFORM] > 0.0).nonzero()[0]]
+        counts = [r.size for r in rows]
+        return (_SURFACES.repeat(counts), np.concatenate(rows),
+                np.concatenate([d[r] for d, r in zip(depths, rows)]), counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,31 +565,31 @@ def _contact_state(model, squeeze, gap, u, u_step_start, cfg) -> _Contacts:
     are capped by the Coulomb cone.
     """
     surf = model.mesh.surface_nodes
-    x = model.mesh.nodes[surf] + u.reshape(-1, 3)[surf]
+    disp = u.reshape(-1, 3)
+    x = squeeze.surface_rest + disp[surf]
     kp = cfg.penalty_stiffness
     mu = model.mat.friction_mu
-    kind, rows, depth = squeeze.contact_candidates(x, gap)
+    kind, rows, depth, counts = squeeze.contact_candidates(x, gap)
     nodes = surf[rows]
     normal = squeeze.normals[kind]
     fn = kp * depth
-    du = u.reshape(-1, 3)[nodes] - u_step_start.reshape(-1, 3)[nodes]
+    du = disp[nodes] - u_step_start.reshape(-1, 3)[nodes]
     # A matvec's bits depend on its rows (BLAS blocks them), so each surface's
-    # normal slip is the matvec of that surface's rows alone, as a fresh array.
-    along = np.concatenate([du[kind == k] @ n for k, n in enumerate(squeeze.normals)])
+    # normal slip is the matvec of that surface's rows alone.
+    along = np.concatenate([du[end - count:end] @ n
+                            for end, count, n in zip(accumulate(counts), counts, squeeze.normals)])
     slip_t = du - along[:, None] * normal
     ft = -kp * slip_t
     ft_norm = np.linalg.norm(ft, axis=1)
     cap = mu * fn
     slipping = ft_norm > cap
-    scale = np.ones_like(ft_norm)
-    scale[slipping] = cap[slipping] / ft_norm[slipping]
-    ft = ft * scale[:, None]
-    force = fn[:, None] * normal + ft
     # unit slip directions and magnitudes for the capped nodes
     # (ft_norm = kp * ||slip_t|| before capping)
-    sdir = np.zeros_like(slip_t)
-    if np.any(slipping):
+    sdir = np.zeros(slip_t.shape)
+    if slipping.any():
+        ft[slipping] *= (cap[slipping] / ft_norm[slipping])[:, None]
         sdir[slipping] = slip_t[slipping] * (kp / ft_norm[slipping])[:, None]
+    force = fn[:, None] * normal + ft
     return _Contacts(
         kind=kind, nodes=nodes, normal=normal, depth=depth, fn=fn, force=force,
         stick=~slipping, sdir=sdir, snorm=ft_norm / kp,
@@ -588,9 +602,10 @@ def _force_residual(squeeze: Squeeze, contacts: _Contacts, g: np.ndarray):
     slot = squeeze.compliance_slot[contacts.nodes]
     held = slot >= 0
     r = -g
-    np.add.at(r.reshape(-1, 3), slot[held], contacts.force[held])
     if held.all():
+        np.add.at(r.reshape(-1, 3), slot, contacts.force)
         return r, 0.0
+    np.add.at(r.reshape(-1, 3), slot[held], contacts.force[held])
     _, node = np.unique(contacts.nodes[~held], return_inverse=True)
     loose = np.zeros((node.size, 3))
     np.add.at(loose, node, contacts.force[~held])
@@ -644,8 +659,9 @@ def quasi_static_step(
         if res_norm < cfg.convergence_tol:
             break
         try:
-            new = np.unique(contacts.nodes[squeeze.compliance_slot[contacts.nodes] < 0])
+            new = contacts.nodes[squeeze.compliance_slot[contacts.nodes] < 0]
             if new.size:
+                new = np.unique(new)
                 _add_compliance(model, squeeze, new)
                 # their share of A u_start is roundoff, counted in off
                 g = np.concatenate([g, np.zeros(3 * new.size)])
@@ -656,7 +672,7 @@ def quasi_static_step(
                 f"singular Newton system ({exc}; residual {least:.3e} N, tol {cfg.convergence_tol:.3e} N)",
                 residual=least, iterations=iterations,
             ) from exc
-        step = float(np.max(np.abs(du)))
+        step = float(np.abs(du).max())
         if step > clamp:
             dg *= clamp / step
             du *= clamp / step
@@ -700,8 +716,9 @@ def _contact_blocks(contacts: _Contacts, kp: float, mu: float) -> np.ndarray:
     """
     eye = np.eye(3)
     slip = ~contacts.stick
-    blocks = np.broadcast_to(kp * eye, (slip.size, 3, 3)).copy()
-    if np.any(slip):
+    blocks = np.empty((slip.size, 3, 3))
+    blocks[:] = kp * eye
+    if slip.any():
         normal = contacts.normal[slip][:, None, :]
         nn = normal.transpose(0, 2, 1) * normal
         sdir = contacts.sdir[slip]
@@ -735,11 +752,13 @@ def _add_compliance(model: AssembledModel, squeeze: Squeeze, nodes: np.ndarray) 
     long as A's.
     """
     dofs = _node_dofs(nodes)
-    projected = -model.rigid @ model.rigid[dofs].T
+    rigid = model.rigid[dofs]
+    projected = -model.rigid @ rigid.T
     projected[dofs, np.arange(dofs.size)] += 1.0
     y = model.lu.solve(projected)
     squeeze.compliance_slot[nodes] = squeeze.compliance_nodes.size + np.arange(nodes.size)
     squeeze.compliance_nodes = np.concatenate([squeeze.compliance_nodes, nodes])
+    squeeze.compliance_rigid = np.concatenate([squeeze.compliance_rigid, rigid])
     squeeze.compliance = np.concatenate([squeeze.compliance, (y - model.rigid @ (model.rigid.T @ y)).T])
 
 
@@ -766,24 +785,30 @@ def _newton_direction(model: AssembledModel, squeeze: Squeeze, contacts: _Contac
     """
     nodes = contacts.nodes
     k = nodes.size
+    n = 3 * k
     blocks = _contact_blocks(contacts, kp, model.mat.friction_mu)
     dofs = _node_dofs(nodes)
     z = squeeze.compliance[:, dofs]
     rigid_h = model.rigid[dofs]
     w = z[_node_dofs(squeeze.compliance_slot[nodes])].T
-    capacitance = np.block([
-        [np.eye(3 * k) + np.matmul(blocks, w.reshape(k, 3, 3 * k)).reshape(3 * k, 3 * k),
-         -np.matmul(blocks, rigid_h.reshape(k, 3, 6)).reshape(3 * k, 6)],
-        [rigid_h.T, model.reg * np.eye(6)],
-    ])
+    # filled block by block; the identity's zeros would change no bit but a
+    # zero's sign, so only its diagonal is added
+    capacitance = np.empty((n + 6, n + 6))
+    capacitance[:n, :n] = np.matmul(blocks, w.reshape(k, 3, n)).reshape(n, n)
+    np.negative(np.matmul(blocks, rigid_h.reshape(k, 3, 6)).reshape(n, 6), out=capacitance[:n, n:])
+    capacitance[n:, :n] = rigid_h.T
+    capacitance[n:, n:] = 0.0
+    diagonal = capacitance.reshape(-1)[::n + 7]
+    diagonal[:n] += 1.0
+    diagonal[n:] = model.reg
     rhs = np.concatenate([
         np.matmul(blocks, (z.T @ r).reshape(k, 3, 1)).ravel(),
-        model.rigid[_node_dofs(squeeze.compliance_nodes)].T @ r,
+        squeeze.compliance_rigid.T @ r,
     ])
     solution = np.linalg.solve(capacitance, rhs)
     dg = r.copy()
-    np.subtract.at(dg.reshape(-1, 3), squeeze.compliance_slot[nodes], solution[:3 * k].reshape(k, 3))
-    return dg, squeeze.compliance.T @ dg + model.rigid @ solution[3 * k:]
+    np.subtract.at(dg.reshape(-1, 3), squeeze.compliance_slot[nodes], solution[:n].reshape(k, 3))
+    return dg, squeeze.compliance.T @ dg + model.rigid @ solution[n:]
 
 
 def run_squeeze(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig) -> list[TrajectoryFrame]:
@@ -801,10 +826,12 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     """Yield (step_idx, u, report) for each converged step with finger contact.
 
     The gap shrinks by displacement_increment per step from just outside the
-    object.  Stops after the first step whose squeeze force (pad A's normal
-    force sum) reaches grasp.max_force, or when the gap runs out.  Yields
-    nothing when the pads never touch the object.  Raises SolverError from
-    the first step that does not converge.
+    object.  Steps are run from the first gap at which a rest node touches a
+    pad or the platform: before it, a step would converge at once to u = 0
+    and yield nothing.  Stops after the first step whose squeeze force (pad
+    A's normal force sum) reaches grasp.max_force, or when the gap runs out.
+    Yields nothing when the pads never touch the object.  Raises SolverError
+    from the first step that does not converge.
     """
     mesh = model.mesh
     axis = grasp.approach_axis
@@ -816,9 +843,15 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     u = np.zeros(3 * mesh.num_nodes)
     gap = gap0
     step_idx = 0
+    touched = False
     while gap - cfg.displacement_increment > 0.0:
         step_idx += 1
         gap = gap0 - step_idx * cfg.displacement_increment
+        # the contact-free approach is not stepped; quasi_static_step still
+        # refuses a gap <= 0
+        touched = touched or gap <= 0.0 or squeeze.contact_candidates(squeeze.surface_rest, gap)[1].size > 0
+        if not touched:
+            continue
         u, report = quasi_static_step(model, squeeze, gap, u, cfg)
         if np.all(report.contacts.kind == PLATFORM):
             continue

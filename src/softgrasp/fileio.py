@@ -231,12 +231,13 @@ def load_trajectory(path) -> TrajectoryFile:
 # Tetgen meshes.
 
 
-def _data_lines(text: str):
-    """Yield (lineno, tokens) for non-comment, non-blank lines."""
-    for i, raw in enumerate(text.splitlines()):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield i + 1, body.split()
+def _data_lines(text: str) -> list:
+    """(lineno, tokens) of each line with data: the part of the line before
+    its first '#', split at whitespace, when that holds a token."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [(i, toks) for i, toks in enumerate(map(str.split, lines), 1) if toks]
 
 
 def _to_int(token: str, lineno: int, what: str) -> int:
@@ -256,6 +257,64 @@ def _to_float(token: str, lineno: int, what: str) -> float:
     return val
 
 
+def _convert(tokens: list, kind, dtype) -> np.ndarray:
+    """kind(token) for each token (Python's int or float), as a dtype
+    array that stops before the first token kind rejects or dtype cannot
+    hold."""
+    try:
+        return np.fromiter(map(kind, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        pass
+    values = np.empty(len(tokens), dtype)
+    for i, token in enumerate(tokens):
+        try:
+            values[i] = kind(token)
+        except (ValueError, OverflowError):
+            return values[:i]
+    return values
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """The index of mask's first True, else default."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
+
+
+def _body(lines: list, count: int, per_line: int):
+    """(linenos, tokens, end) of a file's count body lines, end being the
+    first line with fewer than per_line tokens (count when none)."""
+    linenos, tokens = zip(*lines)
+    return linenos, tokens, _first(np.fromiter(map(len, tokens), np.intp, count) < per_line, count)
+
+
+def _node_line_error(toks: list, lineno: int, row: int, base, n_nodes: int, earlier: np.ndarray):
+    """Raise the ParseError of the node body's first bad line, row, whose
+    earlier lines passed every check and hold the indices earlier."""
+    if len(toks) < 4:
+        raise ParseError("node line needs <index> <x> <y> <z>", line=lineno)
+    idx = _to_int(toks[0], lineno, "node index")
+    if row == 0 and idx not in (0, 1):
+        raise ParseError(f"first node index must be 0 or 1, got {idx}", line=lineno)
+    if idx in earlier.tolist():
+        raise ParseError(f"duplicate node index {idx}", line=lineno)
+    if not (base <= idx < base + n_nodes):
+        raise ParseError(f"node index {idx} out of range", line=lineno)
+    for k in range(3):
+        _to_float(toks[1 + k], lineno, "coordinate")
+    raise AssertionError("node line passed every check")
+
+
+def _tet_line_error(toks: list, lineno: int, base: int, n_nodes: int):
+    """Raise the ParseError of the ele body's first bad line."""
+    if len(toks) < 5:
+        raise ParseError("tet line needs <index> and 4 node indices", line=lineno)
+    for k in range(4):
+        ref = _to_int(toks[1 + k], lineno, "tet node index")
+        if not (base <= ref < base + n_nodes):
+            raise ParseError(f"tet references unknown node {ref}", line=lineno)
+    raise AssertionError("tet line passed every check")
+
+
 def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
     """Parse Tetgen ASCII .node and .ele contents into a validated TetMesh.
 
@@ -264,8 +323,13 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
     tokens, and inverted tets report the offending line; a mesh that TetMesh
     rejects, such as one with a face shared by three tets, raises
     ParseError too.
+
+    Each file's body is checked in array passes, each over the lines before
+    the first line an earlier pass failed; the first failing line is then
+    checked token by token, as a line-by-line reader would, to name its
+    error.  Tokens are converted with Python's int and float.
     """
-    node_lines = list(_data_lines(node_text))
+    node_lines = _data_lines(node_text)
     if not node_lines:
         raise ParseError("empty node file", line=1)
     lineno, head = node_lines[0]
@@ -283,26 +347,25 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
             f"node count {n_nodes} does not match {len(body)} node lines", line=lineno
         )
 
-    base = None
-    ids: dict[int, int] = {}
-    coords = np.empty((n_nodes, 3))
-    for row, (ln, toks) in enumerate(body):
-        if len(toks) < 4:
-            raise ParseError("node line needs <index> <x> <y> <z>", line=ln)
-        idx = _to_int(toks[0], ln, "node index")
-        if base is None:
-            if idx not in (0, 1):
-                raise ParseError(f"first node index must be 0 or 1, got {idx}", line=ln)
-            base = idx
-        if idx in ids:
-            raise ParseError(f"duplicate node index {idx}", line=ln)
-        if not (base <= idx < base + n_nodes):
-            raise ParseError(f"node index {idx} out of range", line=ln)
-        ids[idx] = row
-        for k in range(3):
-            coords[row, k] = _to_float(toks[1 + k], ln, "coordinate")
+    linenos, toks, end = _body(body, n_nodes, 4)
+    ids = _convert([t[0] for t in toks[:end]], int, np.int64)
+    base = int(ids[0]) if ids.size else None
+    if base in (0, 1):
+        # a line fails when its index is out of range or repeats an earlier one's
+        fresh = np.zeros(ids.size, dtype=bool)
+        fresh[np.unique(ids, return_index=True)[1]] = True
+        end = _first(~fresh | (ids < base) | (ids >= base + n_nodes), ids.size)
+    else:
+        end = 0
+    coords = _convert([c for t in toks[:end] for c in t[1:4]], float, float)
+    end = min(end, coords.size // 3, _first(~np.isfinite(coords), coords.size) // 3)
+    if end < n_nodes:
+        _node_line_error(toks[end], linenos[end], end, base, n_nodes, ids[:end])
+    nodes = coords.reshape(n_nodes, 3)
+    row_of = np.empty(n_nodes, dtype=int)
+    row_of[ids - base] = np.arange(n_nodes)
 
-    ele_lines = list(_data_lines(ele_text))
+    ele_lines = _data_lines(ele_text)
     if not ele_lines:
         raise ParseError("empty ele file", line=1)
     lineno, head = ele_lines[0]
@@ -318,28 +381,24 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
     if len(body) != n_tets:
         raise ParseError(f"tet count {n_tets} does not match {len(body)} tet lines", line=lineno)
 
-    tets = np.empty((n_tets, 4), dtype=int)
-    tet_linenos = np.empty(n_tets, dtype=int)
-    for row, (ln, toks) in enumerate(body):
-        if len(toks) < 5:
-            raise ParseError("tet line needs <index> and 4 node indices", line=ln)
-        for k in range(4):
-            ref = _to_int(toks[1 + k], ln, "tet node index")
-            if ref not in ids:
-                raise ParseError(f"tet references unknown node {ref}", line=ln)
-            tets[row, k] = ids[ref]
-        tet_linenos[row] = ln
+    tet_linenos, toks, end = _body(body, n_tets, 5)
+    refs = _convert([r for t in toks[:end] for r in t[1:5]], int, np.int64)
+    # the node indices are base .. base + n_nodes - 1, each on one line
+    end = min(end, _first((refs < base) | (refs >= base + n_nodes), refs.size) // 4, refs.size // 4)
+    if end < n_tets:
+        _tet_line_error(toks[end], tet_linenos[end], base, n_nodes)
+    tets = row_of[refs - base].reshape(n_tets, 4)
 
-    vols = tet_volumes(coords, tets)
-    bad = np.nonzero(vols <= 0.0)[0]
-    if bad.size:
-        raise ParseError(
-            f"inverted or flat tet (signed volume {vols[bad[0]]:.3e})",
-            line=int(tet_linenos[bad[0]]),
-        )
     try:
-        return TetMesh(nodes=coords, tets=tets)
+        return TetMesh(nodes=nodes, tets=tets)
     except InvalidInputError as exc:
+        # a line-numbered inverted tet takes precedence over TetMesh's errors
+        vols = tet_volumes(nodes, tets)
+        bad = np.flatnonzero(vols <= 0.0)
+        if bad.size:
+            raise ParseError(
+                f"inverted or flat tet (signed volume {vols[bad[0]]:.3e})", line=tet_linenos[bad[0]],
+            ) from None
         raise ParseError(str(exc)) from None
 
 

@@ -242,7 +242,8 @@ def mutate_text(rng, text):
         toks = lines[i].split()
         if toks:
             j = rng.integers(0, len(toks))
-            toks[j] = ["-", "1e999", "NaN", '"x"', "[[", "0x1f"][rng.integers(0, 6)]
+            # a non-finite number, JSON and hex junk, an integer past int64
+            toks[j] = ["-", "1e999", "NaN", '"x"', "[[", "0x1f", "99999999999999999999"][rng.integers(0, 7)]
             lines[i] = " ".join(toks)
         return "\n".join(lines)
     if choice == 4:

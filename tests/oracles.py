@@ -8,7 +8,9 @@ checks the rank/bench squeeze's stopping rule, not its physics or metrics,
 and so scores with the library's own metrics.  direct_lu_squeeze checks
 the contact-space Newton solve, and so runs a full-space Newton loop of
 its own, with a direct sparse LU per step, on the library's model,
-contact law and frames.
+contact law and frames.  The earlier forms of faster library code are kept
+here too, each to be matched bit for bit: the stacked contact state, the
+squeeze that runs a step at every gap, and the line-by-line Tetgen reader.
 """
 
 from __future__ import annotations
@@ -431,3 +433,174 @@ def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
         eval_force=frame.squeeze_force,
         **q.values,
     )
+
+
+def stacked_contact_state(model, squeeze, gap, u, u_step_start, cfg):
+    """fem._contact_state as it was before it sliced rows by surface: the
+    three surfaces' depths stacked and masked at once, each surface's
+    rows gathered by mask, and the Coulomb scale applied to every row.
+    fem._contact_state must give the same record, field for field, byte
+    for byte."""
+    from softgrasp import fem
+
+    surf = model.mesh.surface_nodes
+    x = model.mesh.nodes[surf] + u.reshape(-1, 3)[surf]
+    kp = cfg.penalty_stiffness
+    mu = model.mat.friction_mu
+    rel = x - squeeze.center
+    s = rel @ squeeze.axis
+    in_pad = (np.abs(rel @ squeeze.t1) <= squeeze.halfwidth) & (np.abs(rel @ squeeze.t2) <= squeeze.halfwidth)
+    half = gap / 2.0
+    depth = np.stack([-half - s, s - half, squeeze.platform_height - x[:, 2]])
+    kind, rows = np.nonzero((depth > 0.0) & np.stack([in_pad, in_pad, np.ones_like(in_pad)]))
+    depth = depth[kind, rows]
+    nodes = surf[rows]
+    normal = squeeze.normals[kind]
+    fn = kp * depth
+    du = u.reshape(-1, 3)[nodes] - u_step_start.reshape(-1, 3)[nodes]
+    along = np.concatenate([du[kind == k] @ n for k, n in enumerate(squeeze.normals)])
+    slip_t = du - along[:, None] * normal
+    ft = -kp * slip_t
+    ft_norm = np.linalg.norm(ft, axis=1)
+    cap = mu * fn
+    slipping = ft_norm > cap
+    scale = np.ones_like(ft_norm)
+    scale[slipping] = cap[slipping] / ft_norm[slipping]
+    ft = ft * scale[:, None]
+    force = fn[:, None] * normal + ft
+    sdir = np.zeros_like(slip_t)
+    if np.any(slipping):
+        sdir[slipping] = slip_t[slipping] * (kp / ft_norm[slipping])[:, None]
+    return fem._Contacts(
+        kind=kind, nodes=nodes, normal=normal, depth=depth, fn=fn, force=force,
+        stick=~slipping, sdir=sdir, snorm=ft_norm / kp,
+    )
+
+
+def every_gap_squeeze_steps(model, grasp, cfg):
+    """fem.squeeze_steps as it was before it skipped the contact-free
+    approach: fem.quasi_static_step runs at every gap from just outside the
+    object, and the same steps are yielded."""
+    from softgrasp import fem
+
+    mesh = model.mesh
+    reach = float(np.max(np.abs((mesh.nodes - grasp.grasp_center) @ grasp.approach_axis)))
+    gap0 = 2.0 * reach + 2.0 * cfg.displacement_increment
+    squeeze = fem.Squeeze(model, grasp, cfg)
+    u = np.zeros(3 * mesh.num_nodes)
+    gap = gap0
+    step_idx = 0
+    while gap - cfg.displacement_increment > 0.0:
+        step_idx += 1
+        gap = gap0 - step_idx * cfg.displacement_increment
+        u, report = fem.quasi_static_step(model, squeeze, gap, u, cfg)
+        if np.all(report.contacts.kind == fem.PLATFORM):
+            continue
+        yield step_idx, u, report
+        if report.squeeze_force >= grasp.max_force:
+            return
+
+
+def line_parse_tet_mesh(node_text: str, ele_text: str):
+    """fileio.parse_tet_mesh as it was before it read in array passes: line
+    by line, token by token, each check raising at the first line and token
+    that fails it.  parse_tet_mesh must give the same nodes and tets, or
+    raise the same ParseError message with the same line."""
+    from softgrasp.errors import InvalidInputError, ParseError
+    from softgrasp.fem import TetMesh, tet_volumes
+
+    def data_lines(text):
+        for i, raw in enumerate(text.splitlines()):
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                yield i + 1, body.split()
+
+    def to_int(token, lineno, what):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"non-integer {what} {token!r}", line=lineno) from None
+
+    def to_float(token, lineno, what):
+        try:
+            val = float(token)
+        except ValueError:
+            raise ParseError(f"non-numeric {what} {token!r}", line=lineno) from None
+        if not np.isfinite(val):
+            raise ParseError(f"non-finite {what} {token!r}", line=lineno)
+        return val
+
+    node_lines = list(data_lines(node_text))
+    if not node_lines:
+        raise ParseError("empty node file", line=1)
+    lineno, head = node_lines[0]
+    if len(head) < 2:
+        raise ParseError("node header needs at least <count> <dim>", line=lineno)
+    n_nodes = to_int(head[0], lineno, "node count")
+    dim = to_int(head[1], lineno, "dimension")
+    if n_nodes < 1:
+        raise ParseError("node count must be >= 1", line=lineno)
+    if dim != 3:
+        raise ParseError(f"only 3D meshes supported, got dim {dim}", line=lineno)
+    body = node_lines[1:]
+    if len(body) != n_nodes:
+        raise ParseError(f"node count {n_nodes} does not match {len(body)} node lines", line=lineno)
+
+    base = None
+    ids = {}
+    coords = np.empty((n_nodes, 3))
+    for row, (ln, toks) in enumerate(body):
+        if len(toks) < 4:
+            raise ParseError("node line needs <index> <x> <y> <z>", line=ln)
+        idx = to_int(toks[0], ln, "node index")
+        if base is None:
+            if idx not in (0, 1):
+                raise ParseError(f"first node index must be 0 or 1, got {idx}", line=ln)
+            base = idx
+        if idx in ids:
+            raise ParseError(f"duplicate node index {idx}", line=ln)
+        if not (base <= idx < base + n_nodes):
+            raise ParseError(f"node index {idx} out of range", line=ln)
+        ids[idx] = row
+        for k in range(3):
+            coords[row, k] = to_float(toks[1 + k], ln, "coordinate")
+
+    ele_lines = list(data_lines(ele_text))
+    if not ele_lines:
+        raise ParseError("empty ele file", line=1)
+    lineno, head = ele_lines[0]
+    if len(head) < 2:
+        raise ParseError("ele header needs at least <count> <nodes-per-tet>", line=lineno)
+    n_tets = to_int(head[0], lineno, "tet count")
+    per = to_int(head[1], lineno, "nodes per tet")
+    if n_tets < 1:
+        raise ParseError("tet count must be >= 1", line=lineno)
+    if per != 4:
+        raise ParseError(f"only 4-node tets supported, got {per}", line=lineno)
+    body = ele_lines[1:]
+    if len(body) != n_tets:
+        raise ParseError(f"tet count {n_tets} does not match {len(body)} tet lines", line=lineno)
+
+    tets = np.empty((n_tets, 4), dtype=int)
+    tet_linenos = np.empty(n_tets, dtype=int)
+    for row, (ln, toks) in enumerate(body):
+        if len(toks) < 5:
+            raise ParseError("tet line needs <index> and 4 node indices", line=ln)
+        for k in range(4):
+            ref = to_int(toks[1 + k], ln, "tet node index")
+            if ref not in ids:
+                raise ParseError(f"tet references unknown node {ref}", line=ln)
+            tets[row, k] = ids[ref]
+        tet_linenos[row] = ln
+
+    vols = tet_volumes(coords, tets)
+    bad = np.nonzero(vols <= 0.0)[0]
+    if bad.size:
+        raise ParseError(
+            f"inverted or flat tet (signed volume {vols[bad[0]]:.3e})",
+            line=int(tet_linenos[bad[0]]),
+        )
+    try:
+        return TetMesh(nodes=coords, tets=tets)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc)) from None

@@ -44,7 +44,7 @@ from softgrasp.cli import (
     run_bench,
     sample_grasps,
 )
-from softgrasp.contact import WrenchSpaceConfig
+from softgrasp.contact import WrenchSpaceConfig, contact_centroid
 
 DATA = Path(__file__).parent / "data"
 # six frames: one contact, a two-point pinch (both flat), then full-rank hulls
@@ -321,6 +321,16 @@ class TestPipeline:
         for name in ("epsilon", "volume", "gravity"):
             assert ranked[name] == [at_desired[f"{name}_at_desired"]], name
         assert at_desired["desired_force_frame"] != "none" and float(at_desired["epsilon_at_desired"]) > 0.0
+
+    def test_rank_fixture_output(self, capsys):
+        # the mid-air box candidate's row as the squeeze printed it before it
+        # skipped the contact-free approach; CI compares the installed
+        # script's output with the same file
+        code, out, err = run_cli(capsys, "rank", "--node", str(DATA / "midair_box.node"),
+                                 "--ele", str(DATA / "midair_box.ele"), "--grasps", str(DATA / "midair_grasp.jsonl"),
+                                 "--config", str(DATA / "midair.cfg"))
+        assert (code, err) == (0, "")
+        assert out == (DATA / "midair_rank_fixture.tsv").read_text()
 
     def test_simulate_partial_failure_exit_1(self, workspace, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -980,8 +990,8 @@ def step_index(frame, rc):
     return round(frame.time / rc.sim.dt)
 
 
-def counted_run_candidate(payload, monkeypatch):
-    """_run_candidate's result and the quasi_static_step calls it made."""
+def counted_steps(monkeypatch, func, *args):
+    """func(*args) and the quasi_static_step calls it made."""
     calls = []
     real_step = fem.quasi_static_step
 
@@ -991,30 +1001,34 @@ def counted_run_candidate(payload, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(fem, "quasi_static_step", step)
-        return _run_candidate(payload), len(calls)
+        return func(*args), len(calls)
 
 
 class TestScoredFrameStop:
+    # Both squeezes of a grasp skip the same contact-free gaps, so the steps
+    # the full squeeze runs past the candidate's are the steps between
+    # their last frames.
+
     @pytest.mark.parametrize("name", ["box", "slab", "cylinder"])
     def test_equals_full_squeeze_evaluation(self, name, monkeypatch):
         mesh, cands = bench_candidates(name, 2)
         for i, cand in enumerate(cands):
-            frames = full_squeeze(mesh, cand, MIDAIR)
+            frames, full_steps = counted_steps(monkeypatch, full_squeeze, mesh, cand, MIDAIR)
             want = oracles.full_squeeze_evaluation(frames, mesh.nodes, MIDAIR, i)
-            got, steps = counted_run_candidate((i, mesh, cand, MIDAIR), monkeypatch)
+            got, steps = counted_steps(monkeypatch, _run_candidate, (i, mesh, cand, MIDAIR))
             assert want.status == "ok" and want.reached
             assert got == want
             # the squeeze stops at the scored frame, short of the full one
             scored = frames[desired_force_index(frames, MIDAIR.desired_force)]
-            assert steps == step_index(scored, MIDAIR) < step_index(frames[-1], MIDAIR)
+            assert full_steps - steps == step_index(frames[-1], MIDAIR) - step_index(scored, MIDAIR) > 0
 
     def test_max_force_below_desired_scores_last_frame(self, monkeypatch):
         mesh, cands = bench_candidates("box", 1)
         short = dataclasses.replace(cands[0], max_force=0.6 * MIDAIR.desired_force)
-        frames = full_squeeze(mesh, short, MIDAIR)
-        got, steps = counted_run_candidate((0, mesh, short, MIDAIR), monkeypatch)
+        frames, full_steps = counted_steps(monkeypatch, full_squeeze, mesh, short, MIDAIR)
+        got, steps = counted_steps(monkeypatch, _run_candidate, (0, mesh, short, MIDAIR))
         assert got == oracles.full_squeeze_evaluation(frames, mesh.nodes, MIDAIR, 0)
-        assert got.status == "ok" and not got.reached and steps == step_index(frames[-1], MIDAIR)
+        assert got.status == "ok" and not got.reached and steps == full_steps
 
     def test_model_freed_before_scoring(self, workspace, monkeypatch):
         # the model holds the LU and the squeeze its compliance columns;
@@ -1047,32 +1061,52 @@ class TestScoredFrameStop:
         assert _run_candidate((0, mesh, cand, rc)).status == "ok"
 
     def test_contact_points_built_for_kept_frames_only(self, monkeypatch):
-        # each step carries its contact record; ContactPoints are made for
-        # the first frame (the torque scale) and the scored frame alone
-        built, kept, touched = [], [], []
-        real_evaluate, real_steps = cli.evaluate_frames, cli.squeeze_steps
+        # each step carries its contact record; ContactPoints and a center of
+        # mass are made for the scored frame alone, and the torque scale's
+        # centroid is read off the first step's record
+        built, kept, touched, coms = [], [], [], []
+        real_evaluate, real_steps, real_com = cli.evaluate_frames, cli.squeeze_steps, fem.mesh_center_of_mass
 
         class CountedContactPoint(fem.ContactPoint):
             def __post_init__(self):
                 built.append(1)
                 super().__post_init__()
 
-        def evaluate(first, frame, *args):
-            kept.append(len(first.contacts) + len(frame.contacts))
-            return real_evaluate(first, frame, *args)
+        def evaluate(centroid, frame, *args):
+            kept.append(len(frame.contacts))
+            return real_evaluate(centroid, frame, *args)
 
         def squeeze_steps(*args):
             for step in real_steps(*args):
                 touched.append(step[0])
                 yield step
 
+        def com(*args):
+            coms.append(1)
+            return real_com(*args)
+
         monkeypatch.setattr(fem, "ContactPoint", CountedContactPoint)
+        monkeypatch.setattr(fem, "mesh_center_of_mass", com)
         monkeypatch.setattr(cli, "evaluate_frames", evaluate)
         monkeypatch.setattr(cli, "squeeze_steps", squeeze_steps)
         mesh, cands = bench_candidates("box", 1)
         assert _run_candidate((0, mesh, cands[0], MIDAIR)).status == "ok"
         assert len(touched) > 2
         assert len(built) == kept[0] > 0
+        assert len(coms) == 1
+
+    @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
+    def test_pad_centroid_is_the_first_frame_centroid(self, name):
+        # the torque scale's centroid, taken from a step's contact record,
+        # has the bytes of the contact centroid of that step's frame
+        mesh, cands = bench_candidates(name, 2)
+        model = assemble_model(mesh, MIDAIR.material)
+        for cand in cands:
+            steps = list(fem.squeeze_steps(model, cand, MIDAIR.sim))
+            assert steps
+            for step in steps:
+                want = contact_centroid(fem.step_frame(model, MIDAIR.sim, *step))
+                assert cli._pad_centroid(model, *step[1:]).tobytes() == want.tobytes()
 
     def test_failure_past_scored_frame_is_not_squeezed(self, workspace, capsys, monkeypatch, tmp_path):
         rc = load_run_config(workspace / "run.cfg")

@@ -642,16 +642,16 @@ class TestRunSqueeze:
 class TestFrameCenterOfMass:
     @pytest.mark.parametrize("entry", ["run_squeeze", "simulate"])
     def test_com_is_the_deformed_mesh_com(self, box_model, entry, monkeypatch, tmp_path):
-        # the displacement of every step, in step order
-        us = []
-        real_step = fem.quasi_static_step
+        # the displacement of every yielded step, by step index
+        us = {}
+        real_steps = fem.squeeze_steps
 
-        def step(*args):
-            u, report = real_step(*args)
-            us.append(u)
-            return u, report
+        def steps(*args):
+            for step_idx, u, report in real_steps(*args):
+                us[step_idx] = u
+                yield step_idx, u, report
 
-        monkeypatch.setattr(fem, "quasi_static_step", step)
+        monkeypatch.setattr(fem, "squeeze_steps", steps)
         grasp = box_grasp(max_force=6.0)
         if entry == "simulate":
             rc = cli.RunConfig(sim=SimConfig(platform_height=NO_PLATFORM))
@@ -665,7 +665,7 @@ class TestFrameCenterOfMass:
         assert len(frames) >= 3
         mesh = box_model.mesh
         for frame in frames:
-            u = us[round(frame.time / dt) - 1]
+            u = us[round(frame.time / dt)]
             com = mesh_center_of_mass(mesh.nodes + u.reshape(-1, 3), mesh.tets)
             assert frame.com.tobytes() == com.tobytes()
 
@@ -773,7 +773,8 @@ class TestWoodburySolve:
 
     def test_one_pad_frame_per_squeeze(self, box_model, monkeypatch):
         # the pad tangents are made once, by the squeeze's Squeeze, not per
-        # step
+        # step.  The box sits 0.1 mm into the platform, so every gap of the
+        # approach is a step, and the platform-only ones make no frame
         tangents, steps = [], []
         real_tangents, real_step = fem.orthonormal_tangents, fem.quasi_static_step
 
@@ -787,7 +788,8 @@ class TestWoodburySolve:
 
         monkeypatch.setattr(fem, "orthonormal_tangents", counted_tangents)
         monkeypatch.setattr(fem, "quasi_static_step", step)
-        frames = run_squeeze(box_model, box_grasp(max_force=6.0), pinch_config())
+        model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
+        frames = run_squeeze(model, SEATED_GRASP, SEATED_CONFIG)
         assert len(frames) >= 3 and len(steps) > len(frames)
         assert len(tangents) == 1
 
@@ -861,13 +863,13 @@ class TestWoodburySolve:
                 assert abs(got_frame.squeeze_force - want_frame.squeeze_force) <= cfg.convergence_tol
 
 
-def step_bits(model, grasp, cfg):
-    """Every squeeze_steps step of grasp on model, as bytes: its index, u
-    and its report's contact record, residual and Newton passes."""
+def step_bits(steps):
+    """Every step of a squeeze_steps iterator, as bytes: its index, u and
+    its report's contact record, residual and Newton passes."""
     return [
         (step_idx, u.tobytes(), report.residual, report.iterations)
         + tuple(getattr(report.contacts, name).tobytes() for name in RECORD_FIELDS)
-        for step_idx, u, report in fem.squeeze_steps(model, grasp, cfg)
+        for step_idx, u, report in steps
     ]
 
 
@@ -881,11 +883,46 @@ class TestSharedModel:
         cfg = pinch_config()
         grasps = [dataclasses.replace(c, max_force=rc.desired_force)
                   for c in cli.sample_grasps(box_model.mesh, 4, np.random.default_rng([0, 0]), rc)]
-        fresh = [step_bits(assemble_model(box_model.mesh, box_model.mat), g, cfg) for g in grasps]
+        fresh = [step_bits(fem.squeeze_steps(assemble_model(box_model.mesh, box_model.mat), g, cfg))
+                 for g in grasps]
         assert all(len(steps) >= 3 for steps in fresh)
         for order in (range(4), reversed(range(4))):
             for i in order:
-                assert step_bits(box_model, grasps[i], cfg) == fresh[i], i
+                assert step_bits(fem.squeeze_steps(box_model, grasps[i], cfg)) == fresh[i], i
+
+
+# a box seated 0.1 mm into the platform: its first contact is the platform,
+# at the first gap
+SEATED_GRASP = GraspCandidate((0.0, 0.0, 0.03), (1.0, 0.0, 0.0), 0.05, 6.0)
+SEATED_CONFIG = SimConfig(platform_height=1e-4)
+
+
+class TestSqueezeStepsOracle:
+    @pytest.mark.parametrize("case", ["pinch", "miss", "platform_first"])
+    def test_steps_match_every_gap_loop(self, box_model, case, monkeypatch):
+        # the same steps, bit for bit, as the loop that runs a step at every
+        # gap; only the gaps before the first rest contact are not stepped
+        model, grasp, cfg = box_model, box_grasp(max_force=6.0), pinch_config()
+        if case == "miss":
+            grasp = GraspCandidate((0.0, 0.5, 0.0), (1.0, 0, 0), 0.005, 10.0)
+        elif case == "platform_first":
+            model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
+            grasp, cfg = SEATED_GRASP, SEATED_CONFIG
+        calls = []
+        real_step = fem.quasi_static_step
+
+        def step(*args):
+            calls.append(args[2])
+            return real_step(*args)
+
+        monkeypatch.setattr(fem, "quasi_static_step", step)
+        got = step_bits(fem.squeeze_steps(model, grasp, cfg))
+        stepped = len(calls)
+        want = step_bits(oracles.every_gap_squeeze_steps(model, grasp, cfg))
+        assert got == want
+        assert (len(got) == 0) == (case == "miss")
+        skipped = len(calls) - 2 * stepped
+        assert skipped == {"pinch": 2, "miss": len(calls) - stepped, "platform_first": 0}[case]
 
 
 def contact_record(kind, nodes, normal, depth, stick, sdir, snorm):
@@ -1009,6 +1046,40 @@ class TestContactStateOracle:
         contacts = fem._contact_state(*args)
         assert_state_matches_surface_loop(contacts, *args)
         assert contacts.nodes.size == 0
+
+    @pytest.mark.parametrize("case", ["midair_pinch", "squeeze_platform_box00"])
+    def test_every_state_matches_stacked_state(self, box_model, case, monkeypatch):
+        # every contact state of a squeeze, field for field and byte for
+        # byte, against the record built by stacking and masking the three
+        # surfaces
+        if case == "midair_pinch":
+            # tilted pads sliding on a low-friction box
+            model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
+            grasp, cfg = SLIP_GRASP, pinch_config()
+        else:
+            # the benchmark's seed-0 squeeze-platform candidate box/00: the
+            # bench box on the platform, squeezed to 15 N
+            rc = cli.RunConfig()
+            mesh = cli.bench_mesh("box")
+            model, cfg = assemble_model(mesh, rc.material), rc.sim
+            grasp = dataclasses.replace(
+                cli.sample_grasps(mesh, 1, np.random.default_rng([0, 0]), rc)[0], max_force=15.0)
+        seen = []
+        original = fem._contact_state
+
+        def checked(*args):
+            got = original(*args)
+            want = oracles.stacked_contact_state(*args)
+            for name in RECORD_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            seen.append((fem.PLATFORM in got.kind, not got.stick.all()))
+            return got
+
+        monkeypatch.setattr(fem, "_contact_state", checked)
+        assert len(run_squeeze(model, grasp, cfg)) >= 3
+        assert any(slip for _, slip in seen)
+        assert any(platform for platform, _ in seen) == (case != "midair_pinch")
 
     def test_every_state_of_a_platform_squeeze_matches_surface_loop(self, box_model, monkeypatch):
         # the tilted pinch of a box on the platform

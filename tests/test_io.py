@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from helpers import (
     assert_frames_equal,
     make_frames,
@@ -289,6 +290,122 @@ class TestTetgenParsing:
         epath.write_text(UNIT_TET_ELE)
         mesh = load_tet_mesh(npath, epath)
         assert mesh.volume() == pytest.approx(1.0 / 6.0)
+
+
+def decorated_tetgen_text(mesh, base):
+    """tetgen_text of mesh with what Tetgen files may also hold: comment
+    lines, trailing comments, blank lines, whitespace runs and the optional
+    attribute and boundary-marker columns."""
+    node, ele = tetgen_text(mesh, base)
+    node_lines = node.splitlines()
+    node_lines[0] = f"{mesh.num_nodes} 3 1 1  # nodes, dim, attributes, markers"
+    node_lines[1:] = [f"{line}\t0.5 {i % 2}" + ("  # corner" if i % 7 == 0 else "")
+                      for i, line in enumerate(node_lines[1:])]
+    ele_lines = ele.splitlines()
+    ele_lines[0] = f"{mesh.num_tets}  4  1"
+    ele_lines[1:] = [f"  {line} {i % 3}" for i, line in enumerate(ele_lines[1:])]
+    return ("# Tetgen node file\n\n" + "\n".join(node_lines) + "\n\n",
+            "\n".join(ele_lines[:2]) + "\n   \n# a comment\n" + "\n".join(ele_lines[2:]) + "\n")
+
+
+def parse_outcome(parse, node, ele):
+    """A parse's mesh as the bytes, dtype and shape of its nodes and tets,
+    or its ParseError's message and line."""
+    try:
+        mesh = parse(node, ele)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "mesh", mesh.nodes.tobytes(), mesh.nodes.dtype, mesh.nodes.shape, mesh.tets.tobytes(), \
+        mesh.tets.dtype, mesh.tets.shape
+
+
+class TestTetgenParserOracle:
+    @pytest.fixture(scope="class")
+    def bench_texts(self):
+        from softgrasp import cli
+
+        return {(name, base): decorated_tetgen_text(cli.bench_mesh(name), base)
+                for name in cli.BENCH_OBJECTS for base in (0, 1)}
+
+    def test_bench_meshes_match_line_reader(self, bench_texts):
+        for (name, base), (node, ele) in bench_texts.items():
+            got = parse_outcome(parse_tet_mesh, node, ele)
+            assert got[0] == "mesh", (name, base)
+            assert got == parse_outcome(oracles.line_parse_tet_mesh, node, ele), (name, base)
+
+    def test_mutations_match_line_reader(self, bench_texts):
+        # 500 mutated copies of the bench texts, then each text with one or
+        # two edited tokens: the same mesh bytes, or the same ParseError
+        # message and line, as the line-by-line reader
+        rng = np.random.default_rng(34)
+        keys = list(bench_texts)
+        cases = []
+        for _ in range(500):
+            node, ele = bench_texts[keys[rng.integers(len(keys))]]
+            which = rng.integers(3)
+            cases.append((mutate_text(rng, node) if which != 1 else node,
+                          mutate_text(rng, ele) if which != 0 else ele))
+        huge = "99999999999999999999"  # past int64
+        for (_, base), (node, ele) in bench_texts.items():
+            past = str(base + len(data_line_numbers(node)) - 1)  # one past the last node index
+            node_edits = [[(1, 0, huge)], [(5, 0, huge)], [(5, 0, "-" + huge)], [(5, 0, str(base + 2))],
+                          [(5, 0, past)], [(5, 0, str(base - 1))], [(7, 2, "1e999")], [(7, 3, "nan")], [(7, 1, "-inf")],
+                          [(9, 3, "1,5")], [(9, 0, huge), (4, 2, "nan")], [(6, 0, "3.0")], [(6, 3, None)]]
+            ele_edits = [[(3, 2, huge)], [(3, 1, "x")], [(3, 4, str(base - 1))], [(3, 3, past)], [(6, 4, None)],
+                         [(3, 1, "x"), (2, 3, huge)]]
+            cases += [(edit_tokens(node, edits), ele) for edits in node_edits]
+            cases += [(node, edit_tokens(ele, edits)) for edits in ele_edits]
+            cases.append((node, swap_refs(ele, 3)))
+            cases.append((node, repeat_line(ele, 4)))
+            cases.append((edit_tokens(node, [(8, 1, "nan")]), edit_tokens(ele, [(1, 1, huge)])))
+        messages = []
+        for node, ele in cases:
+            want = parse_outcome(oracles.line_parse_tet_mesh, node, ele)
+            assert parse_outcome(parse_tet_mesh, node, ele) == want
+            if want[0] == "error":
+                messages.append(want[1])
+        for part in ("first node index must be 0 or 1, got 99999999999999999999",
+                     "node index 99999999999999999999 out of range", "node index -99999999999999999999 out",
+                     "duplicate node index", "non-integer node index", "non-numeric coordinate",
+                     "non-finite coordinate '1e999'", "non-finite coordinate 'nan'",
+                     "non-integer tet node index", "tet references unknown node 99999999999999999999",
+                     "node line needs", "tet line needs", "inverted or flat tet", "shared by more than two tets"):
+            assert any(part in m for m in messages), part
+
+
+def data_line_numbers(text):
+    """The 0-based numbers of text's lines that hold a token before any '#'."""
+    return [i for i, line in enumerate(text.split("\n")) if line.split("#", 1)[0].split()]
+
+
+def edit_tokens(text, edits):
+    """text with, for each (row, col, token) of edits, token col of its
+    row-th data line (0: the header) replaced, or cut from there on when
+    token is None."""
+    lines = text.split("\n")
+    rows = data_line_numbers(text)
+    for row, col, token in edits:
+        toks = lines[rows[row]].split("#", 1)[0].split()
+        if token is None:
+            del toks[col:]
+        else:
+            toks[col] = token
+        lines[rows[row]] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def swap_refs(ele, row):
+    """ele with the first two node references of its row-th tet swapped,
+    which turns the tet inside out."""
+    toks = ele.split("\n")[data_line_numbers(ele)[row]].split()
+    return edit_tokens(ele, [(row, 1, toks[2]), (row, 2, toks[1])])
+
+
+def repeat_line(ele, row):
+    """ele with its row-th tet's references copied onto the next tet, so
+    that tet's faces each join a third tet."""
+    toks = ele.split("\n")[data_line_numbers(ele)[row]].split()
+    return edit_tokens(ele, [(row + 1, col, toks[col]) for col in range(1, 5)])
 
 
 class TestGraspCandidates:
