@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg
 
+import softgrasp
 from softgrasp import ContactPoint, GravityConfig, TrajectoryFrame, frame_quality
 
 
 def quality(frame, cfg, metric: str, gcfg=GravityConfig(), proxy_dirs=None) -> float:
     """One metric of one frame, read off frame_quality's values."""
     return frame_quality(frame, cfg, gcfg, proxy_dirs).values[metric]
+
+
+def run_python(*args, **env):
+    """Run python with args in a fresh interpreter that imports this softgrasp."""
+    path = [str(Path(softgrasp.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 def random_unit(rng, d: int = 3) -> np.ndarray:

@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import json
 import os
-import subprocess
 import sys
 import weakref
 from concurrent.futures import Future
@@ -16,7 +15,7 @@ from scipy.spatial import QhullError
 
 import oracles
 import softgrasp
-from helpers import make_newton_solve_singular, tetgen_text
+from helpers import make_newton_solve_singular, run_python, tetgen_text
 from softgrasp import (
     ConfigError,
     SolverError,
@@ -867,13 +866,6 @@ class TestBenchAccounting:
             "WARNING softgrasp.cli: bench box candidate 3: empty (no contact frames)",
             "WARNING softgrasp.cli: bench box: 2 measured grasps, too few to rank",
         ]
-
-
-def run_python(*args, **env):
-    """Run python with args in a fresh interpreter that imports this softgrasp."""
-    path = [str(Path(softgrasp.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestStartupImports:

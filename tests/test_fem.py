@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from helpers import make_newton_solve_singular
+from helpers import make_newton_solve_singular, run_python
 from softgrasp import cli, fem
 from softgrasp import (
     GraspCandidate,
@@ -1048,7 +1049,7 @@ class TestContactStateOracle:
         assert contacts.nodes.size == 0
 
     @pytest.mark.parametrize("case", ["midair_pinch", "squeeze_platform_box00"])
-    def test_every_state_matches_stacked_state(self, box_model, case, monkeypatch):
+    def test_every_state_matches_stacked_state(self, box_model, case, monkeypatch, request):
         # every contact state of a squeeze, field for field and byte for
         # byte, against the record built by stacking and masking the three
         # surfaces
@@ -1058,7 +1059,17 @@ class TestContactStateOracle:
             grasp, cfg = SLIP_GRASP, pinch_config()
         else:
             # the benchmark's seed-0 squeeze-platform candidate box/00: the
-            # bench box on the platform, squeezed to 15 N
+            # bench box on the platform, squeezed to 15 N.  The benchmark
+            # runs it on one BLAS thread; the squeeze's dense solves sum in a
+            # thread-dependent order, and on two threads it does not converge
+            # (see README), so under any other count this case reruns in a
+            # fresh interpreter on one thread
+            if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+                test_id = f"{__file__}::{request.node.nodeid.split('::', 1)[1]}"
+                proc = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", test_id,
+                                  OPENBLAS_NUM_THREADS="1")
+                assert proc.returncode == 0 and re.search(r"^1 passed", proc.stdout, re.M), proc.stdout + proc.stderr
+                return
             rc = cli.RunConfig()
             mesh = cli.bench_mesh("box")
             model, cfg = assemble_model(mesh, rc.material), rc.sim
