@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -607,7 +608,10 @@ def cmd_hull_info(args, rc: RunConfig) -> int:
 # Parser and entry point.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse reads it
+    and leaves no value behind in it, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="softgrasp",
         description="Wrench-space grasp quality for deformable objects",

@@ -38,12 +38,14 @@ RIGID_REG_REL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TetMesh:
-    """Tetrahedral mesh in its rest configuration.
+    """Tetrahedral mesh in its rest configuration, read-only once built.
 
-    Tets must have positive signed volume.  rest_volumes (each tet's
+    nodes are numbers and tets whole numbers (2.5 is refused, not
+    truncated), each tet of positive signed volume; a face shared by three
+    or more tets marks a broken mesh.  rest_volumes (each tet's
     tet_volumes), surface_faces (outward-oriented boundary triangles) and
-    surface_nodes are derived at construction, not passed; a face shared by
-    three or more tets marks a broken mesh.
+    surface_nodes are derived at construction.  All five arrays are
+    read-only (nodes and tets are copies), so assembly trusts rest_volumes.
     """
 
     nodes: np.ndarray
@@ -53,8 +55,14 @@ class TetMesh:
     surface_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        tets = np.asarray(self.tets, dtype=int)
+        try:
+            nodes, tets = np.asarray(self.nodes), np.asarray(self.tets)
+        except ValueError:  # a ragged nesting of lists
+            raise InvalidInputError("nodes and tets must be rectangular arrays") from None
+        if nodes.dtype.kind not in "iuf":
+            raise InvalidInputError("node coordinates must be numbers")
+        if tets.dtype.kind not in "iuf" or (tets.dtype.kind == "f" and not np.all(tets == np.round(tets))):
+            raise InvalidInputError("tet node indices must be integers")
         if nodes.ndim != 2 or nodes.shape[1] != 3 or nodes.shape[0] < 4:
             raise InvalidInputError("nodes must be an (n >= 4, 3) array")
         if not np.all(np.isfinite(nodes)):
@@ -63,16 +71,17 @@ class TetMesh:
             raise InvalidInputError("tets must be an (m >= 1, 4) array")
         if tets.min() < 0 or tets.max() >= nodes.shape[0]:
             raise InvalidInputError("tet node index out of range")
+        nodes, tets = nodes.astype(float), tets.astype(int)
         vols = tet_volumes(nodes, tets)
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
             raise InvalidInputError(f"tet {bad[0]} has non-positive volume {vols[bad[0]]:.3e}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "tets", tets)
-        object.__setattr__(self, "rest_volumes", vols)
         faces = _extract_surface(tets)
-        object.__setattr__(self, "surface_faces", faces)
-        object.__setattr__(self, "surface_nodes", np.unique(faces))
+        arrays = dict(nodes=nodes, tets=tets, rest_volumes=vols, surface_faces=faces,
+                      surface_nodes=np.unique(faces))
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def num_nodes(self) -> int:
@@ -361,18 +370,14 @@ def _elastic_matrix(lam: float, mu: float) -> np.ndarray:
     return d
 
 
-def _tet_stiffness(coords: np.ndarray, lam: float, mu: float) -> np.ndarray:
+def _tet_stiffness(coords: np.ndarray, vols: np.ndarray, lam: float, mu: float) -> np.ndarray:
     """Element stiffness for a batch of linear tets.
 
-    ``coords`` is (m, 4, 3).  Returns ``ke`` of shape (m, 12, 12).  Raises
-    InvalidInputError when any element has non-positive volume, before
-    inverting.
+    ``coords`` is (m, 4, 3) and ``vols`` the tets' positive volumes, a
+    TetMesh's rest_volumes.  Returns ``ke`` of shape (m, 12, 12).
     """
     m = coords.shape[0]
     edges = coords[:, 1:, :] - coords[:, :1, :]
-    vols = np.linalg.det(edges) / 6.0
-    if np.any(vols <= 0.0):
-        raise InvalidInputError("inverted tet during assembly")
     # gradient of shape function i (i=1..3) is column i-1 of inv(edges)
     grads_rest = np.transpose(np.linalg.inv(edges), (0, 2, 1))
     grads = np.empty((m, 4, 3))
@@ -424,13 +429,14 @@ def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
     constant-strain tets, and the one factor of A = K + reg*I.
 
     The only place a mesh is assembled and factored; every squeeze reads the
-    model it is given.  Raises InvalidInputError on an inverted tet and
-    SolverError when A has a singular factor.
+    model it is given.  It trusts the TetMesh's checks, whose arrays are
+    read-only, and reuses its rest_volumes.  Raises SolverError when A has
+    a singular factor.
     """
     import scipy.sparse.linalg as spla  # loaded by the first assembly only
 
     lam, mu = mat.lame()
-    ke = _tet_stiffness(mesh.nodes[mesh.tets], lam, mu)
+    ke = _tet_stiffness(mesh.nodes[mesh.tets], mesh.rest_volumes, lam, mu)
     # int32 indices: coo_matrix would convert int64 ones to int32 (3n fits
     # it for any mesh whose ke fits in memory), so it takes these uncopied
     dofs = (3 * mesh.tets.astype(np.int32)[:, :, None] + np.arange(3, dtype=np.int32)).reshape(-1, 12)

@@ -257,62 +257,71 @@ def _to_float(token: str, lineno: int, what: str) -> float:
     return val
 
 
-def _convert(tokens: list, kind, dtype) -> np.ndarray:
-    """kind(token) for each token (Python's int or float), as a dtype
-    array that stops before the first token kind rejects or dtype cannot
-    hold."""
+def _read_nodes(body: list, n_nodes: int):
+    """(nodes, base, row_of) of the node body, row_of[i] being the row of
+    node index base + i, or None when a line is short, an index is not an
+    int64, the first one (base) is not 0 or 1, the indices are not base ..
+    base + n_nodes - 1 each once, or a coordinate is not a finite float."""
     try:
-        return np.fromiter(map(kind, tokens), dtype, len(tokens))
+        ids = np.fromiter(map(int, [t[0] for _, t in body]), np.int64, n_nodes)
+        coords = np.fromiter(map(float, [c for _, t in body for c in t[1:4]]), float, 3 * n_nodes)
     except (ValueError, OverflowError):
-        pass
-    values = np.empty(len(tokens), dtype)
-    for i, token in enumerate(tokens):
-        try:
-            values[i] = kind(token)
-        except (ValueError, OverflowError):
-            return values[:i]
-    return values
+        return None
+    base = int(ids[0])
+    ids -= base
+    if base not in (0, 1) or ids.min() < 0 or ids.max() >= n_nodes or not np.all(np.isfinite(coords)):
+        return None
+    row_of = np.empty(n_nodes, dtype=int)
+    row_of[ids] = np.arange(n_nodes)
+    if not np.array_equal(row_of[ids], np.arange(n_nodes)):  # a repeated index
+        return None
+    return coords.reshape(n_nodes, 3), base, row_of
 
 
-def _first(mask: np.ndarray, default: int) -> int:
-    """The index of mask's first True, else default."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
+def _read_tets(body: list, n_tets: int, base: int, row_of: np.ndarray):
+    """The (n_tets, 4) node rows of the ele body, or None when a line is
+    short or a node reference is not an int64 naming a node."""
+    try:
+        refs = np.fromiter(map(int, [r for _, t in body for r in t[1:5]]), np.int64, 4 * n_tets)
+    except (ValueError, OverflowError):
+        return None
+    refs -= base
+    if refs.min() < 0 or refs.max() >= row_of.size:
+        return None
+    return row_of[refs].reshape(n_tets, 4)
 
 
-def _body(lines: list, count: int, per_line: int):
-    """(linenos, tokens, end) of a file's count body lines, end being the
-    first line with fewer than per_line tokens (count when none)."""
-    linenos, tokens = zip(*lines)
-    return linenos, tokens, _first(np.fromiter(map(len, tokens), np.intp, count) < per_line, count)
+def _node_error(body: list, n_nodes: int):
+    """Raise the ParseError of the node body's first bad line and token."""
+    seen = set()
+    for lineno, toks in body:
+        if len(toks) < 4:
+            raise ParseError("node line needs <index> <x> <y> <z>", line=lineno)
+        idx = _to_int(toks[0], lineno, "node index")
+        if not seen:
+            if idx not in (0, 1):
+                raise ParseError(f"first node index must be 0 or 1, got {idx}", line=lineno)
+            base = idx
+        if idx in seen:
+            raise ParseError(f"duplicate node index {idx}", line=lineno)
+        if not (base <= idx < base + n_nodes):
+            raise ParseError(f"node index {idx} out of range", line=lineno)
+        seen.add(idx)
+        for token in toks[1:4]:
+            _to_float(token, lineno, "coordinate")
+    raise AssertionError("node body passed every check")
 
 
-def _node_line_error(toks: list, lineno: int, row: int, base, n_nodes: int, earlier: np.ndarray):
-    """Raise the ParseError of the node body's first bad line, row, whose
-    earlier lines passed every check and hold the indices earlier."""
-    if len(toks) < 4:
-        raise ParseError("node line needs <index> <x> <y> <z>", line=lineno)
-    idx = _to_int(toks[0], lineno, "node index")
-    if row == 0 and idx not in (0, 1):
-        raise ParseError(f"first node index must be 0 or 1, got {idx}", line=lineno)
-    if idx in earlier.tolist():
-        raise ParseError(f"duplicate node index {idx}", line=lineno)
-    if not (base <= idx < base + n_nodes):
-        raise ParseError(f"node index {idx} out of range", line=lineno)
-    for k in range(3):
-        _to_float(toks[1 + k], lineno, "coordinate")
-    raise AssertionError("node line passed every check")
-
-
-def _tet_line_error(toks: list, lineno: int, base: int, n_nodes: int):
-    """Raise the ParseError of the ele body's first bad line."""
-    if len(toks) < 5:
-        raise ParseError("tet line needs <index> and 4 node indices", line=lineno)
-    for k in range(4):
-        ref = _to_int(toks[1 + k], lineno, "tet node index")
-        if not (base <= ref < base + n_nodes):
-            raise ParseError(f"tet references unknown node {ref}", line=lineno)
-    raise AssertionError("tet line passed every check")
+def _tet_error(body: list, base: int, n_nodes: int):
+    """Raise the ParseError of the ele body's first bad line and token."""
+    for lineno, toks in body:
+        if len(toks) < 5:
+            raise ParseError("tet line needs <index> and 4 node indices", line=lineno)
+        for token in toks[1:5]:
+            ref = _to_int(token, lineno, "tet node index")
+            if not (base <= ref < base + n_nodes):
+                raise ParseError(f"tet references unknown node {ref}", line=lineno)
+    raise AssertionError("ele body passed every check")
 
 
 def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
@@ -324,10 +333,9 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
     rejects, such as one with a face shared by three tets, raises
     ParseError too.
 
-    Each file's body is checked in array passes, each over the lines before
-    the first line an earlier pass failed; the first failing line is then
-    checked token by token, as a line-by-line reader would, to name its
-    error.  Tokens are converted with Python's int and float.
+    Each file's body is converted (with Python's int and float) and checked
+    in one array pass; only a body that fails it is walked line by line to
+    name its first bad line and token, as a line-by-line reader would.
     """
     node_lines = _data_lines(node_text)
     if not node_lines:
@@ -343,27 +351,11 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
         raise ParseError(f"only 3D meshes supported, got dim {dim}", line=lineno)
     body = node_lines[1:]
     if len(body) != n_nodes:
-        raise ParseError(
-            f"node count {n_nodes} does not match {len(body)} node lines", line=lineno
-        )
-
-    linenos, toks, end = _body(body, n_nodes, 4)
-    ids = _convert([t[0] for t in toks[:end]], int, np.int64)
-    base = int(ids[0]) if ids.size else None
-    if base in (0, 1):
-        # a line fails when its index is out of range or repeats an earlier one's
-        fresh = np.zeros(ids.size, dtype=bool)
-        fresh[np.unique(ids, return_index=True)[1]] = True
-        end = _first(~fresh | (ids < base) | (ids >= base + n_nodes), ids.size)
-    else:
-        end = 0
-    coords = _convert([c for t in toks[:end] for c in t[1:4]], float, float)
-    end = min(end, coords.size // 3, _first(~np.isfinite(coords), coords.size) // 3)
-    if end < n_nodes:
-        _node_line_error(toks[end], linenos[end], end, base, n_nodes, ids[:end])
-    nodes = coords.reshape(n_nodes, 3)
-    row_of = np.empty(n_nodes, dtype=int)
-    row_of[ids - base] = np.arange(n_nodes)
+        raise ParseError(f"node count {n_nodes} does not match {len(body)} node lines", line=lineno)
+    read = _read_nodes(body, n_nodes)
+    if read is None:
+        _node_error(body, n_nodes)
+    nodes, base, row_of = read
 
     ele_lines = _data_lines(ele_text)
     if not ele_lines:
@@ -380,14 +372,9 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
     body = ele_lines[1:]
     if len(body) != n_tets:
         raise ParseError(f"tet count {n_tets} does not match {len(body)} tet lines", line=lineno)
-
-    tet_linenos, toks, end = _body(body, n_tets, 5)
-    refs = _convert([r for t in toks[:end] for r in t[1:5]], int, np.int64)
-    # the node indices are base .. base + n_nodes - 1, each on one line
-    end = min(end, _first((refs < base) | (refs >= base + n_nodes), refs.size) // 4, refs.size // 4)
-    if end < n_tets:
-        _tet_line_error(toks[end], tet_linenos[end], base, n_nodes)
-    tets = row_of[refs - base].reshape(n_tets, 4)
+    tets = _read_tets(body, n_tets, base, row_of)
+    if tets is None:
+        _tet_error(body, base, n_nodes)
 
     try:
         return TetMesh(nodes=nodes, tets=tets)
@@ -397,7 +384,7 @@ def parse_tet_mesh(node_text: str, ele_text: str) -> TetMesh:
         bad = np.flatnonzero(vols <= 0.0)
         if bad.size:
             raise ParseError(
-                f"inverted or flat tet (signed volume {vols[bad[0]]:.3e})", line=tet_linenos[bad[0]],
+                f"inverted or flat tet (signed volume {vols[bad[0]]:.3e})", line=body[bad[0]][0],
             ) from None
         raise ParseError(str(exc)) from None
 

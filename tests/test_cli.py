@@ -331,6 +331,33 @@ class TestPipeline:
         assert (code, err) == (0, "")
         assert out == (DATA / "midair_rank_fixture.tsv").read_text()
 
+    def test_simulate_trajectory_fixture_output(self, capsys, tmp_path):
+        # every squeeze frame of the mid-air box candidate, as simulate wrote
+        # it before the mesh arrays became read-only; CI compares the
+        # installed script's output with the same file
+        code, out, err = run_cli(capsys, "simulate", "--node", str(DATA / "midair_box.node"),
+                                 "--ele", str(DATA / "midair_box.ele"), "--grasps", str(DATA / "midair_grasp.jsonl"),
+                                 "--config", str(DATA / "midair.cfg"), "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        fixture = (DATA / "midair_trajectory_fixture.jsonl").read_bytes()
+        assert (tmp_path / "grasp_000.jsonl").read_bytes() == fixture
+
+    def test_shared_parser_keeps_no_flag_between_calls(self, capsys):
+        # main parses with one parser per process; a call's flags must not
+        # become the next call's defaults
+        assert cli.build_parser() is cli.build_parser()
+        args = ["rank", "--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele"),
+                "--grasps", str(DATA / "midair_grasp.jsonl"), "--config", str(DATA / "midair.cfg")]
+        flagged = cli.build_parser().parse_args(args + ["--desired-force", "3", "--jobs", "2"])
+        plain = cli.build_parser().parse_args(args)
+        assert (flagged.desired_force, flagged.jobs, plain.desired_force, plain.jobs) == (3.0, 2, None, 1)
+        code, out, err = run_cli(capsys, *args, "--desired-force", "3", "--jobs", "2")
+        assert (code, err) == (0, "")
+        assert out != (DATA / "midair_rank_fixture.tsv").read_text()
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        assert out == (DATA / "midair_rank_fixture.tsv").read_text()
+
     def test_simulate_partial_failure_exit_1(self, workspace, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "simulate",

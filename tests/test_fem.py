@@ -196,6 +196,32 @@ class TestTetMeshValidation:
         with pytest.raises(InvalidInputError, match="shared by more than two tets"):
             TetMesh(nodes=nodes, tets=tets)
 
+    @pytest.mark.parametrize("tets", [[[0.0, 1.9, 2.2, 3.7]], [[0, 1, 2, 3.5]], [[0, 1, 2, np.nan]],
+                                      [["0", "1", "2", "3"]], [[0, 1, 2, None]]])
+    def test_non_integral_indices_rejected(self, tets):
+        # a fractional index used to be truncated to a valid mesh
+        with pytest.raises(InvalidInputError, match="tet node indices must be integers"):
+            TetMesh(nodes=self.unit_tet(), tets=tets)
+
+    def test_integral_indices_build_the_integer_mesh(self):
+        want = TetMesh(nodes=self.unit_tet(), tets=[[0, 1, 2, 3]])
+        for tets in (np.array([[0, 1, 2, 3]], dtype=np.int32), [[0.0, 1.0, 2.0, 3.0]]):
+            mesh = TetMesh(nodes=self.unit_tet(), tets=tets)
+            assert mesh.tets.dtype == want.tets.dtype
+            assert np.array_equal(mesh.tets, want.tets)
+
+    @pytest.mark.parametrize("nodes", [[["0", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                       [["x", 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                       [[None, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    def test_non_numeric_coordinates_rejected(self, nodes):
+        with pytest.raises(InvalidInputError, match="node coordinates must be numbers"):
+            TetMesh(nodes=nodes, tets=[[0, 1, 2, 3]])
+
+    def test_ragged_nodes_rejected(self):
+        nodes = [[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0]]
+        with pytest.raises(InvalidInputError, match="rectangular"):
+            TetMesh(nodes=nodes, tets=[[0, 1, 2, 3]])
+
     def test_bad_shapes(self):
         with pytest.raises(InvalidInputError, match=re.escape("nodes must be an (n >= 4, 3) array")):
             TetMesh(nodes=self.unit_tet()[:3], tets=[[0, 1, 2, 3]])
@@ -328,14 +354,23 @@ class TestAssembly:
             u[ax::3] = 1.0
             assert np.abs(k @ u).max() <= 1e-12 * scale
 
-    def test_tet_inverted_after_construction_rejected(self):
-        mesh = TetMesh(
-            nodes=np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
-            tets=[[0, 1, 2, 3]],
-        )
-        mesh.nodes[[1, 2]] = mesh.nodes[[2, 1]]  # node arrays stay mutable
-        with pytest.raises(InvalidInputError, match="inverted tet during assembly"):
-            assemble_model(mesh, MaterialParams())
+    def test_mesh_arrays_are_read_only_copies(self):
+        # assembly reuses rest_volumes, so no array a mesh was checked and
+        # derived from may change after construction; the caller's arrays
+        # are copied, not frozen
+        nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        tets = np.array([[0, 1, 2, 3]])
+        mesh = TetMesh(nodes=nodes, tets=tets)
+        for name in ("nodes", "tets", "rest_volumes", "surface_faces", "surface_nodes"):
+            arr = getattr(mesh, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[-1]
+        nodes[[1, 2]] = nodes[[2, 1]]
+        tets[0, 0] = 3
+        assert np.array_equal(nodes, [[0.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0], [0, 0, 1.0]])
+        assert np.array_equal(tets, [[3, 1, 2, 3]])
+        assert mesh.volume() == pytest.approx(1.0 / 6.0)
+        assert np.array_equal(mesh.tets, [[0, 1, 2, 3]])
 
     @pytest.mark.parametrize("name", list(cli.BENCH_OBJECTS))
     def test_int32_indices_assemble_the_int64_stiffness(self, name):
@@ -347,7 +382,7 @@ class TestAssembly:
         dofs = (3 * mesh.tets.astype(np.int64)[:, :, None] + np.arange(3)).reshape(-1, 12)
         rows = np.repeat(dofs, 12, axis=1).ravel()
         cols = np.tile(dofs, (1, 12)).ravel()
-        ke = fem._tet_stiffness(mesh.nodes[mesh.tets], *mat.lame())
+        ke = fem._tet_stiffness(mesh.nodes[mesh.tets], mesh.rest_volumes, *mat.lame())
         n3 = 3 * mesh.num_nodes
         expected = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n3, n3)).tocsr()
         for part in ("data", "indices", "indptr"):

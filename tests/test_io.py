@@ -277,6 +277,11 @@ class TestTetgenParsing:
         node = UNIT_TET_NODE.replace("\n1 0.0 0.0 0.0", "\n2 0.0 0.0 0.0")
         with pytest.raises(ParseError, match="0 or 1"):
             parse_tet_mesh(node, UNIT_TET_ELE)
+        # consistent 2-based numbering: every index in range, none repeated
+        node, ele = tetgen_text(parse_tet_mesh(UNIT_TET_NODE, UNIT_TET_ELE), base=2)
+        with pytest.raises(ParseError, match="first node index must be 0 or 1, got 2") as exc:
+            parse_tet_mesh(node, ele)
+        assert exc.value.line == 2
 
     def test_short_node_line(self):
         node = UNIT_TET_NODE.replace("4 0.0 0.0 1.0", "4 0.0 0.0")
