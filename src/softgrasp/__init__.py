@@ -1,8 +1,8 @@
 """Time-dependent grasp wrench spaces and quality metrics for soft objects.
 
-The pipeline: simulate a parallel-jaw squeeze on a tetrahedral FEM mesh
-(fem), turn each contact snapshot into a friction-cone wrench hull
-(contact, geom), and score grasps with epsilon, volume, and
+The pipeline: squeeze a tetrahedral FEM mesh between parallel jaws
+(fem.squeeze_frames), turn each contact snapshot into a friction-cone
+wrench hull (contact, geom), and score grasps with epsilon, volume, and
 gravity-resistant quality metrics (metrics).  fileio persists meshes,
 trajectories, and grasp candidates; cli ties it all together.
 """
@@ -36,7 +36,7 @@ from .fem import (
     generate_primitive_mesh,
     mesh_center_of_mass,
     quasi_static_step,
-    run_squeeze,
+    squeeze_frames,
     tet_volumes,
 )
 from .fileio import (

@@ -5,7 +5,8 @@ go to stderr as logging records, "LEVEL logger: message": one per failed or
 empty candidate and per normalized grasp axis, and with -v also qhull's
 joggle retries.  The library layers return outcomes; the commands report
 them, each once.  Exit codes: 0 success, 1 partial per-item failure, 2 config
-or I/O error.  A rank or bench candidate whose squeeze or wrench hull fails
+or I/O error.  simulate, rank and bench squeeze through fem.squeeze_frames,
+and a rank or bench candidate whose squeeze or wrench hull fails
 (SolverError, HullError) is a failed row.  When qhull cannot build a
 frame's wrench hull even from joggled input, metric and hull-info print
 "error: ..." to stderr, nothing to stdout, and exit 1.  All sampling is
@@ -39,10 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .contact import WrenchSpaceConfig, contact_centroid, default_torque_scale, orthonormal_tangents
+from .contact import WrenchSpaceConfig, default_torque_scale, orthonormal_tangents
 from .errors import ConfigError, HullError, InvalidInputError, ParseError, SolverError, check_fields, finite, integer
 from .fem import (
-    PLATFORM,
     GraspCandidate,
     MaterialParams,
     SimConfig,
@@ -50,9 +50,7 @@ from .fem import (
     assemble_model,
     generate_primitive_mesh,
     mesh_center_of_mass,
-    run_squeeze,
-    squeeze_steps,
-    step_frame,
+    squeeze_frames,
 )
 from .metrics import (
     METRIC_NAMES,
@@ -218,40 +216,25 @@ def evaluate_frames(centroid, frame, mesh_nodes, rc: RunConfig, index: int) -> G
     )
 
 
-def _pad_centroid(model, u, report) -> np.ndarray:
-    """The contact centroid of a squeeze step's frame, bit for bit, without
-    building the frame: the mean of its pad contacts' deformed positions."""
-    nodes = report.contacts.nodes[report.contacts.kind != PLATFORM]
-    return np.mean(model.mesh.nodes[nodes] + u.reshape(-1, 3)[nodes], axis=0)
-
-
 def _run_candidate(payload) -> GraspEvaluation:
     """Squeeze a rank or bench candidate up to the frame they score, and score it.
 
     That is the first frame to reach desired_force, so the squeeze stops
-    there.  Only the first step's contact centroid (for the torque scale)
-    and the latest step are kept; a frame is built for the scored step
-    alone.  The model (its sparse factor) and the squeeze (its dense
-    compliance columns) are freed before the frame's hull is built.  A
-    SolverError, from assembly or a step, or a HullError makes a failed
-    candidate.
+    there, and squeeze_frames builds that frame alone.  Only the driver
+    holds the model (its sparse factor) and the squeeze (its compliance
+    columns), so both are freed before the hull is built.  A SolverError,
+    from assembly or a step, or a HullError makes a failed candidate.
     """
     index, mesh, cand, rc = payload
     grasp = dataclasses.replace(cand, max_force=min(cand.max_force, rc.desired_force))
-    centroid = last = None
     try:
-        model = assemble_model(mesh, rc.material)
-        for last in squeeze_steps(model, grasp, rc.sim):
-            if centroid is None:
-                centroid = _pad_centroid(model, *last[1:])
+        frames, centroid = squeeze_frames(assemble_model(mesh, rc.material), grasp, rc.sim, every_frame=False)
     except SolverError as exc:
         return GraspEvaluation(index, "failed", message=str(exc))
-    if last is None:
+    if not frames:
         return GraspEvaluation(index, "empty", message="no contact frames")
-    frame = step_frame(model, rc.sim, *last)
-    del model
     try:
-        return evaluate_frames(centroid, frame, mesh.nodes, rc, index)
+        return evaluate_frames(centroid, frames[0], mesh.nodes, rc, index)
     except HullError as exc:
         return GraspEvaluation(index, "failed", message=str(exc))
 
@@ -356,14 +339,12 @@ def _simulate_worker(payload):
     index, mesh, cand, rc, out_path, object_name = payload
     try:
         model = assemble_model(mesh, rc.material)
-        frames = run_squeeze(model, cand, rc.sim)
+        frames, centroid = squeeze_frames(model, cand, rc.sim)
     except SolverError as exc:
         return (index, "failed", 0, str(exc), "")
-    if frames:
-        centroid0 = contact_centroid(frames[0])
-    else:
-        centroid0 = mesh_center_of_mass(mesh.nodes, mesh.tets)
-    rho = rc.resolve_rho(mesh.nodes, centroid0)
+    if centroid is None:
+        centroid = mesh_center_of_mass(mesh.nodes, mesh.tets)
+    rho = rc.resolve_rho(mesh.nodes, centroid)
     header = fileio.TrajectoryHeader(
         object_name=object_name, mass=model.mass, material=model.mat, torque_scale_rho=rho
     )

@@ -4,8 +4,9 @@ Two rigid square finger pads close along an approach axis on a linear-elastic
 tet mesh resting on a platform plane.  Contact is penalty-based (normal force
 k_p * depth plus Coulomb-capped tangential force against the tangential slip
 accumulated within the step), and every closing increment is solved to elastic
-equilibrium with a Newton loop on the residual.  Converged increments with
-finger contact are emitted as TrajectoryFrames for the metric pipeline.
+equilibrium with a Newton loop on the residual.  squeeze_frames, the one
+squeeze driver, emits converged increments with finger contact as
+TrajectoryFrames, and their pad-contact centroid, for the metric pipeline.
 
 assemble_model is the one caller of SuperLU, so it imports
 scipy.sparse.linalg on its first call: a process that scores trajectories
@@ -45,7 +46,8 @@ class TetMesh:
     or more tets marks a broken mesh.  rest_volumes (each tet's
     tet_volumes), surface_faces (outward-oriented boundary triangles) and
     surface_nodes are derived at construction.  All five arrays are
-    read-only (nodes and tets are copies), so assembly trusts rest_volumes.
+    read-only (nodes and tets are copies), also in an unpickled copy, so
+    assembly trusts rest_volumes.
     """
 
     nodes: np.ndarray
@@ -77,8 +79,11 @@ class TetMesh:
         if bad.size:
             raise InvalidInputError(f"tet {bad[0]} has non-positive volume {vols[bad[0]]:.3e}")
         faces = _extract_surface(tets)
-        arrays = dict(nodes=nodes, tets=tets, rest_volumes=vols, surface_faces=faces,
-                      surface_nodes=np.unique(faces))
+        self.__setstate__(dict(nodes=nodes, tets=tets, rest_volumes=vols, surface_faces=faces,
+                               surface_nodes=np.unique(faces)))
+
+    def __setstate__(self, arrays):
+        # unpickling skips __post_init__ and restores the arrays writable
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -817,17 +822,6 @@ def _newton_direction(model: AssembledModel, squeeze: Squeeze, contacts: _Contac
     return dg, squeeze.compliance.T @ dg + model.rigid @ solution[n:]
 
 
-def run_squeeze(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig) -> list[TrajectoryFrame]:
-    """Close the fingers on the model's object and record contact frames.
-
-    One frame per squeeze_steps increment (time = global step index * dt,
-    squeeze_force = pad A's normal force sum, com recomputed from the
-    deformed mesh).  A squeeze that never touches the object returns an
-    empty list: that is the miss signal, which the command reports.
-    """
-    return [step_frame(model, cfg, *step) for step in squeeze_steps(model, grasp, cfg)]
-
-
 def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
     """Yield (step_idx, u, report) for each converged step with finger contact.
 
@@ -868,7 +862,8 @@ def squeeze_steps(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
 
 def step_frame(model: AssembledModel, cfg: SimConfig, step_idx: int, u, report) -> TrajectoryFrame:
     """The frame of one squeeze_steps increment: its pad contacts at their
-    deformed positions, and its deformed center of mass."""
+    deformed positions, time step_idx * dt, squeeze_force pad A's normal
+    force sum and the deformed mesh's center of mass."""
     deformed = model.mesh.nodes + u.reshape(-1, 3)
     c = report.contacts
     on_pad = c.kind != PLATFORM
@@ -882,3 +877,25 @@ def step_frame(model: AssembledModel, cfg: SimConfig, step_idx: int, u, report) 
         com=mesh_center_of_mass(deformed, model.mesh.tets),
         mass=model.mass,
     )
+
+
+def squeeze_frames(model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig, every_frame: bool = True):
+    """Close the fingers on the model's object: (frames, centroid).
+
+    The one squeeze driver.  frames holds the step_frame of every
+    squeeze_steps step, or with every_frame False the last step's alone.
+    centroid, the contact centroid of the first step's frame, is read off
+    that step's contact record without building that frame.  A miss
+    returns ([], None); a step that does not converge raises SolverError.
+    """
+    frames, centroid, last = [], None, None
+    for last in squeeze_steps(model, grasp, cfg):
+        if centroid is None:
+            _, u, report = last
+            pads = report.contacts.nodes[report.contacts.kind != PLATFORM]
+            centroid = np.mean(model.mesh.nodes[pads] + u.reshape(-1, 3)[pads], axis=0)
+        if every_frame:
+            frames.append(step_frame(model, cfg, *last))
+    if not every_frame and last is not None:
+        frames.append(step_frame(model, cfg, *last))
+    return frames, centroid

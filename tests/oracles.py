@@ -310,7 +310,7 @@ def direct_quasi_static_step(model, squeeze, gap, u_start, cfg):
 
 
 def direct_lu_squeeze(model, grasp, cfg):
-    """(status, frames) of fem.run_squeeze on model with every step solved by
+    """(status, frames) of fem.squeeze_frames on model with every step solved by
     direct_quasi_static_step: "ok" with its frames, "empty" without frames,
     or "failed" with none when a step raises SolverError.  The gap schedule
     and the stop at max_force are fem.squeeze_steps'."""

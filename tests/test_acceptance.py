@@ -32,7 +32,7 @@ from softgrasp.fem import (
     MaterialParams,
     assemble_model,
     generate_primitive_mesh,
-    run_squeeze,
+    squeeze_frames,
 )
 from softgrasp.geom import (
     convex_hull,
@@ -345,7 +345,7 @@ def box_sweep():
         max_force=20.0,
     )
     t0 = time.perf_counter()
-    frames = run_squeeze(assemble_model(mesh, rc.material), cand, rc.sim)
+    frames = squeeze_frames(assemble_model(mesh, rc.material), cand, rc.sim)[0]
     squeeze_s = time.perf_counter() - t0
 
     rho = default_torque_scale(mesh.nodes, contact_centroid(frames[0]))

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import sys
 import weakref
 from concurrent.futures import Future
@@ -29,7 +30,6 @@ from softgrasp import (
     load_tet_mesh,
     load_trajectory,
     metrics,
-    run_squeeze,
 )
 from softgrasp.cli import (
     BENCH_OBJECTS,
@@ -403,6 +403,33 @@ class TestPipeline:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_simulate_jobs_deterministic(self, workspace, capsys, tmp_path):
+        # two hits and a miss: with --jobs 2 a worker process squeezes the
+        # first on an unpickled mesh while the calling process runs the rest
+        grasps = tmp_path / "three.jsonl"
+        grasps.write_text(
+            (workspace / "good.jsonl").read_text() + (workspace / "with_miss.jsonl").read_text().splitlines()[1] + "\n"
+        )
+        out_dir = tmp_path / "traj"
+        args = (
+            "simulate",
+            "--node", str(workspace / "box.node"),
+            "--ele", str(workspace / "box.ele"),
+            "--grasps", str(grasps),
+            "--out-dir", str(out_dir),
+            "--config", str(workspace / "run.cfg"),
+        )
+        runs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, *args, "--jobs", jobs)
+            runs.append((code, out, {path.name: path.read_bytes() for path in out_dir.iterdir()}))
+            shutil.rmtree(out_dir)
+        assert runs[0] == runs[1]
+        code, out, files = runs[0]
+        assert code == 1
+        assert [row.split("\t")[1] for row in out.splitlines()[1:]] == ["ok", "ok", "empty"]
+        assert sorted(files) == ["grasp_000.jsonl", "grasp_001.jsonl", "grasp_002.jsonl"]
+
     # pool: the worker count asked of the executor, beside the calling
     # process; None when the loop runs
     @pytest.mark.parametrize("jobs, count, pool", [(64, 2, 1), (2, 5, 1), (3, 1, None), (1, 4, None)])
@@ -765,7 +792,7 @@ class TestExitCodes:
         def no_squeeze(*args, **kwargs):
             raise AssertionError("squeezed before the grasp count was checked")
 
-        monkeypatch.setattr("softgrasp.cli.squeeze_steps", no_squeeze)
+        monkeypatch.setattr("softgrasp.cli.squeeze_frames", no_squeeze)
         code, _, err = run_cli(capsys, "bench", "--objects", "box", "--grasps-per-object", count)
         assert code == 2
         assert "--grasps-per-object must be >= 3" in err
@@ -793,7 +820,7 @@ class TestExitCodes:
         def no_squeeze(*args, **kwargs):
             raise AssertionError("squeezed before every object name was checked")
 
-        monkeypatch.setattr("softgrasp.cli.squeeze_steps", no_squeeze)
+        monkeypatch.setattr("softgrasp.cli.squeeze_frames", no_squeeze)
         code, out, err = run_cli(capsys, "bench", "--objects", "box,teapot")
         assert code == 2
         assert out == ""
@@ -1001,7 +1028,7 @@ def bench_candidates(name, count):
 
 
 def full_squeeze(mesh, cand, rc):
-    return run_squeeze(assemble_model(mesh, rc.material), cand, rc.sim)
+    return fem.squeeze_frames(assemble_model(mesh, rc.material), cand, rc.sim)[0]
 
 
 def step_index(frame, rc):
@@ -1084,7 +1111,7 @@ class TestScoredFrameStop:
         # mass are made for the scored frame alone, and the torque scale's
         # centroid is read off the first step's record
         built, kept, touched, coms = [], [], [], []
-        real_evaluate, real_steps, real_com = cli.evaluate_frames, cli.squeeze_steps, fem.mesh_center_of_mass
+        real_evaluate, real_steps, real_com = cli.evaluate_frames, fem.squeeze_steps, fem.mesh_center_of_mass
 
         class CountedContactPoint(fem.ContactPoint):
             def __post_init__(self):
@@ -1107,7 +1134,7 @@ class TestScoredFrameStop:
         monkeypatch.setattr(fem, "ContactPoint", CountedContactPoint)
         monkeypatch.setattr(fem, "mesh_center_of_mass", com)
         monkeypatch.setattr(cli, "evaluate_frames", evaluate)
-        monkeypatch.setattr(cli, "squeeze_steps", squeeze_steps)
+        monkeypatch.setattr(fem, "squeeze_steps", squeeze_steps)
         mesh, cands = bench_candidates("box", 1)
         assert _run_candidate((0, mesh, cands[0], MIDAIR)).status == "ok"
         assert len(touched) > 2
@@ -1116,16 +1143,17 @@ class TestScoredFrameStop:
 
     @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
     def test_pad_centroid_is_the_first_frame_centroid(self, name):
-        # the torque scale's centroid, taken from a step's contact record,
-        # has the bytes of the contact centroid of that step's frame
+        # the torque scale's centroid, which the driver takes from the first
+        # step's contact record, has the bytes of the contact centroid of
+        # the first frame, whether or not that frame is built
         mesh, cands = bench_candidates(name, 2)
         model = assemble_model(mesh, MIDAIR.material)
         for cand in cands:
-            steps = list(fem.squeeze_steps(model, cand, MIDAIR.sim))
-            assert steps
-            for step in steps:
-                want = contact_centroid(fem.step_frame(model, MIDAIR.sim, *step))
-                assert cli._pad_centroid(model, *step[1:]).tobytes() == want.tobytes()
+            frames, centroid = fem.squeeze_frames(model, cand, MIDAIR.sim)
+            assert frames
+            assert centroid.tobytes() == contact_centroid(frames[0]).tobytes()
+            kept = fem.squeeze_frames(model, cand, MIDAIR.sim, every_frame=False)
+            assert kept[1].tobytes() == centroid.tobytes()
 
     def test_failure_past_scored_frame_is_not_squeezed(self, workspace, capsys, monkeypatch, tmp_path):
         rc = load_run_config(workspace / "run.cfg")
@@ -1189,6 +1217,25 @@ def renumber_nodes(mesh, cand):
     return fem.TetMesh(mesh.nodes[perm], np.argsort(perm)[mesh.tets]), cand
 
 
+def seeded_rotation(seed):
+    """A rotation matrix about a seeded axis by a seeded angle (Rodrigues)."""
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    k = np.cross(np.eye(3), axis)  # k @ v == axis x v
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+ROTATION = seeded_rotation(0)
+
+
+def rotate(mesh, cand):
+    return fem.TetMesh(mesh.nodes @ ROTATION.T, mesh.tets), dataclasses.replace(
+        cand, grasp_center=ROTATION @ cand.grasp_center, approach_axis=ROTATION @ cand.approach_axis
+    )
+
+
 @functools.cache
 def midair_draw(name):
     """The first 6 seed-0 mid-air candidates of a bench object (pipebench's
@@ -1207,3 +1254,17 @@ class TestMetamorphicRelations:
             assert got.status == want.status, (i, want.message, got.message)
             for key in ("eval_force", *metrics.METRIC_NAMES, "proxy"):
                 assert getattr(got, key) == pytest.approx(getattr(want, key), rel=RELATION_TOL, abs=0.0), (i, key)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="pad roll and friction pyramids follow the world axes: ROADMAP item 15")
+    def test_rotation_keeps_every_outcome(self):
+        # the scores that need no rotated directions: gravity and the proxy
+        # read world-frame directions, so they are left out
+        for name in BENCH_OBJECTS:
+            mesh, cands, outcomes = midair_draw(name)
+            for i, (cand, want) in enumerate(zip(cands, outcomes)):
+                got = _run_candidate((i, *rotate(mesh, cand), MIDAIR))
+                assert got.status == want.status, (name, i, want.message, got.message)
+                for key in ("eval_force", "epsilon", "volume"):
+                    got_value, want_value = getattr(got, key), getattr(want, key)
+                    assert got_value == pytest.approx(want_value, rel=RELATION_TOL, abs=0.0), (name, i, key)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import pickle
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from helpers import make_newton_solve_singular, run_python
+from helpers import assert_frames_equal, make_newton_solve_singular, run_python
 from softgrasp import cli, fem
 from softgrasp import (
     GraspCandidate,
@@ -24,7 +25,7 @@ from softgrasp import (
     load_trajectory,
     mesh_center_of_mass,
     quasi_static_step,
-    run_squeeze,
+    squeeze_frames,
     tet_volumes,
 )
 
@@ -372,6 +373,18 @@ class TestAssembly:
         assert mesh.volume() == pytest.approx(1.0 / 6.0)
         assert np.array_equal(mesh.tets, [[0, 1, 2, 3]])
 
+    def test_unpickled_mesh_arrays_stay_read_only(self):
+        # a --jobs worker gets its mesh pickled, and unpickling skips
+        # __post_init__: the copy's arrays must be read-only too, with the
+        # original's bytes
+        mesh = cli.bench_mesh("box")
+        copy = pickle.loads(pickle.dumps(mesh))
+        for name in ("nodes", "tets", "rest_volumes", "surface_faces", "surface_nodes"):
+            arr, want = getattr(copy, name), getattr(mesh, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[-1]
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", list(cli.BENCH_OBJECTS))
     def test_int32_indices_assemble_the_int64_stiffness(self, name):
         # assemble_model builds its COO indices as int32; K must equal, entry
@@ -566,7 +579,7 @@ class TestQuasiStaticStep:
 @pytest.fixture(scope="module")
 def squeeze(box_model):
     cfg = pinch_config()
-    frames = run_squeeze(box_model, box_grasp(max_force=6.0), cfg)
+    frames = squeeze_frames(box_model, box_grasp(max_force=6.0), cfg)[0]
     return frames, cfg
 
 
@@ -645,24 +658,27 @@ class TestRunSqueeze:
         assert abs(deformed - rest_volume) <= 3.0 * strain * rest_volume
 
     def test_miss_returns_empty_with_diagnostic(self, box_model):
-        # the empty list is the whole diagnostic: rank and simulate report it
+        # no frames and no centroid are the whole diagnostic: rank and
+        # simulate report it
         grasp = GraspCandidate((0.0, 0.5, 0.0), (1.0, 0, 0), 0.005, 10.0)
-        assert run_squeeze(box_model, grasp, pinch_config()) == []
+        assert squeeze_frames(box_model, grasp, pinch_config()) == ([], None)
 
     def test_tiny_max_force_stops_immediately(self, box_model):
-        frames = run_squeeze(box_model, box_grasp(max_force=1e-6), pinch_config())
+        frames = squeeze_frames(box_model, box_grasp(max_force=1e-6), pinch_config())[0]
         assert len(frames) == 1
         assert frames[0].squeeze_force >= 1e-6
 
-    def test_run_squeeze_wrapper(self):
-        # one frame per squeeze_steps step, on the model it is given
+    def test_squeeze_frames_driver(self):
+        # one frame per squeeze_steps step, on the model it is given, or
+        # the last step's frame alone
         model = assemble_model(generate_primitive_mesh("box", (0.06, 0.06, 0.06), 2), MaterialParams())
         grasp, cfg = box_grasp(max_force=2.0), pinch_config()
-        frames = run_squeeze(model, grasp, cfg)
+        frames = squeeze_frames(model, grasp, cfg)[0]
         steps = list(fem.squeeze_steps(model, grasp, cfg))
         assert len(frames) == len(steps) >= 1
         assert [f.time for f in frames] == [step_idx * cfg.dt for step_idx, _, _ in steps]
         assert frames[-1].squeeze_force == steps[-1][2].squeeze_force >= 2.0
+        assert_frames_equal(squeeze_frames(model, grasp, cfg, every_frame=False)[0], frames[-1:])
 
     @pytest.mark.xfail(strict=True, raises=SolverError, reason="pad edge on grid nodes: ROADMAP item 3")
     def test_pad_edge_on_grid_nodes_converges(self):
@@ -671,12 +687,12 @@ class TestRunSqueeze:
         # halfwidths 1.9 and 2.1 cm converge to 5.2 N
         grasp = GraspCandidate((0.0, 0.0, 0.03), (1.0, 0, 0), 0.02, 5.0)
         model = assemble_model(cli.bench_mesh("box"), MaterialParams())
-        frames = run_squeeze(model, grasp, SimConfig(platform_height=-1.0))
+        frames = squeeze_frames(model, grasp, SimConfig(platform_height=-1.0))[0]
         assert frames[-1].squeeze_force >= 5.0
 
 
 class TestFrameCenterOfMass:
-    @pytest.mark.parametrize("entry", ["run_squeeze", "simulate"])
+    @pytest.mark.parametrize("entry", ["squeeze_frames", "simulate"])
     def test_com_is_the_deformed_mesh_com(self, box_model, entry, monkeypatch, tmp_path):
         # the displacement of every yielded step, by step index
         us = {}
@@ -696,7 +712,7 @@ class TestFrameCenterOfMass:
             frames, dt = load_trajectory(out).frames, rc.sim.dt
         else:
             cfg = pinch_config()
-            frames = run_squeeze(box_model, grasp, cfg)
+            frames = squeeze_frames(box_model, grasp, cfg)[0]
             dt = cfg.dt
         assert len(frames) >= 3
         mesh = box_model.mesh
@@ -704,6 +720,37 @@ class TestFrameCenterOfMass:
             u = us[round(frame.time / dt)]
             com = mesh_center_of_mass(mesh.nodes + u.reshape(-1, 3), mesh.tets)
             assert frame.com.tobytes() == com.tobytes()
+
+
+class TestUniaxialPinchOracle:
+    # Two frictionless pads wider than the faces of a cube compress it
+    # uniaxially with free lateral expansion, so F = E*A*delta/L, and
+    # linear tets represent that uniform strain exactly (the patch test).
+    # delta is pad A's mean contact-node x displacement minus pad B's.
+    # The tolerance: F / (E*A*delta/L) reads 0.99981 (resolution 4) and
+    # 0.99993 (resolution 6) on every step.  That excess is the penalty's:
+    # edge and corner nodes carry less face area, so the pads' springs
+    # press them in less and the face does not stay flat; it is of the order
+    # of E*A/L over the pads' summed penalty stiffness (5e-4 at resolution
+    # 4) and falls as the mesh refines.  1e-3 is five times the worst case.
+    SIDE = 0.06
+
+    @pytest.mark.parametrize("resolution", [4, 6])
+    def test_squeeze_force_is_e_a_delta_over_l(self, resolution):
+        mat = MaterialParams(friction_mu=0.0)
+        model = assemble_model(generate_primitive_mesh("box", (self.SIDE,) * 3, resolution), mat)
+        grasp = GraspCandidate((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.04, 5.0)
+        steps = list(fem.squeeze_steps(model, grasp, pinch_config()))
+        assert len(steps) >= 3
+        for _, u, report in steps:
+            c = report.contacts
+            ux = u.reshape(-1, 3)[:, 0]
+            pad_a, pad_b = c.nodes[c.kind == fem.PAD_A], c.nodes[c.kind == fem.PAD_B]
+            # the pads press every node of the two x faces
+            assert pad_a.size == pad_b.size == (resolution + 1) ** 2
+            delta = ux[pad_a].mean() - ux[pad_b].mean()
+            want = mat.youngs_modulus * self.SIDE**2 * delta / self.SIDE
+            assert report.squeeze_force == pytest.approx(want, rel=1e-3)
 
 
 # tilted pads on a low-friction box: the contact patch slides
@@ -772,7 +819,7 @@ class TestWoodburySolve:
 
         monkeypatch.setattr(fem, "quasi_static_step", checked)
         model = assemble_model(box_model.mesh.translated((0.0, 0.0, lift)), MaterialParams(friction_mu=mu))
-        frames = run_squeeze(model, grasp, SimConfig(platform_height=platform))
+        frames = squeeze_frames(model, grasp, SimConfig(platform_height=platform))[0]
         assert len(frames) >= 3 and seen["steps"] >= 3
         assert (seen["slip"] > 0) == (mu == SLIP_MU or platform == 0.0)
         assert (seen["repeated"] > 0) == (platform == 0.0)
@@ -801,7 +848,7 @@ class TestWoodburySolve:
             return u, report
 
         monkeypatch.setattr(fem, "quasi_static_step", step)
-        frames = run_squeeze(model, SLIP_GRASP, pinch_config())
+        frames = squeeze_frames(model, SLIP_GRASP, pinch_config())[0]
         assert len(frames) >= 3
         assert splu_calls == []
         assert model.lu.solved == widths and len(widths) > 1
@@ -825,7 +872,7 @@ class TestWoodburySolve:
         monkeypatch.setattr(fem, "orthonormal_tangents", counted_tangents)
         monkeypatch.setattr(fem, "quasi_static_step", step)
         model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
-        frames = run_squeeze(model, SEATED_GRASP, SEATED_CONFIG)
+        frames = squeeze_frames(model, SEATED_GRASP, SEATED_CONFIG)[0]
         assert len(frames) >= 3 and len(steps) > len(frames)
         assert len(tangents) == 1
 
@@ -889,7 +936,7 @@ class TestWoodburySolve:
             grasp = dataclasses.replace(cand, max_force=rc.desired_force)
             want_status, want = oracles.direct_lu_squeeze(model, grasp, cfg)
             try:
-                frames = run_squeeze(model, grasp, cfg)
+                frames = squeeze_frames(model, grasp, cfg)[0]
             except SolverError:
                 status, frames = "failed", []
             else:
@@ -1018,7 +1065,7 @@ class TestContactBlocksOracle:
 
         monkeypatch.setattr(fem, "_contact_blocks", checked_blocks)
         model = assemble_model(box_model.mesh, MaterialParams(friction_mu=SLIP_MU))
-        run_squeeze(model, SLIP_GRASP, pinch_config())
+        squeeze_frames(model, SLIP_GRASP, pinch_config())
         assert all(same for _, _, same in checked)
         assert any(slip for _, slip, _ in checked)
         assert any(n >= 2 for n, _, _ in checked)
@@ -1123,7 +1170,7 @@ class TestContactStateOracle:
             return got
 
         monkeypatch.setattr(fem, "_contact_state", checked)
-        assert len(run_squeeze(model, grasp, cfg)) >= 3
+        assert len(squeeze_frames(model, grasp, cfg)[0]) >= 3
         assert any(slip for _, slip in seen)
         assert any(platform for platform, _ in seen) == (case != "midair_pinch")
 
@@ -1140,6 +1187,6 @@ class TestContactStateOracle:
 
         monkeypatch.setattr(fem, "_contact_state", checked)
         model = assemble_model(box_model.mesh.translated((0.0, 0.0, 0.03)), box_model.mat)
-        frames = run_squeeze(model, PLATFORM_GRASP, SimConfig(platform_height=0.0))
+        frames = squeeze_frames(model, PLATFORM_GRASP, SimConfig(platform_height=0.0))[0]
         assert len(frames) >= 3
         assert {fem.PAD_A, fem.PAD_B, fem.PLATFORM} in kinds
