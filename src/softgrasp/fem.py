@@ -375,6 +375,13 @@ def _elastic_matrix(lam: float, mu: float) -> np.ndarray:
     return d
 
 
+# The 9 nonzeros of a node's 6x3 block of the strain-displacement matrix B:
+# (Voigt row, dof within the node, gradient component).
+_VOIGT_ROW, _VOIGT_DOF, _VOIGT_GRAD = np.array([
+    (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (3, 1, 0), (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0),
+]).T
+
+
 def _tet_stiffness(coords: np.ndarray, vols: np.ndarray, lam: float, mu: float) -> np.ndarray:
     """Element stiffness for a batch of linear tets.
 
@@ -388,21 +395,9 @@ def _tet_stiffness(coords: np.ndarray, vols: np.ndarray, lam: float, mu: float) 
     grads = np.empty((m, 4, 3))
     grads[:, 1:, :] = grads_rest
     grads[:, 0, :] = -grads_rest.sum(axis=1)
+    # node a's dof d is B's column 3 * a + d
     b = np.zeros((m, 6, 12))
-    for a in range(4):
-        gx = grads[:, a, 0]
-        gy = grads[:, a, 1]
-        gz = grads[:, a, 2]
-        c = 3 * a
-        b[:, 0, c] = gx
-        b[:, 1, c + 1] = gy
-        b[:, 2, c + 2] = gz
-        b[:, 3, c] = gy
-        b[:, 3, c + 1] = gx
-        b[:, 4, c + 1] = gz
-        b[:, 4, c + 2] = gy
-        b[:, 5, c] = gz
-        b[:, 5, c + 2] = gx
+    b[:, _VOIGT_ROW, 3 * np.arange(4)[:, None] + _VOIGT_DOF] = grads[:, :, _VOIGT_GRAD]
     dmat = _elastic_matrix(lam, mu)
     ke = np.einsum("mja,jk,mkb->mab", b, dmat, b, optimize=True)
     ke *= vols[:, None, None]
@@ -444,7 +439,7 @@ def assemble_model(mesh: TetMesh, mat: MaterialParams) -> AssembledModel:
     ke = _tet_stiffness(mesh.nodes[mesh.tets], mesh.rest_volumes, lam, mu)
     # int32 indices: coo_matrix would convert int64 ones to int32 (3n fits
     # it for any mesh whose ke fits in memory), so it takes these uncopied
-    dofs = (3 * mesh.tets.astype(np.int32)[:, :, None] + np.arange(3, dtype=np.int32)).reshape(-1, 12)
+    dofs = _node_dofs(mesh.tets.astype(np.int32).ravel()).reshape(-1, 12)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
     n3 = 3 * mesh.num_nodes
@@ -491,8 +486,8 @@ class Squeeze:
     - R R^T, for the three dofs of each node i touched so far, E_i selecting
     them (see _add_compliance): three rows per node, at 3 *
     compliance_slot[i] (-1: none yet), the nodes in slot order being
-    compliance_nodes, and compliance_rigid holds R's rows of the same dofs.
-    A^-1 E_i itself is that row plus R R^T E_i / reg.
+    compliance_nodes.  A^-1 E_i itself is that row plus R R^T E_i / reg;
+    R's rows of those dofs are read from the model when needed.
     """
 
     def __init__(self, model: AssembledModel, grasp: GraspCandidate, cfg: SimConfig):
@@ -507,7 +502,6 @@ class Squeeze:
         self.compliance = np.empty((0, 3 * model.mesh.num_nodes))
         self.compliance_slot = np.full(model.mesh.num_nodes, -1)
         self.compliance_nodes = np.empty(0, dtype=int)
-        self.compliance_rigid = np.empty((0, 6))
 
     def contact_candidates(self, x: np.ndarray, gap: float):
         """Penetrating nodes of deformed surface node positions x, surface
@@ -743,8 +737,9 @@ def _contact_blocks(contacts: _Contacts, kp: float, mu: float) -> np.ndarray:
 
 
 def _node_dofs(nodes: np.ndarray) -> np.ndarray:
-    """The flat dofs 3*node + (0, 1, 2) of each node, node by node."""
-    return (3 * nodes[:, None] + np.arange(3)).ravel()
+    """The flat dofs 3*node + (0, 1, 2) of each node, node by node, in the
+    nodes' integer type."""
+    return (3 * nodes[:, None] + np.arange(3, dtype=nodes.dtype)).ravel()
 
 
 def _add_compliance(model: AssembledModel, squeeze: Squeeze, nodes: np.ndarray) -> None:
@@ -763,13 +758,11 @@ def _add_compliance(model: AssembledModel, squeeze: Squeeze, nodes: np.ndarray) 
     long as A's.
     """
     dofs = _node_dofs(nodes)
-    rigid = model.rigid[dofs]
-    projected = -model.rigid @ rigid.T
+    projected = -model.rigid @ model.rigid[dofs].T
     projected[dofs, np.arange(dofs.size)] += 1.0
     y = model.lu.solve(projected)
     squeeze.compliance_slot[nodes] = squeeze.compliance_nodes.size + np.arange(nodes.size)
     squeeze.compliance_nodes = np.concatenate([squeeze.compliance_nodes, nodes])
-    squeeze.compliance_rigid = np.concatenate([squeeze.compliance_rigid, rigid])
     squeeze.compliance = np.concatenate([squeeze.compliance, (y - model.rigid @ (model.rigid.T @ y)).T])
 
 
@@ -814,7 +807,7 @@ def _newton_direction(model: AssembledModel, squeeze: Squeeze, contacts: _Contac
     diagonal[n:] = model.reg
     rhs = np.concatenate([
         np.matmul(blocks, (z.T @ r).reshape(k, 3, 1)).ravel(),
-        squeeze.compliance_rigid.T @ r,
+        model.rigid[_node_dofs(squeeze.compliance_nodes)].T @ r,
     ])
     solution = np.linalg.solve(capacitance, rhs)
     dg = r.copy()

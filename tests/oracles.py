@@ -10,7 +10,8 @@ the contact-space Newton solve, and so runs a full-space Newton loop of
 its own, with a direct sparse LU per step, on the library's model,
 contact law and frames.  The earlier forms of faster library code are kept
 here too, each to be matched bit for bit: the stacked contact state, the
-squeeze that runs a step at every gap, and the line-by-line Tetgen reader.
+squeeze that runs a step at every gap, the line-by-line Tetgen reader and
+the element stiffness that fills B node by node.
 """
 
 from __future__ import annotations
@@ -499,6 +500,38 @@ def every_gap_squeeze_steps(model, grasp, cfg):
         yield step_idx, u, report
         if report.squeeze_force >= grasp.max_force:
             return
+
+
+def loop_tet_stiffness(coords, vols, lam: float, mu: float):
+    """fem._tet_stiffness as it was before it filled B from one table: nine
+    assignments per node, node by node.  fem._tet_stiffness must give the
+    same ke byte for byte."""
+    from softgrasp import fem
+
+    m = coords.shape[0]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    grads_rest = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads = np.empty((m, 4, 3))
+    grads[:, 1:, :] = grads_rest
+    grads[:, 0, :] = -grads_rest.sum(axis=1)
+    b = np.zeros((m, 6, 12))
+    for a in range(4):
+        gx = grads[:, a, 0]
+        gy = grads[:, a, 1]
+        gz = grads[:, a, 2]
+        c = 3 * a
+        b[:, 0, c] = gx
+        b[:, 1, c + 1] = gy
+        b[:, 2, c + 2] = gz
+        b[:, 3, c] = gy
+        b[:, 3, c + 1] = gx
+        b[:, 4, c + 1] = gz
+        b[:, 4, c + 2] = gy
+        b[:, 5, c] = gz
+        b[:, 5, c + 2] = gx
+    ke = np.einsum("mja,jk,mkb->mab", b, fem._elastic_matrix(lam, mu), b, optimize=True)
+    ke *= vols[:, None, None]
+    return ke
 
 
 def line_parse_tet_mesh(node_text: str, ele_text: str):

@@ -419,19 +419,18 @@ def test_criterion_6_benchmark_ordering(capsys):
 
 
 def test_criterion_7_timing_trend(box_sweep, capsys):
+    # The verdict reads the metric time alone: a pipeline-versus-shake ratio
+    # needs a measured hold to divide by, and returns when ROADMAP item 7
+    # measures one.
     frames = box_sweep["frames"]
     squeeze_s = box_sweep["squeeze_s"]
     metric_s = box_sweep["metric_s"]
     pipeline_s = squeeze_s + metric_s * len(frames)
-    shake_s = 20.0 * squeeze_s
-    speedup = shake_s / pipeline_s
 
-    ok = metric_s < 0.1 and speedup >= 5.0
     report(
-        capsys, 7, ok,
-        f"metric {1e3 * metric_s:.1f} ms/frame, squeeze {squeeze_s:.2f}s, "
-        f"pipeline vs 20x-shake extrapolation {speedup:.1f}x "
-        "(informational, thresholds 100 ms and 5x, not enforced)",
+        capsys, 7, metric_s < 0.1,
+        f"metric {1e3 * metric_s:.1f} ms/frame over {len(frames)} frames, squeeze {squeeze_s:.2f}s "
+        "(informational, threshold 100 ms/frame, not enforced)",
     )
     assert pipeline_s > 0.0  # timings are machine-dependent, so only reported
 

@@ -1236,6 +1236,35 @@ def rotate(mesh, cand):
     )
 
 
+# y -> -y.  A reflection turns every tet inside out, so each mirrored tet
+# swaps its last two corners to keep a positive volume.
+MIRROR = np.diag([1.0, -1.0, 1.0])
+
+
+def mirror(mesh, cand):
+    return fem.TetMesh(mesh.nodes @ MIRROR, mesh.tets[:, [0, 1, 3, 2]]), dataclasses.replace(
+        cand, grasp_center=MIRROR @ cand.grasp_center, approach_axis=MIRROR @ cand.approach_axis
+    )
+
+
+# Doubling every stiffness and every force leaves every displacement as it
+# was: K and the penalty double, and so do the forces they balance.
+# convergence_tol is a residual force in newtons, so it doubles too, or
+# the Newton loop would stop at other iterates.  A power of two scales
+# every float exactly, so the relation holds bit for bit.
+SCALE = 2.0
+
+
+def scaled(rc, cand):
+    return dataclasses.replace(
+        rc,
+        material=dataclasses.replace(rc.material, youngs_modulus=SCALE * rc.material.youngs_modulus),
+        sim=dataclasses.replace(rc.sim, penalty_stiffness=SCALE * rc.sim.penalty_stiffness,
+                                convergence_tol=SCALE * rc.sim.convergence_tol),
+        desired_force=SCALE * rc.desired_force,
+    ), dataclasses.replace(cand, max_force=SCALE * cand.max_force)
+
+
 @functools.cache
 def midair_draw(name):
     """The first 6 seed-0 mid-air candidates of a bench object (pipebench's
@@ -1253,6 +1282,33 @@ class TestMetamorphicRelations:
             got = _run_candidate((i, *relation(mesh, cand), MIDAIR))
             assert got.status == want.status, (i, want.message, got.message)
             for key in ("eval_force", *metrics.METRIC_NAMES, "proxy"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=RELATION_TOL, abs=0.0), (i, key)
+
+    @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
+    def test_doubled_stiffness_and_forces_keep_every_outcome(self, name):
+        # the wrench hull normalizes its forces, so only eval_force doubles
+        mesh, cands, outcomes = midair_draw(name)
+        for i, (cand, want) in enumerate(zip(cands, outcomes)):
+            rc, cand = scaled(MIDAIR, cand)
+            got = _run_candidate((i, mesh, cand, rc))
+            assert got.status == want.status, (i, want.message, got.message)
+            assert got.eval_force == SCALE * want.eval_force, i
+            for key in (*metrics.METRIC_NAMES, "proxy"):
+                assert getattr(got, key) == getattr(want, key), (i, key)
+
+    @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
+    def test_mirror_keeps_every_outcome(self, name):
+        # gravity reads the default lattice on the draw and that lattice
+        # mirrored on the mirrored draw.  The proxy is left out: its lattice
+        # of proxy_directions is not mirror-symmetric, and no config key
+        # replaces it.
+        mesh, cands, outcomes = midair_draw(name)
+        rc = dataclasses.replace(MIDAIR, gravity=metrics.GravityConfig(
+            custom_directions=MIDAIR.gravity.directions @ MIRROR))
+        for i, (cand, want) in enumerate(zip(cands, outcomes)):
+            got = _run_candidate((i, *mirror(mesh, cand), rc))
+            assert got.status == want.status, (i, want.message, got.message)
+            for key in ("eval_force", *metrics.METRIC_NAMES):
                 assert getattr(got, key) == pytest.approx(getattr(want, key), rel=RELATION_TOL, abs=0.0), (i, key)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,

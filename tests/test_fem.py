@@ -401,6 +401,21 @@ class TestAssembly:
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(k, part), getattr(expected, part)), part
 
+    @pytest.mark.parametrize("name", [*cli.BENCH_OBJECTS, "jittered"])
+    def test_element_stiffness_matches_node_loop(self, name):
+        # B filled from the Voigt table must give the per-node loop's ke,
+        # byte for byte; "jittered" is a seeded random mesh whose tets have
+        # no structured-grid shape
+        if name == "jittered":
+            grid = generate_primitive_mesh("box", (1.0, 1.0, 1.0), 4)
+            jitter = np.random.default_rng(0).uniform(-0.06, 0.06, grid.nodes.shape)
+            mesh = TetMesh(grid.nodes + jitter, grid.tets)
+        else:
+            mesh = cli.bench_mesh(name)
+        args = (mesh.nodes[mesh.tets], mesh.rest_volumes, *MaterialParams().lame())
+        got, want = fem._tet_stiffness(*args), oracles.loop_tet_stiffness(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_assemble_model(self, cube_mesh):
         model = assemble_model(cube_mesh, MaterialParams())
         assert model.reg > 0.0
@@ -744,13 +759,63 @@ class TestUniaxialPinchOracle:
         assert len(steps) >= 3
         for _, u, report in steps:
             c = report.contacts
-            ux = u.reshape(-1, 3)[:, 0]
-            pad_a, pad_b = c.nodes[c.kind == fem.PAD_A], c.nodes[c.kind == fem.PAD_B]
             # the pads press every node of the two x faces
-            assert pad_a.size == pad_b.size == (resolution + 1) ** 2
-            delta = ux[pad_a].mean() - ux[pad_b].mean()
-            want = mat.youngs_modulus * self.SIDE**2 * delta / self.SIDE
+            assert np.sum(c.kind == fem.PAD_A) == np.sum(c.kind == fem.PAD_B) == (resolution + 1) ** 2
+            want = mat.youngs_modulus * self.SIDE**2 * pad_x_approach(u, c) / self.SIDE
             assert report.squeeze_force == pytest.approx(want, rel=1e-3)
+
+
+def pad_x_approach(u, contacts):
+    """Pad A's mean contact-node x displacement minus pad B's."""
+    ux = u.reshape(-1, 3)[:, 0]
+    return ux[contacts.nodes[contacts.kind == fem.PAD_A]].mean() - ux[contacts.nodes[contacts.kind == fem.PAD_B]].mean()
+
+
+class TestSqueezeStudies:
+    # ROADMAP item 19's convergence studies: printed per resolution at the
+    # step that reaches 5 N, not gated, since neither has an exact value on
+    # these meshes.
+    def test_reports_friction_stiffening(self, capsys):
+        # TestUniaxialPinchOracle's pinch with friction: the pads hold the
+        # faces from expanding, which stiffens the block, so F / (E*A*delta/L)
+        # sits above 1 and falls as the mesh refines (Gent & Lindley 1959)
+        side = TestUniaxialPinchOracle.SIDE
+        mat = MaterialParams(friction_mu=0.8)
+        ratios = {}
+        for resolution in (4, 6, 8):
+            model = assemble_model(generate_primitive_mesh("box", (side,) * 3, resolution), mat)
+            grasp = GraspCandidate((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.04, 5.0)
+            *_, (_, u, report) = fem.squeeze_steps(model, grasp, pinch_config())
+            ratios[resolution] = report.squeeze_force / (mat.youngs_modulus * side * pad_x_approach(u, report.contacts))
+        with capsys.disabled():
+            print("[REPORT] item 19: box pinch, friction_mu 0.8, F / (E*A*delta/L): "
+                  + ", ".join(f"resolution {k} {v:.4f}" for k, v in ratios.items()))
+        assert all(np.isfinite(v) and v > 0.0 for v in ratios.values())
+
+    def test_reports_hertz_ratio(self, capsys):
+        # Two flat frictionless pads closing by d on a ball of radius R each
+        # carry Hertz's F = (4/3) E* sqrt(R) (d/2)^1.5, E* = E / (1 - nu^2)
+        # (Johnson, Contact Mechanics, 1985); d is the pads' approach since
+        # they reached the mesh's extreme nodes.  The sphere-ish contact
+        # stays at a few nodes per pad (item 10), so the FEM force over
+        # Hertz's sits above 1 and falls as the mesh refines.
+        radius, cfg = 0.035, pinch_config()
+        mat = MaterialParams(friction_mu=0.0)
+        e_star = mat.youngs_modulus / (1.0 - mat.poisson_ratio**2)
+        ratios = {}
+        for resolution in (5, 7, 9):
+            mesh = generate_primitive_mesh("sphere-ish", (radius,), resolution)
+            grasp = GraspCandidate((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.02, 5.0)
+            *_, (step_idx, _, report) = fem.squeeze_steps(assemble_model(mesh, mat), grasp, cfg)
+            # squeeze_steps opens the gap two increments past the extreme
+            # nodes and closes it by one increment per step
+            d = (step_idx - 2) * cfg.displacement_increment
+            hertz = 4.0 / 3.0 * e_star * np.sqrt(radius) * (d / 2.0) ** 1.5
+            ratios[resolution] = report.squeeze_force / hertz
+        with capsys.disabled():
+            print("[REPORT] item 19: sphere-ish pinch at 5 N, FEM force / Hertz force: "
+                  + ", ".join(f"resolution {k} {v:.2f}" for k, v in ratios.items()))
+        assert all(np.isfinite(v) and v > 0.0 for v in ratios.values())
 
 
 # tilted pads on a low-friction box: the contact patch slides
