@@ -178,20 +178,22 @@ def load_run_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Shared evaluation plumbing.
 
+# A rank or bench candidate's scores, in printed order: the metrics, then
+# the proxy that bench ranks them against.
+_SCORES = METRIC_NAMES + ("proxy",)
+
 
 @dataclass
 class GraspEvaluation:
-    """Metrics of one candidate at its evaluation frame; a failed or empty
-    candidate was never measured and scores 0."""
+    """A candidate's outcome, and in values the FrameQuality.values of its
+    scored frame; a failed or empty candidate was never measured and scores
+    0 on each of _SCORES."""
 
     index: int
     status: str = "ok"  # ok | empty | failed
     reached: bool = False
     eval_force: float = 0.0
-    epsilon: float = 0.0
-    volume: float = 0.0
-    gravity: float = 0.0
-    proxy: float = 0.0
+    values: dict = field(default_factory=lambda: dict.fromkeys(_SCORES, 0.0))
     message: str = ""
 
 
@@ -212,7 +214,7 @@ def evaluate_frames(centroid, frame, mesh_nodes, rc: RunConfig, index: int) -> G
         index=index,
         reached=frame.squeeze_force >= rc.desired_force,
         eval_force=frame.squeeze_force,
-        **q.values,
+        values=q.values,
     )
 
 
@@ -422,13 +424,11 @@ def cmd_rank(args, rc: RunConfig) -> int:
     candidates = fileio.load_grasp_candidates(args.grasps)
     payloads = [(i, mesh, cand, rc) for i, cand in enumerate(candidates)]
     evals = _map_jobs(_run_candidate, payloads, args.jobs)
-    key = args.metric
-    order = sorted(evals, key=lambda e: (-getattr(e, key), e.index))
-    _emit((
-        "rank", "candidate", "center_x", "center_y", "center_z",
-        "axis_x", "axis_y", "axis_z", "epsilon", "volume", "gravity", "proxy",
-        "eval_force", "reached", "status",
-    ))
+    order = sorted(evals, key=lambda e: (-e.values[args.metric], e.index))
+    _emit(
+        ("rank", "candidate", "center_x", "center_y", "center_z", "axis_x", "axis_y", "axis_z")
+        + _SCORES + ("eval_force", "reached", "status")
+    )
     # an unmeasured candidate scores 0, so the rows list them in index order too
     failures = _log_failed_candidates((e.index, e.status, e.message) for e in evals)
     for rank, ev in enumerate(order):
@@ -437,8 +437,8 @@ def cmd_rank(args, rc: RunConfig) -> int:
             [rank, ev.index]
             + [float(v) for v in cand.grasp_center]
             + [float(v) for v in cand.approach_axis]
-            + [ev.epsilon, ev.volume, ev.gravity, ev.proxy, ev.eval_force,
-               int(ev.reached), ev.status]
+            + [ev.values[name] for name in _SCORES]
+            + [ev.eval_force, int(ev.reached), ev.status]
         )
     return 1 if failures else 0
 
@@ -517,8 +517,8 @@ def sample_grasps(mesh: TetMesh, count: int, rng, rc: RunConfig) -> list[GraspCa
 
 
 def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1):
-    """Monotonicity table rows (object, grasps, failed, empty, eps, vol, grav)
-    plus the number of objects whose metrics are ordered.
+    """Monotonicity table rows (object, grasps, failed, empty, then each of
+    METRIC_NAMES) plus the number of objects whose metrics are ordered.
 
     Only ok candidates enter the rank correlations: a failed or empty
     candidate was never measured, and scoring it 0 on both sides would add
@@ -540,17 +540,14 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
         measured = [e for e in evals if e.status == "ok"]
         failed = sum(e.status == "failed" for e in evals)
         empty = sum(e.status == "empty" for e in evals)
-        proxy = np.array([e.proxy for e in measured])
-        scores = dict.fromkeys(METRIC_NAMES, float("nan"))
+        scores = [float("nan")] * len(METRIC_NAMES)
         if len(measured) < 3:
             logger.warning("bench %s: %d measured grasps, too few to rank", name, len(measured))
         else:
-            for metric in METRIC_NAMES:
-                vals = np.array([getattr(e, metric) for e in measured])
-                scores[metric] = monotonicity(vals, proxy)
-        rows.append(
-            (name, len(evals), failed, empty, scores["epsilon"], scores["volume"], scores["gravity"])
-        )
+            # one column per score: each metric's, then the proxy's
+            *series, proxy = np.array([[e.values[n] for n in _SCORES] for e in measured]).T
+            scores = [monotonicity(vals, proxy) for vals in series]
+        rows.append((name, len(evals), failed, empty, *scores))
     # a NaN correlation compares false, so its object is not ordered
     ordered = sum(1 for (*_, eps, vol, grav) in rows if grav >= vol >= eps)
     return rows, ordered
@@ -563,7 +560,7 @@ def cmd_bench(args, rc: RunConfig) -> int:
     if args.grasps_per_object < 3:
         raise ConfigError("--grasps-per-object must be >= 3 (rank correlation needs 3 grasps)")
     rows, ordered = run_bench(names, args.grasps_per_object, rc, jobs=args.jobs)
-    _emit(("object", "grasps", "failed", "empty", "epsilon", "volume", "gravity"))
+    _emit(("object", "grasps", "failed", "empty") + METRIC_NAMES)
     for row in rows:
         _emit(row)
     print(f"# ordering gravity>=volume>=epsilon on {ordered}/{len(rows)} objects")

@@ -432,7 +432,7 @@ def full_squeeze_evaluation(frames, mesh_nodes, rc, index: int):
         status="ok",
         reached=idx is not None,
         eval_force=frame.squeeze_force,
-        **q.values,
+        values=q.values,
     )
 
 

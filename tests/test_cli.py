@@ -43,7 +43,7 @@ from softgrasp.cli import (
     run_bench,
     sample_grasps,
 )
-from softgrasp.contact import WrenchSpaceConfig, contact_centroid
+from softgrasp.contact import WrenchSpaceConfig, contact_centroid, orthonormal_tangents
 
 DATA = Path(__file__).parent / "data"
 # six frames: one contact, a two-point pinch (both flat), then full-rank hulls
@@ -868,11 +868,11 @@ def fake_evaluations(monkeypatch, statuses, values):
         ok = iter(range(len(statuses)))
         evals = []
         for (index, *_), status in zip(payloads, statuses):
-            scores = dict.fromkeys(("epsilon", "volume", "gravity", "proxy"), 0.0)
+            ev = GraspEvaluation(index=index, status=status, message=FAKE_MESSAGES[status])
             if status == "ok":
                 k = next(ok)
-                scores = {name: float(series[k]) for name, series in values.items()}
-            evals.append(GraspEvaluation(index=index, status=status, message=FAKE_MESSAGES[status], **scores))
+                ev.values = {name: float(series[k]) for name, series in values.items()}
+            evals.append(ev)
         return evals
 
     monkeypatch.setattr(cli, "_map_jobs", fake_map)
@@ -1199,9 +1199,21 @@ class TestScoredFrameStop:
 # force is below convergence_tol newtons, so the scored squeeze force, and
 # the contact forces the metrics are built from, are known only to about
 # convergence_tol; relative to the scored force, which is at least
-# desired_force, that is convergence_tol / desired_force (2e-4).
+# desired_force, that is convergence_tol / desired_force (2e-4).  That
+# holds for eval_force on every candidate tested, but not for the metrics
+# of KNOWN_BREAKS.
 RELATION_TOL = MIDAIR.sim.convergence_tol / MIDAIR.desired_force
+SCORES = (*metrics.METRIC_NAMES, "proxy")
 SHIFT = np.array([0.1, -0.05, 0.2])
+
+
+def assert_same_outcome(got, want, keys, where):
+    """Equal statuses, and eval_force and the scores named in keys within
+    RELATION_TOL; where labels a failure."""
+    assert got.status == want.status, (where, want.message, got.message)
+    assert got.eval_force == pytest.approx(want.eval_force, rel=RELATION_TOL, abs=0.0), where
+    for key in keys:
+        assert got.values[key] == pytest.approx(want.values[key], rel=RELATION_TOL, abs=0.0), (where, key)
 
 
 def translate(mesh, cand):
@@ -1265,36 +1277,68 @@ def scaled(rc, cand):
     ), dataclasses.replace(cand, max_force=SCALE * cand.max_force)
 
 
+def scored_run(payload):
+    """_run_candidate(payload), and the scored frame's step index and
+    contact count, or None when no frame was scored."""
+    scored = [None]
+    real_evaluate = cli.evaluate_frames
+
+    def evaluate(centroid, frame, mesh_nodes, rc, index):
+        scored[0] = (step_index(frame, rc), len(frame.contacts))
+        return real_evaluate(centroid, frame, mesh_nodes, rc, index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "evaluate_frames", evaluate)
+        return _run_candidate(payload), scored[0]
+
+
 @functools.cache
 def midair_draw(name):
     """The first 6 seed-0 mid-air candidates of a bench object (pipebench's
-    rank-midair pool), with the mesh and each candidate's outcome."""
+    rank-midair pool), with the mesh, each candidate's outcome and its
+    scored frame's step index and contact count."""
     mesh, cands = bench_candidates(name, 6)
-    return mesh, cands, [_run_candidate((i, mesh, c, MIDAIR)) for i, c in enumerate(cands)]
+    outcomes, scored = zip(*(scored_run((i, mesh, c, MIDAIR)) for i, c in enumerate(cands)))
+    return mesh, cands, outcomes, scored
+
+
+# The runs of translate, swap_pads and renumber_nodes on criterion 6's
+# draw (the first 40 seed-0 mid-air candidates of each bench object) that
+# break RELATION_TOL; the other 477 of the 480 hold.  Epsilon moves by
+# 4.5e-4, 2.9e-4 and 6.5e-4 (slab/24's volume and gravity by 3.8e-4 and
+# 4.2e-4), while both sides keep their status, scored step and contact
+# count, and eval_force within convergence_tol.
+KNOWN_BREAKS = (("slab", 10, swap_pads), ("slab", 10, renumber_nodes), ("slab", 24, translate))
+KNOWN_BREAK_IDS = [f"{name}/{index}-{relation.__name__}" for name, index, relation in KNOWN_BREAKS]
+
+
+@functools.cache
+def known_break(name, index, relation):
+    """scored_run of a KNOWN_BREAKS candidate, and of its related input."""
+    mesh, cands = bench_candidates(name, index + 1)
+    cand = cands[index]
+    return scored_run((index, mesh, cand, MIDAIR)), scored_run((index, *relation(mesh, cand), MIDAIR))
 
 
 class TestMetamorphicRelations:
     @pytest.mark.parametrize("relation", [translate, swap_pads, renumber_nodes])
     @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
     def test_relation_keeps_every_outcome(self, name, relation):
-        mesh, cands, outcomes = midair_draw(name)
+        mesh, cands, outcomes, _ = midair_draw(name)
         for i, (cand, want) in enumerate(zip(cands, outcomes)):
-            got = _run_candidate((i, *relation(mesh, cand), MIDAIR))
-            assert got.status == want.status, (i, want.message, got.message)
-            for key in ("eval_force", *metrics.METRIC_NAMES, "proxy"):
-                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=RELATION_TOL, abs=0.0), (i, key)
+            assert_same_outcome(_run_candidate((i, *relation(mesh, cand), MIDAIR)), want, SCORES, i)
 
     @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
     def test_doubled_stiffness_and_forces_keep_every_outcome(self, name):
         # the wrench hull normalizes its forces, so only eval_force doubles
-        mesh, cands, outcomes = midair_draw(name)
+        mesh, cands, outcomes, _ = midair_draw(name)
         for i, (cand, want) in enumerate(zip(cands, outcomes)):
             rc, cand = scaled(MIDAIR, cand)
             got = _run_candidate((i, mesh, cand, rc))
             assert got.status == want.status, (i, want.message, got.message)
             assert got.eval_force == SCALE * want.eval_force, i
-            for key in (*metrics.METRIC_NAMES, "proxy"):
-                assert getattr(got, key) == getattr(want, key), (i, key)
+            for key in SCORES:
+                assert got.values[key] == want.values[key], (i, key)
 
     @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
     def test_mirror_keeps_every_outcome(self, name):
@@ -1302,14 +1346,11 @@ class TestMetamorphicRelations:
         # mirrored on the mirrored draw.  The proxy is left out: its lattice
         # of proxy_directions is not mirror-symmetric, and no config key
         # replaces it.
-        mesh, cands, outcomes = midair_draw(name)
+        mesh, cands, outcomes, _ = midair_draw(name)
         rc = dataclasses.replace(MIDAIR, gravity=metrics.GravityConfig(
             custom_directions=MIDAIR.gravity.directions @ MIRROR))
         for i, (cand, want) in enumerate(zip(cands, outcomes)):
-            got = _run_candidate((i, *mirror(mesh, cand), rc))
-            assert got.status == want.status, (i, want.message, got.message)
-            for key in ("eval_force", *metrics.METRIC_NAMES):
-                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=RELATION_TOL, abs=0.0), (i, key)
+            assert_same_outcome(_run_candidate((i, *mirror(mesh, cand), rc)), want, metrics.METRIC_NAMES, i)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="pad roll and friction pyramids follow the world axes: ROADMAP item 15")
@@ -1317,10 +1358,78 @@ class TestMetamorphicRelations:
         # the scores that need no rotated directions: gravity and the proxy
         # read world-frame directions, so they are left out
         for name in BENCH_OBJECTS:
-            mesh, cands, outcomes = midair_draw(name)
+            mesh, cands, outcomes, _ = midair_draw(name)
             for i, (cand, want) in enumerate(zip(cands, outcomes)):
                 got = _run_candidate((i, *rotate(mesh, cand), MIDAIR))
-                assert got.status == want.status, (name, i, want.message, got.message)
-                for key in ("eval_force", "epsilon", "volume"):
-                    got_value, want_value = getattr(got, key), getattr(want, key)
-                    assert got_value == pytest.approx(want_value, rel=RELATION_TOL, abs=0.0), (name, i, key)
+                assert_same_outcome(got, want, ("epsilon", "volume"), (name, i))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="metrics move at an equal scored step: ROADMAP items 3 and 14")
+    @pytest.mark.parametrize("case", KNOWN_BREAKS, ids=KNOWN_BREAK_IDS)
+    def test_known_break_keeps_every_outcome(self, case):
+        (want, _), (got, _) = known_break(*case)
+        assert_same_outcome(got, want, SCORES, case)
+
+    @pytest.mark.parametrize("case", KNOWN_BREAKS, ids=KNOWN_BREAK_IDS)
+    def test_known_break_keeps_status_and_force(self, case):
+        # what the break keeps: the same scored squeeze, whose force agrees
+        # within the Newton loop's tolerance
+        (want, want_scored), (got, got_scored) = known_break(*case)
+        assert got.status == want.status == "ok"
+        assert got_scored == want_scored
+        assert abs(got.eval_force - want.eval_force) <= MIDAIR.sim.convergence_tol
+
+
+# ROADMAP item 17's pose jitter: each candidate moved by JITTER_SHIFT in
+# its pad plane and tilted by JITTER_TILT, each in a seeded direction.
+# Bench mesh cells are 5-27 mm.
+JITTER_SHIFT = 1e-4  # m
+JITTER_TILT = np.radians(0.2)
+JITTER_COPIES = 3
+
+
+def jittered(cand, seed):
+    rng = np.random.default_rng(seed)
+    t1, t2 = orthonormal_tangents(cand.approach_axis)
+    shift, tilt = (np.cos(a) * t1 + np.sin(a) * t2 for a in rng.uniform(0.0, 2.0 * np.pi, size=2))
+    return dataclasses.replace(
+        cand,
+        grasp_center=cand.grasp_center + JITTER_SHIFT * shift,
+        approach_axis=np.cos(JITTER_TILT) * cand.approach_axis + np.sin(JITTER_TILT) * tilt,
+    )
+
+
+class TestPoseJitter:
+    def test_reports_jitter_sensitivity(self, capsys):
+        # ROADMAP item 17, printed and not gated until the sources of the
+        # jumps are separated.  Per object: the share of status flips; over
+        # the pairs ok on both sides, the median and 90th percentile of each
+        # score's relative change; and of the pairs with a score moved past
+        # RELATION_TOL, how many kept the scored step and contact count.
+        keys = ("eval_force", *SCORES)
+        lines = []
+        for obj, name in enumerate(BENCH_OBJECTS):
+            mesh, cands, outcomes, scored = midair_draw(name)
+            flips, changes, changed, kept = 0, [], 0, 0
+            for i, (cand, want, want_scored) in enumerate(zip(cands, outcomes, scored)):
+                for copy in range(JITTER_COPIES):
+                    got, got_scored = scored_run((i, mesh, jittered(cand, [obj, i, copy]), MIDAIR))
+                    flips += got.status != want.status
+                    if got.status == want.status == "ok":
+                        a = np.array([got.eval_force, *(got.values[k] for k in SCORES)])
+                        b = np.array([want.eval_force, *(want.values[k] for k in SCORES)])
+                        change = np.abs(a - b) / np.abs(b)
+                        changes.append(change)
+                        if np.any(change > RELATION_TOL):
+                            changed += 1
+                            kept += got_scored == want_scored
+            median, p90 = np.percentile(np.array(changes), [50, 90], axis=0)
+            lines.append(
+                f"[REPORT] item 17: {name}, {flips}/{len(cands) * JITTER_COPIES} status flips; "
+                "relative change median/p90: "
+                + ", ".join(f"{k} {m:.2g}/{p:.2g}" for k, m, p in zip(keys, median, p90))
+                + f"; {kept} of {changed} changed pairs kept the scored step and contact count"
+            )
+            assert np.all(np.isfinite(median)) and np.all(np.isfinite(p90)), name
+        with capsys.disabled():
+            print("\n".join(lines))
