@@ -3,26 +3,32 @@
 Data tables go to stdout (tab-separated, '#' for summary lines); diagnostics
 go to stderr as logging records, "LEVEL logger: message": one per failed or
 empty candidate and per normalized grasp axis, and with -v also qhull's
-joggle retries.  The library layers return outcomes; the commands report
-them, each once.  Exit codes: 0 success, 1 partial per-item failure, 2 config
-or I/O error.  simulate, rank and bench squeeze through fem.squeeze_frames,
-and a rank or bench candidate whose squeeze or wrench hull fails
-(SolverError, HullError) is a failed row.  When qhull cannot build a
-frame's wrench hull even from joggled input, metric and hull-info print
-"error: ..." to stderr, nothing to stdout, and exit 1.  All sampling is
-seeded, so equal inputs and seeds produce byte-identical outputs,
-regardless of --jobs, at a fixed BLAS thread count (CI and pipebench set
-OPENBLAS_NUM_THREADS=1).  The squeeze's dense solves sum in a
-thread-dependent order: pipebench's 24 seed-0 rank-midair candidates print
-byte-identical rows on one and two BLAS threads, but its seed-0
-squeeze-platform candidate box/00 converges on one thread and fails on two.
-Work is spread over the caller and helpers: --jobs N runs candidates in
-the calling process and min(N, candidates) - 1 worker processes, and
-metric and hull-info score frames on the calling thread and one pool
-thread per other CPU in the affinity mask; a CPU quota does not shrink the
-mask, so under one, bound the threads with taskset.  multiprocessing loads
-when a map starts a worker process and scipy.sparse.linalg (SuperLU) at
-the first mesh assembly, so metric and hull-info load neither.
+joggle retries.  Each main call writes its records to the stderr it was
+called with, at its own -v level, through a handler on the softgrasp logger
+that it removes before it returns; it leaves the root logger alone, and the
+records still reach any handler a caller put there.  (A --jobs worker
+process writes its records, with -v qhull's joggle retries, to its own copy
+of that stream: they reach a file or terminal, not an in-memory buffer.)
+The library layers return outcomes; the commands report them, each once.
+Exit codes: 0 success, 1 partial per-item failure, 2 config or I/O error.
+simulate, rank and bench squeeze through fem.squeeze_frames, and a rank or
+bench candidate whose squeeze or wrench hull fails (SolverError, HullError)
+is a failed row.  When qhull cannot build a frame's wrench hull even from
+joggled input, metric and hull-info print "error: ..." to stderr, nothing to
+stdout, and exit 1.  All sampling is seeded, so equal inputs and seeds
+produce byte-identical outputs, regardless of --jobs, at a fixed BLAS thread
+count (CI and pipebench set OPENBLAS_NUM_THREADS=1).  The squeeze's dense
+solves sum in a thread-dependent order: pipebench's 24 seed-0 rank-midair
+candidates print byte-identical rows on one and two BLAS threads, but its
+seed-0 squeeze-platform candidate box/00 converges on one thread and fails
+on two.  Work is spread over the caller and helpers: --jobs N runs
+candidates in the calling process and min(N, candidates) - 1 worker
+processes, and metric and hull-info score frames on the calling thread and
+one pool thread per other CPU in the affinity mask; a CPU quota does not
+shrink the mask, so under one, bound the threads with taskset.
+multiprocessing loads when a map starts a worker process and
+scipy.sparse.linalg (SuperLU) at the first mesh assembly, so metric and
+hull-info load neither.
 """
 
 from __future__ import annotations
@@ -597,43 +603,44 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run configuration file")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level diagnostics")
+    # the flags several subcommands share, each declared once
+    mesh = argparse.ArgumentParser(add_help=False)
+    mesh.add_argument("--node", required=True, help="tetgen .node file")
+    mesh.add_argument("--ele", required=True, help="tetgen .ele file")
+    mesh.add_argument("--grasps", required=True, help="grasp candidate JSONL file")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs", type=int, default=1, help="run candidates in this process and up to JOBS-1 workers"
+    )
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--desired-force", type=float, default=None, help="override the config desired_force")
+    trajectory = argparse.ArgumentParser(add_help=False)
+    trajectory.add_argument(
+        "--trajectory", required=True, help="trajectory JSONL file, as simulate writes it"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="squeeze grasps, write trajectories")
-    p.add_argument("--node", required=True, help="tetgen .node file")
-    p.add_argument("--ele", required=True, help="tetgen .ele file")
-    p.add_argument("--grasps", required=True, help="grasp candidate JSONL file")
+    p = sub.add_parser("simulate", parents=[common, mesh, jobs], help="squeeze grasps, write trajectories")
     p.add_argument("--out-dir", required=True, help="directory for trajectory files")
     p.add_argument("--object-name", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("metric", parents=[common], help="evaluate metrics on a trajectory")
-    p.add_argument("--trajectory", required=True)
+    p = sub.add_parser("metric", parents=[common, trajectory, force], help="evaluate metrics on a trajectory")
     p.add_argument("--metric", default="all", choices=("all",) + METRIC_NAMES)
-    p.add_argument("--desired-force", type=float, default=None)
     p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("rank", parents=[common], help="rank grasp candidates on a mesh")
-    p.add_argument("--node", required=True)
-    p.add_argument("--ele", required=True)
-    p.add_argument("--grasps", required=True)
+    p = sub.add_parser("rank", parents=[common, mesh, force, jobs], help="rank grasp candidates on a mesh")
     p.add_argument("--metric", default="gravity", choices=METRIC_NAMES)
-    p.add_argument("--desired-force", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("bench", parents=[common], help="metric monotonicity benchmark")
+    p = sub.add_parser("bench", parents=[common, force, jobs], help="metric monotonicity benchmark")
     p.add_argument("--objects", default="box,slab,cylinder,sphere")
     p.add_argument("--grasps-per-object", type=int, default=15)
-    p.add_argument("--desired-force", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("hull-info", parents=[common], help="per-frame wrench hull statistics")
-    p.add_argument("--trajectory", required=True)
+    p = sub.add_parser("hull-info", parents=[common, trajectory], help="per-frame wrench hull statistics")
     p.set_defaults(func=cmd_hull_info)
 
     return parser
@@ -641,11 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # this call's records, at its -v level, to its own stderr (see above)
+    package = logging.getLogger("softgrasp")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = package.level
+    package.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    package.addHandler(handler)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
@@ -661,6 +670,9 @@ def main(argv=None) -> int:
     except HullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg
+from scipy.spatial import ConvexHull, QhullError
 
 import softgrasp
-from softgrasp import ContactPoint, GravityConfig, TrajectoryFrame, frame_quality
+from softgrasp import ContactPoint, GravityConfig, TrajectoryFrame, frame_quality, geom
 
 
 def quality(frame, cfg, metric: str, gcfg=GravityConfig(), proxy_dirs=None) -> float:
@@ -279,3 +280,18 @@ def make_newton_solve_singular(monkeypatch, part: str) -> None:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     else:
         monkeypatch.setattr(np.linalg, "solve", singular)
+
+
+def recording_qhull(monkeypatch, failures=0):
+    """Patch geom.ConvexHull to record the options of every call and to
+    raise on the first failures calls; returns the list of options."""
+    options = []
+
+    def qhull(points, qhull_options=None):
+        options.append(qhull_options)
+        if len(options) <= failures:
+            raise QhullError("QH6271 forced failure\nmore detail")
+        return ConvexHull(points, qhull_options=qhull_options)
+
+    monkeypatch.setattr(geom, "ConvexHull", qhull)
+    return options

@@ -1,7 +1,11 @@
+import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
+import io
 import json
+import logging
 import os
 import shutil
 import sys
@@ -16,7 +20,7 @@ from scipy.spatial import QhullError
 
 import oracles
 import softgrasp
-from helpers import make_newton_solve_singular, run_python, tetgen_text
+from helpers import make_newton_solve_singular, recording_qhull, run_python, tetgen_text
 from softgrasp import (
     ConfigError,
     SolverError,
@@ -679,6 +683,92 @@ class TestDiagnostics:
             "WARNING softgrasp.fileio: grasp line 2: axis normalized (norm was 1.000500)",
             "WARNING softgrasp.cli: candidate 0: empty (no contact frames)",
         ]
+
+
+@contextlib.contextmanager
+def bare_root_logger():
+    """The root logger as a fresh interpreter holds it, no handler and level
+    WARNING, for the block; pytest's capture handlers are put back after."""
+    root = logging.getLogger()
+    handlers, level = root.handlers, root.level
+    root.handlers = []
+    root.setLevel(logging.WARNING)
+    try:
+        yield
+    finally:
+        root.handlers = handlers
+        root.setLevel(level)
+
+
+def logger_state():
+    return [(lg.handlers[:], lg.level) for lg in (logging.getLogger(), logging.getLogger("softgrasp"))]
+
+
+class TestRepeatedCalls:
+    # pipebench and the Python API call main many times in one process
+    AXIS_RECORD = "WARNING softgrasp.fileio: grasp line 1: axis normalized (norm was 1.000500)"
+
+    @staticmethod
+    def midair_argv(tmp_path, *flags):
+        # the mid-air box candidate, its axis 5e-4 off unit length
+        line = json.loads((DATA / "midair_grasp.jsonl").read_text())
+        line["axis"] = [1.0005 * a for a in line["axis"]]
+        (tmp_path / "grasps.jsonl").write_text(json.dumps(line) + "\n")
+        return ["rank", "--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele"),
+                "--grasps", str(tmp_path / "grasps.jsonl"), "--config", str(DATA / "midair.cfg"), *flags]
+
+    @staticmethod
+    def call(argv):
+        """main(argv) under its own stdout and stderr buffers: the exit code,
+        the stderr lines, and whether both loggers ended as they began."""
+        before = logger_state()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue().splitlines(), logger_state() == before
+
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path):
+        argv = self.midair_argv(tmp_path)
+        with bare_root_logger():
+            calls = [self.call(argv) for _ in range(2)]
+        assert calls == [(0, [self.AXIS_RECORD], True)] * 2
+
+    def test_later_call_logs_at_its_own_level(self, tmp_path, monkeypatch):
+        argv = self.midair_argv(tmp_path)
+        with bare_root_logger():
+            first = self.call(argv)
+            options = recording_qhull(monkeypatch, failures=1)
+            code, lines, restored = self.call(argv + ["-v"])
+        assert first == (0, [self.AXIS_RECORD], True)
+        assert options[:2] == [None, "QJ Qx"]
+        assert (code, restored, lines[0]) == (0, True, self.AXIS_RECORD)
+        assert len(lines) == 2 and lines[1].startswith("INFO softgrasp.geom: qhull failed on ")
+
+    def test_records_still_reach_root_handlers(self, tmp_path, caplog):
+        # the records propagate, so an embedding program's handlers (here
+        # caplog's) see them too
+        assert self.call(self.midair_argv(tmp_path)) == (0, [self.AXIS_RECORD], True)
+        assert [r.getMessage() for r in caplog.records] == [self.AXIS_RECORD.split(": ", 1)[1]]
+
+
+class TestParser:
+    SHARED = ("--node", "--ele", "--grasps", "--jobs", "--desired-force", "--trajectory")
+
+    def test_shared_flags_declared_once(self):
+        # each subcommand that takes a shared flag holds the same action
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for flag in self.SHARED:
+            actions = {id(p._option_string_actions[flag]) for p in subparsers.choices.values()
+                       if flag in p._option_string_actions}
+            assert len(actions) == 1, flag
+
+    def test_rank_help_describes_mesh_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit):
+            main(["rank", "--help"])
+        out = capsys.readouterr().out
+        for text in ("tetgen .node file", "tetgen .ele file", "grasp candidate JSONL file"):
+            assert text in out
 
 
 class TestExitCodes:
@@ -1405,12 +1495,14 @@ class TestPoseJitter:
         # jumps are separated.  Per object: the share of status flips; over
         # the pairs ok on both sides, the median and 90th percentile of each
         # score's relative change; and of the pairs with a score moved past
-        # RELATION_TOL, how many kept the scored step and contact count.
+        # RELATION_TOL, how many kept the scored step and contact count, how
+        # many moved the scored step, and how many changed the contact count
+        # at an equal step.
         keys = ("eval_force", *SCORES)
         lines = []
         for obj, name in enumerate(BENCH_OBJECTS):
             mesh, cands, outcomes, scored = midair_draw(name)
-            flips, changes, changed, kept = 0, [], 0, 0
+            flips, changes, changed, kept, moved = 0, [], 0, 0, 0
             for i, (cand, want, want_scored) in enumerate(zip(cands, outcomes, scored)):
                 for copy in range(JITTER_COPIES):
                     got, got_scored = scored_run((i, mesh, jittered(cand, [obj, i, copy]), MIDAIR))
@@ -1423,12 +1515,14 @@ class TestPoseJitter:
                         if np.any(change > RELATION_TOL):
                             changed += 1
                             kept += got_scored == want_scored
+                            moved += got_scored[0] != want_scored[0]
             median, p90 = np.percentile(np.array(changes), [50, 90], axis=0)
             lines.append(
                 f"[REPORT] item 17: {name}, {flips}/{len(cands) * JITTER_COPIES} status flips; "
                 "relative change median/p90: "
                 + ", ".join(f"{k} {m:.2g}/{p:.2g}" for k, m, p in zip(keys, median, p90))
-                + f"; {kept} of {changed} changed pairs kept the scored step and contact count"
+                + f"; of {changed} changed pairs, {kept} kept the scored step and contact count, "
+                f"{moved} moved the scored step, {changed - kept - moved} changed the contact count at an equal step"
             )
             assert np.all(np.isfinite(median)) and np.all(np.isfinite(p90)), name
         with capsys.disabled():

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull
 
 import oracles
-from helpers import antipodal_patch_frame, dyadic_frame, random_frame, random_hull_points
+from helpers import antipodal_patch_frame, dyadic_frame, random_frame, random_hull_points, recording_qhull
 from softgrasp import geom
 from softgrasp import (
     HullError,
@@ -37,21 +37,6 @@ def cross_points(d):
 def unit_dirs(rng, n, d):
     v = rng.normal(size=(n, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def recording_qhull(monkeypatch, failures=0):
-    """Patch geom.ConvexHull to record the options of every call and to
-    raise on the first failures calls; returns the list of options."""
-    options = []
-
-    def qhull(points, qhull_options=None):
-        options.append(qhull_options)
-        if len(options) <= failures:
-            raise QhullError("QH6271 forced failure\nmore detail")
-        return ConvexHull(points, qhull_options=qhull_options)
-
-    monkeypatch.setattr(geom, "ConvexHull", qhull)
-    return options
 
 
 class TestConvexHull:
