@@ -60,6 +60,7 @@ from .fem import (
 )
 from .metrics import (
     METRIC_NAMES,
+    SCORE_NAMES,
     GravityConfig,
     desired_force_index,
     fibonacci_sphere,
@@ -184,22 +185,18 @@ def load_run_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Shared evaluation plumbing.
 
-# A rank or bench candidate's scores, in printed order: the metrics, then
-# the proxy that bench ranks them against.
-_SCORES = METRIC_NAMES + ("proxy",)
-
 
 @dataclass
 class GraspEvaluation:
     """A candidate's outcome, and in values the FrameQuality.values of its
     scored frame; a failed or empty candidate was never measured and scores
-    0 on each of _SCORES."""
+    0 on each of SCORE_NAMES."""
 
     index: int
     status: str = "ok"  # ok | empty | failed
     reached: bool = False
     eval_force: float = 0.0
-    values: dict = field(default_factory=lambda: dict.fromkeys(_SCORES, 0.0))
+    values: dict = field(default_factory=lambda: dict.fromkeys(SCORE_NAMES, 0.0))
     message: str = ""
 
 
@@ -433,7 +430,7 @@ def cmd_rank(args, rc: RunConfig) -> int:
     order = sorted(evals, key=lambda e: (-e.values[args.metric], e.index))
     _emit(
         ("rank", "candidate", "center_x", "center_y", "center_z", "axis_x", "axis_y", "axis_z")
-        + _SCORES + ("eval_force", "reached", "status")
+        + SCORE_NAMES + ("eval_force", "reached", "status")
     )
     # an unmeasured candidate scores 0, so the rows list them in index order too
     failures = _log_failed_candidates((e.index, e.status, e.message) for e in evals)
@@ -443,7 +440,7 @@ def cmd_rank(args, rc: RunConfig) -> int:
             [rank, ev.index]
             + [float(v) for v in cand.grasp_center]
             + [float(v) for v in cand.approach_axis]
-            + [ev.values[name] for name in _SCORES]
+            + [ev.values[name] for name in SCORE_NAMES]
             + [ev.eval_force, int(ev.reached), ev.status]
         )
     return 1 if failures else 0
@@ -551,7 +548,7 @@ def run_bench(object_names, grasps_per_object: int, rc: RunConfig, jobs: int = 1
             logger.warning("bench %s: %d measured grasps, too few to rank", name, len(measured))
         else:
             # one column per score: each metric's, then the proxy's
-            *series, proxy = np.array([[e.values[n] for n in _SCORES] for e in measured]).T
+            *series, proxy = np.array([[e.values[n] for n in SCORE_NAMES] for e in measured]).T
             scores = [monotonicity(vals, proxy) for vals in series]
         rows.append((name, len(evals), failed, empty, *scores))
     # a NaN correlation compares false, so its object is not ordered
@@ -612,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument(
         "--jobs", type=int, default=1, help="run candidates in this process and up to JOBS-1 workers"
     )
-    force = argparse.ArgumentParser(add_help=False)
-    force.add_argument("--desired-force", type=float, default=None, help="override the config desired_force")
     trajectory = argparse.ArgumentParser(add_help=False)
     trajectory.add_argument(
         "--trajectory", required=True, help="trajectory JSONL file, as simulate writes it"
@@ -626,18 +621,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object-name", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("metric", parents=[common, trajectory, force], help="evaluate metrics on a trajectory")
+    p = sub.add_parser("metric", parents=[common, trajectory], help="evaluate metrics on a trajectory")
     p.add_argument("--metric", default="all", choices=("all",) + METRIC_NAMES)
     p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("rank", parents=[common, mesh, force, jobs], help="rank grasp candidates on a mesh")
+    p = sub.add_parser("rank", parents=[common, mesh, jobs], help="rank grasp candidates on a mesh")
     p.add_argument("--metric", default="gravity", choices=METRIC_NAMES)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("bench", parents=[common, force, jobs], help="metric monotonicity benchmark")
+    p = sub.add_parser("bench", parents=[common, jobs], help="metric monotonicity benchmark")
     p.add_argument("--objects", default="box,slab,cylinder,sphere")
     p.add_argument("--grasps-per-object", type=int, default=15)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("hull-info", parents=[common, trajectory], help="per-frame wrench hull statistics")
@@ -659,10 +653,6 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
         rc = load_run_config(args.config) if args.config else RunConfig()
-        for key in ("seed", "desired_force"):
-            value = getattr(args, key, None)
-            if value is not None:
-                rc = dataclasses.replace(rc, **{key: value})
         return args.func(args, rc)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

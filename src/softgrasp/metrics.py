@@ -20,6 +20,9 @@ from .errors import InvalidInputError, check_fields, finite, integer, unit_rows
 from .geom import Polytope, min_facet_distance, polytope_volume, ray_exit_distances
 
 METRIC_NAMES = ("epsilon", "volume", "gravity")
+# A rank or bench candidate's scores, in printed order: the metrics, then
+# the proxy that bench ranks them against.
+SCORE_NAMES = METRIC_NAMES + ("proxy",)
 # A trace counts as saturated once later values stop exceeding the current
 # one by more than this relative margin.
 SATURATION_REL_MARGIN = 0.01
@@ -101,7 +104,7 @@ def frame_quality(
         values = dict.fromkeys(METRIC_NAMES, 0.0)
     else:
         proxy_dirs = unit_rows(proxy_dirs, "proxy_dirs", 3)
-        values = dict.fromkeys(METRIC_NAMES + ("proxy",), 0.0)
+        values = dict.fromkeys(SCORE_NAMES, 0.0)
     if len(frame.contacts) == 0:
         return FrameQuality(values, vertices=0, facets=0, affine_rank=0)
     gws = build_gws(frame, cfg)

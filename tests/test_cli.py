@@ -240,6 +240,7 @@ def workspace(tmp_path_factory):
     miss = grasp_line([0.0, 0.5, 0.03], halfwidth=0.005)
     (root / "good.jsonl").write_text(good + "\n" + narrow + "\n")
     (root / "with_miss.jsonl").write_text(good + "\n" + miss + "\n")
+    (root / "three.jsonl").write_text(good + "\n" + narrow + "\n" + miss + "\n")
     (root / "run.cfg").write_text(CONFIG_TEXT)
     return root
 
@@ -352,12 +353,13 @@ class TestPipeline:
         assert cli.build_parser() is cli.build_parser()
         args = ["rank", "--node", str(DATA / "midair_box.node"), "--ele", str(DATA / "midair_box.ele"),
                 "--grasps", str(DATA / "midair_grasp.jsonl"), "--config", str(DATA / "midair.cfg")]
-        flagged = cli.build_parser().parse_args(args + ["--desired-force", "3", "--jobs", "2"])
+        flagged = cli.build_parser().parse_args(args + ["--metric", "volume", "--jobs", "2"])
         plain = cli.build_parser().parse_args(args)
-        assert (flagged.desired_force, flagged.jobs, plain.desired_force, plain.jobs) == (3.0, 2, None, 1)
-        code, out, err = run_cli(capsys, *args, "--desired-force", "3", "--jobs", "2")
+        assert (flagged.metric, flagged.jobs, plain.metric, plain.jobs) == ("volume", 2, "gravity", 1)
+        code, out, err = run_cli(capsys, *args, "--metric", "volume", "--jobs", "2")
+        # one candidate: neither flag changes its table
         assert (code, err) == (0, "")
-        assert out != (DATA / "midair_rank_fixture.tsv").read_text()
+        assert out == (DATA / "midair_rank_fixture.tsv").read_text()
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, "")
         assert out == (DATA / "midair_rank_fixture.tsv").read_text()
@@ -394,43 +396,43 @@ class TestPipeline:
         assert gravities == sorted(gravities, reverse=True)
         assert all(r[-1] == "ok" for r in rows)
 
+    # the miss's record, logged once, in candidate order, for any --jobs
+    MISS_RECORD = "WARNING softgrasp.cli: candidate 2: empty (no contact frames)\n"
+
     def test_rank_jobs_deterministic(self, workspace, capsys):
         args = (
             "rank",
             "--node", str(workspace / "box.node"),
             "--ele", str(workspace / "box.ele"),
-            "--grasps", str(workspace / "good.jsonl"),
+            "--grasps", str(workspace / "three.jsonl"),
             "--config", str(workspace / "run.cfg"),
         )
-        code1, out1, _ = run_cli(capsys, *args, "--jobs", "1")
-        code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
+        runs = [run_cli(capsys, *args, "--jobs", jobs) for jobs in ("1", "2")]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, err) == (1, self.MISS_RECORD)
+        assert [row.split("\t")[-1] for row in out.splitlines()[1:]] == ["ok", "ok", "empty"]
 
     def test_simulate_jobs_deterministic(self, workspace, capsys, tmp_path):
         # two hits and a miss: with --jobs 2 a worker process squeezes the
         # first on an unpickled mesh while the calling process runs the rest
-        grasps = tmp_path / "three.jsonl"
-        grasps.write_text(
-            (workspace / "good.jsonl").read_text() + (workspace / "with_miss.jsonl").read_text().splitlines()[1] + "\n"
-        )
         out_dir = tmp_path / "traj"
         args = (
             "simulate",
             "--node", str(workspace / "box.node"),
             "--ele", str(workspace / "box.ele"),
-            "--grasps", str(grasps),
+            "--grasps", str(workspace / "three.jsonl"),
             "--out-dir", str(out_dir),
             "--config", str(workspace / "run.cfg"),
         )
         runs = []
         for jobs in ("1", "2"):
-            code, out, _ = run_cli(capsys, *args, "--jobs", jobs)
-            runs.append((code, out, {path.name: path.read_bytes() for path in out_dir.iterdir()}))
+            code, out, err = run_cli(capsys, *args, "--jobs", jobs)
+            runs.append((code, out, err, {path.name: path.read_bytes() for path in out_dir.iterdir()}))
             shutil.rmtree(out_dir)
         assert runs[0] == runs[1]
-        code, out, files = runs[0]
-        assert code == 1
+        code, out, err, files = runs[0]
+        assert (code, err) == (1, self.MISS_RECORD)
         assert [row.split("\t")[1] for row in out.splitlines()[1:]] == ["ok", "ok", "empty"]
         assert sorted(files) == ["grasp_000.jsonl", "grasp_001.jsonl", "grasp_002.jsonl"]
 
@@ -752,7 +754,7 @@ class TestRepeatedCalls:
 
 
 class TestParser:
-    SHARED = ("--node", "--ele", "--grasps", "--jobs", "--desired-force", "--trajectory")
+    SHARED = ("--node", "--ele", "--grasps", "--jobs", "--trajectory")
 
     def test_shared_flags_declared_once(self):
         # each subcommand that takes a shared flag holds the same action
@@ -761,6 +763,13 @@ class TestParser:
             actions = {id(p._option_string_actions[flag]) for p in subparsers.choices.values()
                        if flag in p._option_string_actions}
             assert len(actions) == 1, flag
+
+    def test_no_flag_sets_a_config_key(self):
+        # a run setting has one way in, --config: no flag stores to a config key
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {(name, action.dest) for name, p in subparsers.choices.items() for action in p._actions}
+        assert {dest for _, dest in dests} >= {"config", "jobs", "metric"}
+        assert sorted((name, dest) for name, dest in dests if dest in cli._KEYS) == []
 
     def test_rank_help_describes_mesh_flags(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
@@ -842,15 +851,22 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: face (0, 1, 2) shared by more than two tets\n"
 
-    def test_negative_seed_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--objects", "box", "--seed", "-3")
-        assert code == 2
-        assert "seed must be >= 0" in err
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        code, out, err = run_cli(capsys, "bench", "--objects", "box", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
 
-    def test_seed_only_on_bench(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--seed", "1"])
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    def test_no_subcommand_takes_seed_or_desired_force(self, capsys):
+        # both are config keys, set through --config alone
+        mesh = ["--node", "n", "--ele", "e", "--grasps", "g"]
+        required = {"simulate": mesh + ["--out-dir", "o"], "metric": ["--trajectory", "t"],
+                    "rank": mesh, "bench": [], "hull-info": ["--trajectory", "t"]}
+        for command, argv in required.items():
+            for flag in ("--seed", "--desired-force"):
+                with pytest.raises(SystemExit):
+                    main([command, *argv, flag, "1"])
+                assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["bogus", "proxy"])
     def test_unknown_metric(self, name, capsys):
@@ -859,20 +875,24 @@ class TestExitCodes:
             main(["metric", "--trajectory", str(FIXTURE_TRAJECTORY), "--metric", name])
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_negative_desired_force_exit_2(self, workspace, capsys):
-        code, _, err = run_cli(
+    def test_negative_desired_force_exit_2(self, workspace, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("desired_force = -1.0\n")
+        code, out, err = run_cli(
             capsys, "metric",
             "--trajectory", str(workspace / "box.node"),
-            "--desired-force", "-1.0",
+            "--config", str(cfg),
         )
-        assert code == 2
+        assert (code, out, err) == (2, "", "error: desired_force must be > 0\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["metric", "bench"])
-    def test_non_finite_desired_force_exit_2(self, command, value, capsys):
-        # the override is validated like the config key, before any work runs
+    def test_non_finite_desired_force_exit_2(self, command, value, capsys, tmp_path):
+        # the config is checked before any work runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"desired_force = {value}\n")
         target = ["--trajectory", str(FIXTURE_TRAJECTORY)] if command == "metric" else ["--objects", "box"]
-        code, out, err = run_cli(capsys, command, *target, "--desired-force", value)
+        code, out, err = run_cli(capsys, command, *target, "--config", str(cfg))
         assert code == 2
         assert err == "error: desired_force must be > 0\n"
         assert out == ""
@@ -1293,7 +1313,6 @@ class TestScoredFrameStop:
 # holds for eval_force on every candidate tested, but not for the metrics
 # of KNOWN_BREAKS.
 RELATION_TOL = MIDAIR.sim.convergence_tol / MIDAIR.desired_force
-SCORES = (*metrics.METRIC_NAMES, "proxy")
 SHIFT = np.array([0.1, -0.05, 0.2])
 
 
@@ -1416,7 +1435,7 @@ class TestMetamorphicRelations:
     def test_relation_keeps_every_outcome(self, name, relation):
         mesh, cands, outcomes, _ = midair_draw(name)
         for i, (cand, want) in enumerate(zip(cands, outcomes)):
-            assert_same_outcome(_run_candidate((i, *relation(mesh, cand), MIDAIR)), want, SCORES, i)
+            assert_same_outcome(_run_candidate((i, *relation(mesh, cand), MIDAIR)), want, metrics.SCORE_NAMES, i)
 
     @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
     def test_doubled_stiffness_and_forces_keep_every_outcome(self, name):
@@ -1427,7 +1446,7 @@ class TestMetamorphicRelations:
             got = _run_candidate((i, mesh, cand, rc))
             assert got.status == want.status, (i, want.message, got.message)
             assert got.eval_force == SCALE * want.eval_force, i
-            for key in SCORES:
+            for key in metrics.SCORE_NAMES:
                 assert got.values[key] == want.values[key], (i, key)
 
     @pytest.mark.parametrize("name", list(BENCH_OBJECTS))
@@ -1458,7 +1477,7 @@ class TestMetamorphicRelations:
     @pytest.mark.parametrize("case", KNOWN_BREAKS, ids=KNOWN_BREAK_IDS)
     def test_known_break_keeps_every_outcome(self, case):
         (want, _), (got, _) = known_break(*case)
-        assert_same_outcome(got, want, SCORES, case)
+        assert_same_outcome(got, want, metrics.SCORE_NAMES, case)
 
     @pytest.mark.parametrize("case", KNOWN_BREAKS, ids=KNOWN_BREAK_IDS)
     def test_known_break_keeps_status_and_force(self, case):
@@ -1498,7 +1517,7 @@ class TestPoseJitter:
         # RELATION_TOL, how many kept the scored step and contact count, how
         # many moved the scored step, and how many changed the contact count
         # at an equal step.
-        keys = ("eval_force", *SCORES)
+        keys = ("eval_force", *metrics.SCORE_NAMES)
         lines = []
         for obj, name in enumerate(BENCH_OBJECTS):
             mesh, cands, outcomes, scored = midair_draw(name)
@@ -1508,8 +1527,8 @@ class TestPoseJitter:
                     got, got_scored = scored_run((i, mesh, jittered(cand, [obj, i, copy]), MIDAIR))
                     flips += got.status != want.status
                     if got.status == want.status == "ok":
-                        a = np.array([got.eval_force, *(got.values[k] for k in SCORES)])
-                        b = np.array([want.eval_force, *(want.values[k] for k in SCORES)])
+                        a = np.array([got.eval_force, *(got.values[k] for k in metrics.SCORE_NAMES)])
+                        b = np.array([want.eval_force, *(want.values[k] for k in metrics.SCORE_NAMES)])
                         change = np.abs(a - b) / np.abs(b)
                         changes.append(change)
                         if np.any(change > RELATION_TOL):

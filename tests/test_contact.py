@@ -21,11 +21,11 @@ from softgrasp import (
     build_gws,
     contact_centroid,
     default_torque_scale,
-    frame_wrenches,
     min_facet_distance,
     orthonormal_tangents,
     polytope_volume,
 )
+from softgrasp.contact import frame_wrenches
 from softgrasp.fileio import load_trajectory
 
 FIXTURE_TRAJECTORY = Path(__file__).parent / "data" / "hull_info_fixture.jsonl"

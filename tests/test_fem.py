@@ -18,16 +18,15 @@ from softgrasp import (
     MaterialParams,
     SimConfig,
     SolverError,
-    Squeeze,
     TetMesh,
     assemble_model,
     generate_primitive_mesh,
     load_trajectory,
     mesh_center_of_mass,
-    quasi_static_step,
     squeeze_frames,
     tet_volumes,
 )
+from softgrasp.fem import Squeeze, quasi_static_step
 
 NO_PLATFORM = -10.0  # platform far below every test object
 

@@ -12,14 +12,14 @@ from softgrasp import geom
 from softgrasp import (
     HullError,
     InvalidInputError,
-    affine_rank_of,
     convex_hull,
     min_facet_distance,
     polytope_volume,
     ray_exit_distances,
     WrenchSpaceConfig,
-    frame_wrenches,
 )
+from softgrasp.contact import frame_wrenches
+from softgrasp.geom import affine_rank_of
 
 DATA = Path(__file__).parent / "data"
 

@@ -22,13 +22,10 @@ from softgrasp import (
     load_grasp_candidates,
     load_tet_mesh,
     load_trajectory,
-    parse_grasp_candidates,
-    parse_tet_mesh,
-    read_trajectory,
     save_trajectory,
     write_grasp_candidates,
-    write_trajectory,
 )
+from softgrasp.fileio import parse_grasp_candidates, parse_tet_mesh, read_trajectory, write_trajectory
 
 
 class TestTrajectoryRoundTrip:

@@ -30,13 +30,13 @@ from softgrasp import (
     desired_force_index,
     fibonacci_sphere,
     frame_quality,
-    frame_wrenches,
     min_facet_distance,
     monotonicity,
     saturation_index,
 )
 from softgrasp import cli, metrics
-from softgrasp.metrics import METRIC_NAMES
+from softgrasp.contact import frame_wrenches
+from softgrasp.metrics import METRIC_NAMES, SCORE_NAMES
 
 
 def frame_with_forces(frame, k):
@@ -411,14 +411,14 @@ class TestFrameQuality:
         assert len(built) == 1
         values = score_frames(frames, WrenchSpaceConfig(), proxy_dirs=fibonacci_sphere(12))
         assert len(built) == 1 + len(frames)
-        assert set(values) == set(METRIC_NAMES + ("proxy",))
+        assert set(values) == set(SCORE_NAMES)
 
     def test_value_keys(self, rng):
         f = random_frame(rng, 4)
         q = frame_quality(f, WrenchSpaceConfig(), GravityConfig())
         assert tuple(q.values) == METRIC_NAMES
         q = frame_quality(f, WrenchSpaceConfig(), GravityConfig(), fibonacci_sphere(12))
-        assert tuple(q.values) == METRIC_NAMES + ("proxy",)
+        assert tuple(q.values) == SCORE_NAMES
 
     def test_contact_free_frame_scores_zero(self):
         f = TrajectoryFrame(time=0.0, contacts=(), squeeze_force=0.0, com=np.zeros(3), mass=0.1)
@@ -447,7 +447,7 @@ class TestConcurrentFrames:
         for cpus in (1, 2, 4):
             bind_cpus(monkeypatch, cpus)
             traces = score_frames(frames, cfg, gcfg, dirs)
-            for m in METRIC_NAMES + ("proxy",):
+            for m in SCORE_NAMES:
                 values = np.array([q[m] for q in serial])
                 assert np.array_equal(traces[m], values)
                 assert saturation_index(traces[m]) == saturation_index(values)
